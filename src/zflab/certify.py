@@ -282,9 +282,10 @@ def _harness_row(g, name, conjectured, primes, z_cap):
             res = zero_forcing_number(
                 g, size_hint=max(nu, 1), assume_minimum=nu >= 1, search_cap=z_cap
             )
-            z = res.zf_number if res.is_exact else None
         except ValueError:
-            z = None
+            # the asserted floor nu exceeds Z, which contradicts nu <= M <= Z
+            return HarnessRow(name, g.n, nu, None, nulls_p, conjectured, "fail")
+        z = res.zf_number if res.is_exact else None
     if z is None:
         status = "skipped"
     else:

@@ -4,11 +4,13 @@ Supported domains: the rationals, prime fields GF(p), and the two quadratic
 extensions of the rationals generated by a 4th / 3rd root of unity (enough
 for exact root-of-unity block arithmetic with orbit sizes 1, 2, 3, 4, 6).
 
-Rank over the rationals runs fraction-free (Bareiss) on integer rows to keep
-intermediate entries polynomially bounded; GF(p) uses modular inverses; the
-quadratic extensions use straight exact elimination. A dense Jacobi
-eigensolver (cyclic two-sided rotations) provides floating-point spectra of
-real symmetric / complex Hermitian matrices for spectrum comparisons.
+One elimination kernel, `_echelon`, serves every domain: forward
+elimination to row echelon form with first-nonzero pivoting. Rank is its
+pivot count and the nullspace basis is back-substituted from it. Only the
+row operation depends on the domain: fraction-free (Bareiss) on integer rows
+over the rationals, a normalized pivot row over GF(p), division by the
+pivot over the quadratic extensions. Floating-point spectra of real
+symmetric / complex Hermitian matrices come from numpy's eigvalsh.
 """
 
 from __future__ import annotations
@@ -361,28 +363,20 @@ class ExactMatrix:
     def rank_nullity(self):
         """(rank, nullity) by exact elimination; pivots are always the first
         nonzero entry in column order, so runs are deterministic."""
-        if self.domain.kind == "GF":
-            rank = _rank_mod_p([list(r) for r in self.data], self.domain.p)
-        elif self.domain.kind == "Q":
-            rank = _rank_bareiss(_integer_rows(self.data))
-        else:
-            rank = _rank_field([list(r) for r in self.data])
+        rank = len(_echelon(self)[1])
         return rank, self.cols - rank
 
     def nullspace_basis(self):
         """Basis of the right nullspace in reduced-echelon parametrization:
-        each free coordinate is set to 1 in turn, pivots back-substituted."""
-        if self.domain.kind == "GF":
-            p = self.domain.p
-            red, pivots = _rref_mod_p([list(r) for r in self.data], p)
-            build = lambda x: x % p
-            minus = lambda x: (-x) % p
-        else:
-            red, pivots = _rref_field([list(r) for r in self.data])
-            build = lambda x: x
-            minus = lambda x: -x
+        each free coordinate is set to 1 in turn, pivots back-substituted.
+
+        The vector of free column f is zero past f, so its last nonzero
+        coordinate is f itself; the basis is ordered by free column."""
+        rows, pivots = _echelon(self)
+        p = self.domain.p
         zero = _normalize(0, self.domain)
         one = _normalize(1, self.domain)
+        pivot_rows = list(zip(pivots, rows))[::-1]
         pivot_cols = set(pivots)
         basis = []
         for free in range(self.cols):
@@ -390,116 +384,47 @@ class ExactMatrix:
                 continue
             vec = [zero] * self.cols
             vec[free] = one
-            for r, pc in enumerate(pivots):
-                vec[pc] = minus(red[r][free]) if red[r][free] else zero
-            basis.append([build(x) for x in vec])
+            for pc, row in pivot_rows:
+                if pc > free:
+                    continue
+                s = zero
+                for j in range(pc + 1, free + 1):
+                    if row[j] and vec[j]:
+                        s += row[j] * vec[j]
+                # GF(p) pivot rows are normalized to pivot 1
+                vec[pc] = -s % p if p else -s / row[pc]
+            basis.append(vec)
         return basis
 
 
-def _integer_rows(data):
-    """Clear denominators row by row (row scaling preserves rank and right
-    nullspace)."""
-    out = []
-    for row in data:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        out.append([int(x * lcm) for x in row])
-    return out
+def _echelon(matrix):
+    """Row echelon form of an ExactMatrix and its pivot columns, by forward
+    elimination only.
 
-
-def _rank_bareiss(rows):
-    """Fraction-free Gaussian elimination over the integers."""
-    if not rows:
-        return 0
-    m = [row[:] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
+    The pivot of each column is its first nonzero entry at or below the
+    current row, so the pivot columns are the lexicographically first column
+    basis whatever the domain. Over Q the rows are cleared to integers (row
+    scaling keeps the rank and the right nullspace) and eliminated
+    fraction-free (Bareiss), which keeps intermediate entries polynomially
+    bounded; every row below the pivot must be updated for the exact
+    divisions to hold. Over GF(p) the pivot row is normalized to pivot 1 and
+    only rows with a nonzero entry in the pivot column are touched. Over the
+    quadratic extensions the rows are eliminated by dividing by the pivot.
+    """
+    kind = matrix.domain.kind
+    if kind == "Q":
+        rows = []
+        for row in matrix.data:
+            lcm = math.lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (lcm // x.denominator) for x in row])
+    else:
+        rows = [list(row) for row in matrix.data]
+    p = matrix.domain.p
+    n_rows, n_cols = len(rows), matrix.cols
+    pivots = []
     prev = 1
     for col in range(n_cols):
-        pivot_row = None
-        for r in range(rank, n_rows):
-            if m[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        piv = m[rank][col]
-        row_p = m[rank]
-        for r in range(rank + 1, n_rows):
-            factor = m[r][col]
-            row_r = m[r]
-            for c in range(col, n_cols):
-                row_r[c] = (row_r[c] * piv - factor * row_p[c]) // prev
-        prev = piv
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
-def _rank_mod_p(rows, p):
-    n_rows, n_cols = len(rows), len(rows[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(rank, n_rows):
-            if rows[r][col] % p:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for r in range(n_rows):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
-def _rref_mod_p(rows, p):
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(rank, n_rows):
-            if rows[r][col] % p:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for r in range(n_rows):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
-
-
-def _rank_field(rows):
-    red, pivots = _rref_field(rows)
-    return len(pivots)
-
-
-def _rref_field(rows):
-    """Reduced row echelon form over an exact field (Fractions or
-    QuadRationals); first-nonzero pivoting."""
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(n_cols):
+        rank = len(pivots)
         pivot_row = None
         for r in range(rank, n_rows):
             if rows[r][col]:
@@ -508,15 +433,32 @@ def _rref_field(rows):
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        piv = rows[rank][col]
-        rows[rank] = [x / piv for x in rows[rank]]
-        for r in range(n_rows):
-            if r != rank and rows[r][col]:
+        row_p = rows[rank]
+        piv = row_p[col]
+        if kind == "Q":
+            for r in range(rank + 1, n_rows):
+                row_r = rows[r]
+                factor = row_r[col]
+                for c in range(col, n_cols):
+                    row_r[c] = (row_r[c] * piv - factor * row_p[c]) // prev
+            prev = piv
+        elif kind == "GF":
+            inv = pow(piv, -1, p)
+            row_p = rows[rank] = [x * inv % p for x in row_p]
+            for r in range(rank + 1, n_rows):
                 f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+                if f:
+                    rows[r] = [(x - f * y) % p for x, y in zip(rows[r], row_p)]
+        else:
+            for r in range(rank + 1, n_rows):
+                f = rows[r][col]
+                if f:
+                    f = f / piv
+                    rows[r] = [x - f * y for x, y in zip(rows[r], row_p)]
         pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
+        if rank + 1 == n_rows:
+            break
+    return rows[: len(pivots)], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +479,13 @@ def adjacency_matrix(g, shift=0, domain=QQ):
 
 
 # ---------------------------------------------------------------------------
-# floating-point spectra via Jacobi rotations
+# floating-point spectra
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Multiset of real eigenvalues, sorted descending, plus the tolerance
-    the solver converged to."""
+    the caller compares them with."""
 
     eigenvalues: tuple
     tol: float
@@ -571,48 +513,14 @@ def _as_complex_array(m):
 
 
 def spectrum(m, tol=1e-10):
-    """All eigenvalues of a real symmetric / complex Hermitian matrix by
-    cyclic two-sided Jacobi rotations, run until the off-diagonal Frobenius
-    norm drops below tol."""
-    a = _as_complex_array(m).copy()
-    n = a.shape[0]
+    """All eigenvalues of a real symmetric / complex Hermitian matrix, by
+    LAPACK's Hermitian eigensolver (numpy.linalg.eigvalsh). Its error is
+    about machine precision times the matrix norm, far below any tol used
+    for spectrum comparisons; tol is recorded with the result."""
+    a = _as_complex_array(m)
     if not np.allclose(a, a.conj().T, rtol=0.0, atol=1e-12):
         raise ValueError("matrix is not Hermitian")
-    if n == 1:
-        return Spectrum((float(a[0, 0].real),), tol)
-    scale = math.sqrt(float((np.abs(a) ** 2).sum())) or 1.0
-    # rotating on denormal-size entries divides by ~0 and wrecks the matrix
-    skip = 1e-14 * scale / n
-    for _ in range(200):
-        sq = np.abs(a) ** 2
-        np.fill_diagonal(sq, 0.0)
-        off = math.sqrt(float(sq.sum()))
-        if off < max(tol, skip * n):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= skip:
-                    continue
-                u = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # similarity by the unitary with columns (c, s*conj(u)) and
-                # (s*u, c) in the (p, q) plane; zeroes a[p, q]
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(u) * col_q
-                a[:, q] = s * u * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * u * row_q
-                a[q, :] = s * np.conj(u) * row_p + c * row_q
-    else:
-        raise ArithmeticError("Jacobi sweep limit exceeded")
-    vals = sorted((float(x) for x in np.diag(a).real), reverse=True)
+    vals = sorted((float(x) for x in np.linalg.eigvalsh(a)), reverse=True)
     return Spectrum(tuple(vals), tol)
 
 

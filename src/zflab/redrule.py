@@ -9,16 +9,16 @@ over the integer rows of the adjacency matrix. Moves are verified by this
 row equation directly. Certificates are sequences of moves replayed against
 a growing red set; the maximum number of sequentially valid moves equals the
 rational nullity of the adjacency matrix, and the constructive direction is
-implemented here: express each non-basis row as a rational combination of a
-row basis, clear denominators by the lcm, and split the integer coefficients
-by sign into the X / Y multisets.
+implemented here: every move is read off one rational nullspace basis of A.
+Each basis vector writes one non-basis row as a combination of the
+lexicographically first row basis; clearing denominators by the lcm and
+splitting the integer coefficients by sign gives the X / Y multisets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .linalg import QQ, adjacency_matrix
 
@@ -162,103 +162,44 @@ def graph_nullity(g):
     return adjacency_matrix(g, 0, QQ).rank_nullity()[1]
 
 
-def _row_basis(rows):
-    """Lexicographically first maximal independent set of rows, plus the
-    running reduced rows for later coefficient solves."""
-    n = len(rows)
-    basis = []  # vertex indices
-    reduced = []  # echelon rows (Fractions), aligned with basis order
-    for v in range(n):
-        vec = [Fraction(x) for x in rows[v]]
-        coeffs = []
-        for brow in reduced:
-            pc = next(i for i, x in enumerate(brow) if x)
-            f = vec[pc] / brow[pc]
-            coeffs.append(f)
-            if f:
-                vec = [a - f * b for a, b in zip(vec, brow)]
-        if any(vec):
-            basis.append(v)
-            reduced.append(vec)
-    return basis
-
-
-def _express_in_basis(rows, basis, target):
-    """Rational coefficients writing rows[target] over the basis rows, via
-    exact elimination on the stacked system."""
-    cols = len(rows[0])
-    aug = [[Fraction(rows[b][c]) for b in basis] for c in range(cols)]
-    rhs = [Fraction(rows[target][c]) for c in range(cols)]
-    nvars = len(basis)
-    # forward elimination with partial structure (first nonzero pivot)
-    piv_for_var = {}
-    r = 0
-    for var in range(nvars):
-        pr = None
-        for i in range(r, cols):
-            if aug[i][var]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        rhs[r], rhs[pr] = rhs[pr], rhs[r]
-        pv = aug[r][var]
-        aug[r] = [x / pv for x in aug[r]]
-        rhs[r] = rhs[r] / pv
-        for i in range(cols):
-            if i != r and aug[i][var]:
-                f = aug[i][var]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        piv_for_var[var] = r
-        r += 1
-    coeffs = [Fraction(0)] * nvars
-    for var, pr in piv_for_var.items():
-        coeffs[var] = rhs[pr]
-    # consistency: remaining rows must have zero rhs
-    for i in range(cols):
-        if i not in piv_for_var.values() and all(not x for x in aug[i]) and rhs[i]:
-            raise ArithmeticError("target row is not in the basis span")
-    return coeffs
-
-
 def derive_red_certificates(g):
-    """Certificate with one verifying move per non-basis adjacency row.
+    """Certificate with one verifying move per non-basis adjacency row, read
+    off the rational nullspace basis of A.
 
-    For each non-basis vertex, its row is written as a rational combination
-    of the basis rows; multiplying through by the lcm d of the denominators
-    gives integer weights c_i * s_i, the smallest-index positively weighted
-    basis vertex becomes the witness v (with weight reduced by one inside X),
-    the other positive weights fill X, the negated negative weights fill Y,
-    and k = d - 1. A zero row (isolated vertex) is handled by the cancelling
+    A is symmetric, so the pivot columns of its echelon form are the
+    lexicographically first row basis, and the basis vector x of free column
+    u (zero past u, x[u] = 1) writes row(u) over the basis rows b < u with
+    coefficients -x[b]. Multiplying through by the lcm d of the denominators
+    gives integer weights; the smallest-index positively weighted basis
+    vertex becomes the witness v (with weight reduced by one inside X), the
+    other positive weights fill X, the negated negative weights fill Y, and
+    k = d - 1. A zero row (isolated vertex) is handled by the cancelling
     move (v, {}, {v}, 0) against any basis vertex, which stays white
     throughout since targets are never basis vertices. An edgeless graph has
     no basis vertex to lean on: its last vertex is unreachable by any move
     (every move needs a distinct white witness) and the certificate honestly
     stops one short of the nullity there.
     """
-    rows = g.adjacency_rows()
-    basis = _row_basis(rows)
-    basis_set = set(basis)
-    targets = [v for v in range(g.n) if v not in basis_set]
+    if g.n == 0:
+        return ()
+    vectors = adjacency_matrix(g, 0, QQ).nullspace_basis()
+    # the free column of each vector is its last nonzero coordinate
+    targets = [max(i for i, c in enumerate(x) if c) for x in vectors]
+    basis = sorted(set(range(g.n)) - set(targets))
     moves = []
     if not basis:
         # edgeless: all rows zero; twin moves against the last vertex
         for u in targets[:-1]:
             moves.append(RedMove.make(u, targets[-1]))
         return tuple(moves)
-    for u in targets:
-        if not any(rows[u]):
+    for u, x in zip(targets, vectors):
+        d = lcm(*(c.denominator for c in x[:u]))
+        weights = [-c.numerator * (d // c.denominator) for c in x[:u]]
+        if not any(weights):
             moves.append(RedMove.make(u, basis[0], None, {basis[0]: 1}, 0))
             continue
-        coeffs = _express_in_basis(rows, basis, u)
-        d = 1
-        for c in coeffs:
-            d = d * c.denominator // gcd(d, c.denominator)
-        weights = [int(c * d) for c in coeffs]
-        pos = [(basis[i], w) for i, w in enumerate(weights) if w > 0]
-        neg = [(basis[i], -w) for i, w in enumerate(weights) if w < 0]
+        pos = [(b, w) for b, w in enumerate(weights) if w > 0]
+        neg = [(b, -w) for b, w in enumerate(weights) if w < 0]
         if not pos:
             raise ArithmeticError(
                 "a nonzero adjacency row decomposed with no positive weight"

@@ -213,17 +213,18 @@ def has_sap(a, g):
                 rows.append(row)
     if not rows:
         rows = [[Fraction(0)] * len(free)]
-    system = ExactMatrix(QQ, rows)
-    rank, dim = system.rank_nullity()
-    if dim == 0:
+    basis = ExactMatrix(QQ, rows).nullspace_basis()
+    if not basis:
         return SapReport(True, 0, None)
-    vec = system.nullspace_basis()[0]
+    vec = basis[0]
     sample = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), t in var_of.items():
         sample[i][j] = vec[t]
         sample[j][i] = vec[t]
     x = ExactMatrix(QQ, sample)
     # the sample really is a violation
-    assert any(any(row) for row in x.data)
-    assert all(not e for row in a.matmul(x).data for e in row)
-    return SapReport(False, dim, x)
+    if not any(any(row) for row in x.data):
+        raise ArithmeticError("the sample SAP violation is the zero matrix")
+    if any(e for row in a.matmul(x).data for e in row):
+        raise ArithmeticError("the sample SAP violation does not satisfy A X = 0")
+    return SapReport(False, len(basis), x)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import zflab as z
+from zflab import certify
 
 
 class TestCertify:
@@ -166,6 +167,16 @@ class TestConjectureHarness:
         )
         assert rows[0].status == "pass"
         assert rows[1].status == "skipped"  # n = 144 exceeds nullity cap
+
+    def test_floor_above_z_fails(self, monkeypatch):
+        def floor_above_z(*args, **kwargs):
+            raise ValueError("asserted lower bound above Z(G)")
+
+        monkeypatch.setattr(certify, "zero_forcing_number", floor_above_z)
+        rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1,))
+        assert rows[0].status == "fail"
+        rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1,), z_cap=7)
+        assert rows[0].status == "skipped"  # n = 8 exceeds z_cap; no search
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -131,6 +131,16 @@ class TestRank:
         assert m.rank_nullity() == (1, 1)
 
 
+def non_pivot_columns(m):
+    """Columns in the span of the columns before them."""
+    data = m.tolists()
+    ranks = [0] + [
+        z.ExactMatrix(m.domain, [row[: j + 1] for row in data]).rank_nullity()[0]
+        for j in range(m.cols)
+    ]
+    return [j for j in range(m.cols) if ranks[j + 1] == ranks[j]]
+
+
 class TestNullspace:
     def test_nonsingular_empty(self):
         assert z.adjacency_matrix(z.complete_graph(2)).nullspace_basis() == []
@@ -141,15 +151,21 @@ class TestNullspace:
         assert basis[0] == [1, 0, 0] and basis[2] == [0, 0, 1]
 
     def test_product_is_zero_and_independent(self, corpus):
-        for g in corpus[:30]:
-            m = z.adjacency_matrix(g)
-            basis = m.nullspace_basis()
-            assert len(basis) == m.rank_nullity()[1]
-            for v in basis:
-                assert not any(m.matvec(v))
-            if basis:
-                stacked = z.ExactMatrix(z.QQ, basis)
-                assert stacked.rank_nullity()[0] == len(basis)
+        for domain in (z.QQ, z.prime_field(7)):
+            for g in corpus[:30]:
+                m = z.adjacency_matrix(g, 0, domain)
+                basis = m.nullspace_basis()
+                assert len(basis) == m.rank_nullity()[1]
+                for v in basis:
+                    assert not any(m.matvec(v))
+                if basis:
+                    stacked = z.ExactMatrix(domain, basis)
+                    assert stacked.rank_nullity()[0] == len(basis)
+                # vector i ends at the i-th non-pivot column, which is what
+                # red certificates read their targets off
+                last = [max(j for j, x in enumerate(v) if x) for v in basis]
+                assert last == non_pivot_columns(m)
+                assert len(set(last)) == len(last)
 
     def test_gf_nullspace(self):
         m = z.adjacency_matrix(z.cycle_graph(4), 0, z.prime_field(2))

@@ -122,6 +122,7 @@ class TestDeriveCertificates:
 
     def test_k3_empty(self):
         assert z.derive_red_certificates(z.complete_graph(3)) == ()
+        assert z.derive_red_certificates(z.Graph(0, [])) == ()
 
     def test_c4_twins(self):
         cert = z.derive_red_certificates(z.cycle_graph(4))
@@ -134,6 +135,31 @@ class TestDeriveCertificates:
         cert = z.derive_red_certificates(g)
         assert len(cert) == z.graph_nullity(g) == 1
         assert z.apply_red_sequence(g, cert) == [2]
+
+    def test_aztec_4_moves_pinned(self):
+        cert = z.derive_red_certificates(z.aztec_diamond(4))
+        assert [(m.u, m.v, m.x, m.y, m.k) for m in cert] == [
+            (20, 3, ((13, 1),), ((1, 1), (7, 1)), 0),
+            (27, 4, ((18, 1),), ((0, 1), (10, 1)), 0),
+            (28, 9, ((22, 1),), ((5, 1), (15, 1)), 0),
+            (33, 8, ((25, 1),), ((2, 1), (16, 1)), 0),
+            (34, 17, ((30, 1),), ((11, 1), (24, 1)), 0),
+            (37, 14, ((31, 1),), ((6, 1), (23, 1)), 0),
+            (38, 26, ((36, 1),), ((19, 1), (32, 1)), 0),
+            (39, 21, ((35, 1),), ((12, 1), (29, 1)), 0),
+        ]
+
+    def test_cleared_denominator_pinned(self):
+        # row(9) = (row(1) + row(1) + row(4) + 2 row(5) - row(0) - row(2)) / 2
+        g = z.Graph(10, [
+            (0, 1), (0, 3), (0, 6), (0, 7), (0, 9), (1, 2), (1, 3), (1, 5),
+            (1, 6), (1, 8), (2, 3), (2, 6), (2, 8), (2, 9), (3, 7), (3, 8),
+            (4, 7), (4, 8), (5, 9), (7, 8), (8, 9),
+        ])
+        assert z.derive_red_certificates(g) == (
+            z.RedMove.make(6, 3, None, {4: 1}, 0),
+            z.RedMove.make(9, 1, {1: 1, 4: 1, 5: 2}, {0: 1, 2: 1}, 1),
+        )
 
     def test_matches_nullity_on_corpus(self, corpus):
         for g in corpus:
