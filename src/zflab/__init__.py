@@ -45,7 +45,6 @@ from .graphs import (
     SubdivisionEdgeInsertion,
     apply_edit,
     aztec_diamond,
-    basic_family,
     cartesian_product,
     circulant,
     complete_bipartite_graph,
@@ -53,7 +52,6 @@ from .graphs import (
     cycle_graph,
     extended_cube,
     generalized_petersen,
-    is_isomorphic,
     path_graph,
     read_edge_list,
     write_edge_list,

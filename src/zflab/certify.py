@@ -5,9 +5,9 @@ field is at most Z(G), and reducing an integer matrix mod p can only lower
 its rank. So when the rational nullity nu of A - lambda*I admits a zero
 forcing set of size nu, the whole chain collapses: Z = nu, the nullity over
 every GF(p) is nu as well, and A - lambda*I attains the minimum rank over
-every field. The search for the size-nu forcing set may therefore assert nu
-as a lower bound for Z. A disagreement over some prime would contradict the
-chain; computing the modular nullities anyway guards the implementation.
+every field. The forcing search takes nu as its floor and stops at a forcing
+set of size nu. A disagreement over some prime would contradict the chain;
+computing the modular nullities anyway guards the implementation.
 
 For GF(2) the minimum rank over all matrices with the graph's off-diagonal
 pattern is computed exhaustively: off-diagonal entries are forced (the only
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import forcing
 from .forcing import ZfResult, zero_forcing_number
 from .linalg import QQ, adjacency_matrix, prime_field
 from .structure import has_sap, min_degree, vertex_connectivity
@@ -53,30 +54,26 @@ def nullity_over(g, lam, domain):
     return adjacency_matrix(g, lam, domain).rank_nullity()[1]
 
 
-def certify_universal_optimality(g, lam=0, primes=DEFAULT_PRIMES, graph_id="G",
-                                 search_cap=34):
+def certify_universal_optimality(g, lam=0, primes=DEFAULT_PRIMES, graph_id="G"):
     """Certified verdict that Z(G) equals the nullity of A - lambda*I over
     the rationals and over each requested prime field.
 
     The rational nullity nu is a proven lower bound for Z, so the forcing
-    search first looks for a witness of exactly size nu; failing that, the
-    exact Z is computed starting above nu and the verdict is negative (which
-    is inconclusive about field independence in general: only the tested
-    shift and primes are refuted).
+    search stops as soon as it finds a forcing set of size nu; failing that,
+    it computes the exact Z and the verdict is negative (which is
+    inconclusive about field independence in general: only the tested shift
+    and primes are refuted).
     """
     if not primes:
         raise ValueError("need at least one prime")
     nu_q = nullity_over(g, lam, QQ)
     nulls_p = {p: nullity_over(g, lam, prime_field(p)) for p in primes}
-    if nu_q >= 1:
-        # nu_q <= M <= Z holds for every shift, so nu_q is a sound floor
-        res = zero_forcing_number(
-            g, size_hint=nu_q, assume_minimum=True, search_cap=search_cap
-        )
-    else:
-        res = zero_forcing_number(g, search_cap=search_cap)
+    res = zero_forcing_number(g, floor=nu_q)
     if not res.is_exact:
-        raise ValueError(f"graph order {g.n} exceeds the forcing search cap")
+        raise ValueError(
+            f"the forcing search used its budget of {forcing.STATE_BUDGET} states; "
+            f"{res.lower_bound} <= Z <= {res.upper_bound}"
+        )
     z = res.zf_number
     claims = []
     certified = nu_q == z and all(v == z for v in nulls_p.values())
@@ -190,11 +187,11 @@ class ParameterReport:
         }
 
 
-def parameter_report(g, lambdas=DEFAULT_LAMBDAS, graph_id="G", search_cap=34):
+def parameter_report(g, lambdas=DEFAULT_LAMBDAS, graph_id="G"):
     """Populated parameter table; asserts the recorded inequalities."""
     nulls = {lam: nullity_over(g, lam, QQ) for lam in lambdas}
     kw = vertex_connectivity(g)
-    zf = zero_forcing_number(g, search_cap=search_cap)
+    zf = zero_forcing_number(g)
     sap = has_sap(adjacency_matrix(g, 0, QQ), g).has_sap
     best_lam = max(nulls, key=lambda lam: (nulls[lam], -abs(lam)))
     if kw.kappa >= nulls[best_lam]:
@@ -232,14 +229,15 @@ class HarnessRow:
     status: str  # "pass" | "fail" | "skipped"
 
 
-def conjecture_harness(family, primes=(2, 3, 5), z_cap=34, nullity_cap=120, **ranges):
+def conjecture_harness(family, primes=(2, 3, 5), nullity_cap=120, **ranges):
     """Instance tables for the two conjectured families.
 
     family "circ_l": circulants on (l^2 - 1)k vertices with connection set
     {1, l}, conjectured nullity = Z = 2l (ranges: l_values, k_values).
     family "ecg_tr": widened cubes ECG(t, 6r - t - 4), conjectured
-    nullity = Z = 4 (ranges: t_values, r_values). Instances beyond the caps
-    are reported as skipped, never asserted.
+    nullity = Z = 4 (ranges: t_values, r_values). Instances beyond the
+    nullity cap, or whose forcing search runs out of its budget, are reported
+    as skipped, never asserted.
     """
     from .graphs import circulant, extended_cube
 
@@ -254,7 +252,7 @@ def conjecture_harness(family, primes=(2, 3, 5), z_cap=34, nullity_cap=120, **ra
                     rows.append(HarnessRow(name, n, None, None, {}, conj, "skipped"))
                     continue
                 g = circulant(n, {1, ell})
-                rows.append(_harness_row(g, name, conj, primes, z_cap))
+                rows.append(_harness_row(g, name, conj, primes))
     elif family == "ecg_tr":
         for t in ranges.get("t_values", (0, 1, 2)):
             for r in ranges.get("r_values", (1, 2)):
@@ -267,28 +265,22 @@ def conjecture_harness(family, primes=(2, 3, 5), z_cap=34, nullity_cap=120, **ra
                     rows.append(HarnessRow(name, n, None, None, {}, 4, "skipped"))
                     continue
                 g = extended_cube(t, k)
-                rows.append(_harness_row(g, name, 4, primes, z_cap))
+                rows.append(_harness_row(g, name, 4, primes))
     else:
         raise ValueError(f"unknown family {family!r}")
     return rows
 
 
-def _harness_row(g, name, conjectured, primes, z_cap):
+def _harness_row(g, name, conjectured, primes):
     nu = nullity_over(g, 0, QQ)
     nulls_p = {p: nullity_over(g, 0, prime_field(p)) for p in primes}
-    z = None
-    if g.n <= z_cap:
-        try:
-            res = zero_forcing_number(
-                g, size_hint=max(nu, 1), assume_minimum=nu >= 1, search_cap=z_cap
-            )
-        except ValueError:
-            # the asserted floor nu exceeds Z, which contradicts nu <= M <= Z
-            return HarnessRow(name, g.n, nu, None, nulls_p, conjectured, "fail")
-        z = res.zf_number if res.is_exact else None
-    if z is None:
-        status = "skipped"
-    else:
-        ok = nu == conjectured == z and all(v == conjectured for v in nulls_p.values())
-        status = "pass" if ok else "fail"
-    return HarnessRow(name, g.n, nu, z, nulls_p, conjectured, status)
+    try:
+        res = zero_forcing_number(g, floor=nu)
+    except ValueError:
+        # the floor nu exceeds Z, which contradicts nu <= M <= Z
+        return HarnessRow(name, g.n, nu, None, nulls_p, conjectured, "fail")
+    if not res.is_exact:
+        return HarnessRow(name, g.n, nu, None, nulls_p, conjectured, "skipped")
+    z = res.zf_number
+    ok = nu == conjectured == z and all(v == conjectured for v in nulls_p.values())
+    return HarnessRow(name, g.n, nu, z, nulls_p, conjectured, "pass" if ok else "fail")

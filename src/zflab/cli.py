@@ -100,9 +100,7 @@ def _cmd_zf(args):
             args,
         )
         return 0
-    res = _forcing.zero_forcing_number(
-        g, size_hint=args.hint, assume_minimum=args.assume_hint
-    )
+    res = _forcing.zero_forcing_number(g)
     _emit(
         {
             "zf_number": res.zf_number,
@@ -298,9 +296,6 @@ def build_parser():
     zc.add_argument("--set", required=True)
     zn = zf_sub.add_parser("number")
     zn.add_argument("--graph", required=True)
-    zn.add_argument("--hint", type=int, default=None)
-    zn.add_argument("--assume-hint", action="store_true",
-                    help="treat the hint as a proven lower bound")
     zf.set_defaults(func=_cmd_zf)
 
     red = sub.add_parser("red", help="red color-change certificates")

@@ -138,7 +138,8 @@ def coarsest_equitable(g, initial=None):
         if not changed:
             break
     ok, b = is_equitable(g, blocks)
-    assert ok
+    if not ok:
+        raise ArithmeticError("the refined partition is not equitable")
     return Partition(tuple(blocks), b)
 
 
@@ -227,7 +228,8 @@ def orbit_partition(g, phi):
         tuple(sorted(c)) for c in sorted(_cycles(perm), key=min)
     )
     ok, b = is_equitable(g, blocks)
-    assert ok, "orbits of an automorphism are always equitable"
+    if not ok:
+        raise ArithmeticError("the orbits of an automorphism are not equitable")
     return Partition(blocks, b)
 
 

@@ -181,19 +181,6 @@ def complete_bipartite_graph(a, b):
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def basic_family(kind, *params):
-    """Dispatch for the standard families: path, cycle, complete, complete_bipartite."""
-    table = {
-        "path": path_graph,
-        "cycle": cycle_graph,
-        "complete": complete_graph,
-        "complete_bipartite": complete_bipartite_graph,
-    }
-    if kind not in table:
-        raise ValueError(f"unknown family kind {kind!r}")
-    return table[kind](*params)
-
-
 def circulant(n, connection_set):
     """Circulant graph on Z_n: i adjacent to i+-s (mod n) for each s in the set.
 
@@ -464,69 +451,3 @@ def read_edge_list(text):
             raise ValueError(f"malformed edge line {ln!r}") from None
         edges.append((u, v))
     return Graph(n, edges)
-
-
-# ---------------------------------------------------------------------------
-# isomorphism (small graphs only; used by tests and sanity checks)
-
-
-def is_isomorphic(g, h):
-    """Backtracking isomorphism test with degree pruning. Intended for the
-    small instances exercised in tests (n up to ~20 on sparse graphs)."""
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return False
-    if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
-        return False
-    # order g's vertices to keep the partial map connected where possible
-    order = []
-    seen = set()
-    for s in sorted(range(g.n), key=lambda v: -g.degree(v)):
-        if s in seen:
-            continue
-        queue = [s]
-        seen.add(s)
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in sorted(g.neighbors(v)):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    image = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(idx):
-        if idx == len(order):
-            return True
-        v = order[idx]
-        mapped_nbrs = [image[w] for w in g.neighbors(v) if image[w] >= 0]
-        if mapped_nbrs:
-            candidates = set(h.neighbors(mapped_nbrs[0]))
-            for mw in mapped_nbrs[1:]:
-                candidates &= h.neighbors(mw)
-        else:
-            candidates = set(range(h.n))
-        for c in sorted(candidates):
-            if used[c] or h.degree(c) != g.degree(v):
-                continue
-            ok = True
-            for w in g.neighbors(v):
-                if image[w] >= 0 and not h.has_edge(c, image[w]):
-                    ok = False
-                    break
-            if ok:
-                # non-neighbors must stay non-neighbors
-                for w in range(g.n):
-                    if image[w] >= 0 and w not in g.neighbors(v) and h.has_edge(c, image[w]):
-                        ok = False
-                        break
-            if ok:
-                image[v] = c
-                used[c] = True
-                if extend(idx + 1):
-                    return True
-                image[v] = -1
-                used[c] = False
-        return False
-
-    return extend(0)

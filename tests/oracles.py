@@ -3,13 +3,17 @@
 Everything here deliberately avoids the library's own code paths: ranks by
 naive rational elimination, zero forcing by trying all subsets with a
 set-based closure, red moves by materializing the edge-count maps of the
-modified general graphs, spectra by numpy.
+modified general graphs, spectra by numpy. The last section holds two
+graph helpers only the tests use: a family dispatch and a backtracking
+isomorphism test.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import zflab as z
 
 
 def naive_rational_rank(rows):
@@ -141,3 +145,82 @@ def all_small_moves(n, max_mult=2, max_k=2):
                         continue
                     for k in range(max_k + 1):
                         yield u, v, x, y, k
+
+
+# ---------------------------------------------------------------------------
+# graph helpers used only by tests
+
+
+def basic_family(kind, *params):
+    """Dispatch for the standard families: path, cycle, complete, complete_bipartite."""
+    table = {
+        "path": z.path_graph,
+        "cycle": z.cycle_graph,
+        "complete": z.complete_graph,
+        "complete_bipartite": z.complete_bipartite_graph,
+    }
+    if kind not in table:
+        raise ValueError(f"unknown family kind {kind!r}")
+    return table[kind](*params)
+
+
+def is_isomorphic(g, h):
+    """Backtracking isomorphism test with degree pruning. Intended for the
+    small instances exercised in tests (n up to ~20 on sparse graphs)."""
+    if g.n != h.n or g.num_edges != h.num_edges:
+        return False
+    if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
+        return False
+    # order g's vertices to keep the partial map connected where possible
+    order = []
+    seen = set()
+    for s in sorted(range(g.n), key=lambda v: -g.degree(v)):
+        if s in seen:
+            continue
+        queue = [s]
+        seen.add(s)
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for w in sorted(g.neighbors(v)):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    image = [-1] * g.n
+    used = [False] * h.n
+
+    def extend(idx):
+        if idx == len(order):
+            return True
+        v = order[idx]
+        mapped_nbrs = [image[w] for w in g.neighbors(v) if image[w] >= 0]
+        if mapped_nbrs:
+            candidates = set(h.neighbors(mapped_nbrs[0]))
+            for mw in mapped_nbrs[1:]:
+                candidates &= h.neighbors(mw)
+        else:
+            candidates = set(range(h.n))
+        for c in sorted(candidates):
+            if used[c] or h.degree(c) != g.degree(v):
+                continue
+            ok = True
+            for w in g.neighbors(v):
+                if image[w] >= 0 and not h.has_edge(c, image[w]):
+                    ok = False
+                    break
+            if ok:
+                # non-neighbors must stay non-neighbors
+                for w in range(g.n):
+                    if image[w] >= 0 and w not in g.neighbors(v) and h.has_edge(c, image[w]):
+                        ok = False
+                        break
+            if ok:
+                image[v] = c
+                used[c] = True
+                if extend(idx + 1):
+                    return True
+                image[v] = -1
+                used[c] = False
+        return False
+
+    return extend(0)

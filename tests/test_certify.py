@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 import zflab as z
-from zflab import certify
+from zflab import certify, forcing
+from zflab.forcing import ZfResult
 
 
 class TestCertify:
@@ -145,17 +146,13 @@ class TestParameterReport:
 
 class TestConjectureHarness:
     def test_circ_family(self):
-        rows = z.conjecture_harness(
-            "circ_l", l_values=(3,), k_values=(1, 2, 3), z_cap=34
-        )
+        rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1, 2, 3))
         assert len(rows) == 3
         assert all(r.status == "pass" for r in rows)
         assert all(r.nullity_q == 6 for r in rows)
 
     def test_ecg_family(self):
-        rows = z.conjecture_harness(
-            "ecg_tr", t_values=(0, 1), r_values=(1, 2), z_cap=40
-        )
+        rows = z.conjecture_harness("ecg_tr", t_values=(0, 1), r_values=(1, 2))
         byname = {r.instance: r for r in rows}
         assert byname["ECG(1,1)"].status == "pass"
         assert byname["ECG(0,8)"].status == "pass"
@@ -163,7 +160,7 @@ class TestConjectureHarness:
 
     def test_skip_beyond_cap(self):
         rows = z.conjecture_harness(
-            "circ_l", l_values=(5,), k_values=(1, 6), z_cap=34, nullity_cap=120
+            "circ_l", l_values=(5,), k_values=(1, 6), nullity_cap=120
         )
         assert rows[0].status == "pass"
         assert rows[1].status == "skipped"  # n = 144 exceeds nullity cap
@@ -175,8 +172,25 @@ class TestConjectureHarness:
         monkeypatch.setattr(certify, "zero_forcing_number", floor_above_z)
         rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1,))
         assert rows[0].status == "fail"
-        rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1,), z_cap=7)
-        assert rows[0].status == "skipped"  # n = 8 exceeds z_cap; no search
+
+        def out_of_budget(g, floor=0):
+            return ZfResult(8, tuple(range(8)), (), is_exact=False,
+                            lower_bound=floor, upper_bound=8)
+
+        monkeypatch.setattr(certify, "zero_forcing_number", out_of_budget)
+        rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1,))
+        assert rows[0].status == "skipped"  # bounds only; no Z to test
+
+    def test_budget_exhaustion_skips(self, monkeypatch):
+        monkeypatch.setattr(forcing, "STATE_BUDGET", 5)
+        g = z.generalized_petersen(10, 3)  # nullity 0, Z = 8
+        row = certify._harness_row(g, "P(10,3)", 8, (2,))
+        assert row.status == "skipped" and row.z_number is None
+
+    def test_circ_48_beyond_old_order_cap(self):
+        rows = z.conjecture_harness("circ_l", l_values=(7,), k_values=(1,))
+        assert rows[0].instance == "Circ[48,{1,7}]"
+        assert rows[0].status == "pass"
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

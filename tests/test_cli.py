@@ -3,6 +3,7 @@ import json
 import pytest
 
 import zflab.cli as cli
+from zflab import forcing
 
 
 def run(capsys, *argv):
@@ -101,6 +102,13 @@ class TestCommands:
             capsys, "certify", "--graph", "cart:cycle:7+path:2", "--primes", "2"
         )
         assert code == 1 and obj["verdict"].startswith("NotCertified")
+
+    def test_certify_budget_exit(self, capsys, monkeypatch):
+        monkeypatch.setattr(forcing, "STATE_BUDGET", 5)
+        code = cli.main(["certify", "--graph", "petersen:10,3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "budget of 5 states" in err
 
     def test_mr2(self, capsys):
         code, obj = run(

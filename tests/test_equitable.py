@@ -4,6 +4,7 @@ import random
 import pytest
 
 import zflab as z
+from zflab import equitable
 
 
 class TestIsEquitable:
@@ -64,6 +65,14 @@ class TestRefinement:
         part = z.coarsest_equitable(g, initial)
         for blk in part.blocks:
             assert set(blk) <= {0, 1, 2} or set(blk) <= {3, 4, 5}
+
+    def test_failed_self_check_raises(self, monkeypatch):
+        # the result checks must survive python -O, which strips asserts
+        monkeypatch.setattr(equitable, "is_equitable", lambda g, p: (False, None))
+        with pytest.raises(ArithmeticError):
+            z.coarsest_equitable(z.path_graph(3))
+        with pytest.raises(ArithmeticError):
+            z.orbit_partition(z.cycle_graph(4), [1, 2, 3, 0])
 
 
 class TestDivisorMatrix:

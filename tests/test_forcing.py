@@ -4,6 +4,7 @@ import random
 import pytest
 
 import zflab as z
+from zflab import forcing
 from oracles import brute_zero_forcing, set_closure
 
 
@@ -134,19 +135,47 @@ class TestSearch:
     def test_hint_with_assertion(self):
         g = z.circulant(16, {1, 7})
         nu = z.graph_nullity(g)
-        res = z.zero_forcing_number(g, size_hint=nu, assume_minimum=True)
+        res = z.zero_forcing_number(g, floor=nu)
         assert res.zf_number == 10
         assert z.is_zfs(g, res.witness)
 
-    def test_unasserted_hint_still_exact(self):
+    def test_floor_below_z_leaves_z_exact(self):
         g = z.cycle_graph(6)
-        assert z.zero_forcing_number(g, size_hint=4).zf_number == 2
+        res = z.zero_forcing_number(g, floor=1)
+        assert res.is_exact and res.zf_number == 2
 
     def test_search_cap_gives_bounds(self):
+        # n = 40 was beyond the old order cap; the wavefront settles it
         g = z.circulant(40, {1, 3})
-        res = z.zero_forcing_number(g, search_cap=34)
+        res = z.zero_forcing_number(g)
+        assert res.is_exact and res.zf_number == 6
+        assert z.is_zfs(g, res.witness)
+
+    def test_floor_ends_search_early(self):
+        g = z.circulant(32, {1, 15})
+        res = z.zero_forcing_number(g, floor=18)
+        assert res.is_exact and res.zf_number == 18
+        assert res.subsets_examined <= 2 * res.zf_number
+        assert z.is_zfs(g, res.witness)
+
+    def test_aztec_4_without_floor(self):
+        # the paper's M = Z = 2r at r = 4, beyond the old order cap
+        g = z.aztec_diamond(4)
+        res = z.zero_forcing_number(g)
+        assert res.is_exact and res.zf_number == 8
+        assert z.is_zfs(g, res.witness)
+
+    def test_floor_above_a_forcing_set_raises(self):
+        with pytest.raises(ValueError):
+            z.zero_forcing_number(z.cycle_graph(6), floor=3)
+
+    def test_budget_gives_bounds(self, monkeypatch):
+        monkeypatch.setattr(forcing, "STATE_BUDGET", 5)
+        g = z.circulant(24, {1, 5})
+        res = z.zero_forcing_number(g)
         assert not res.is_exact
-        assert res.lower_bound <= res.upper_bound
+        assert 1 <= res.lower_bound <= res.upper_bound == res.zf_number
+        assert len(res.witness) == res.upper_bound
         assert z.is_zfs(g, res.witness)
 
     def test_disconnected(self):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import zflab as z
+from oracles import basic_family, is_isomorphic
 
 
 def degrees(g):
@@ -44,7 +45,7 @@ class TestGenerators:
         g = z.cartesian_product(z.cycle_graph(7), z.path_graph(2))
         assert g.n == 14
         assert g.num_edges == 21
-        assert z.is_isomorphic(g, z.generalized_petersen(7, 1))
+        assert is_isomorphic(g, z.generalized_petersen(7, 1))
 
     def test_cartesian_identity_factor(self):
         g = z.circulant(8, {1, 2})
@@ -70,7 +71,7 @@ class TestGenerators:
     def test_aztec_1_is_four_cycle(self):
         g = z.aztec_diamond(1)
         assert sorted(g.labels.values()) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-        assert z.is_isomorphic(g, z.cycle_graph(4))
+        assert is_isomorphic(g, z.cycle_graph(4))
 
     def test_aztec_3_neighbors_of_corner(self):
         g = z.aztec_diamond(3)
@@ -99,7 +100,7 @@ class TestGenerators:
         # swapping the two ladder widths gives an isomorphic graph
         for t in range(0, 4):
             for k in range(t, 7 - t):
-                assert z.is_isomorphic(z.extended_cube(t, k), z.extended_cube(k, t))
+                assert is_isomorphic(z.extended_cube(t, k), z.extended_cube(k, t))
 
     def test_generalized_petersen(self):
         g = z.generalized_petersen(5, 2)
@@ -114,24 +115,24 @@ class TestGenerators:
         assert g.degree(6 + 0) == 2  # inner edges collapse in pairs
 
     def test_basic_families(self):
-        assert z.basic_family("path", 1).n == 1
-        assert z.basic_family("cycle", 3).num_edges == 3
-        assert z.basic_family("complete", 5).num_edges == 10
-        assert z.basic_family("complete_bipartite", 4, 4).num_edges == 16
+        assert basic_family("path", 1).n == 1
+        assert basic_family("cycle", 3).num_edges == 3
+        assert basic_family("complete", 5).num_edges == 10
+        assert basic_family("complete_bipartite", 4, 4).num_edges == 16
         with pytest.raises(ValueError):
-            z.basic_family("cycle", 2)
+            basic_family("cycle", 2)
         with pytest.raises(ValueError):
-            z.basic_family("petersen", 5)
+            basic_family("petersen", 5)
 
 
 class TestEdits:
     def test_contract_c4_gives_triangle(self):
         g = z.apply_edit(z.cycle_graph(4), z.ContractEdge(0, 1))
-        assert z.is_isomorphic(g, z.cycle_graph(3))
+        assert is_isomorphic(g, z.cycle_graph(3))
 
     def test_subdivide_k3_gives_c4(self):
         g = z.apply_edit(z.complete_graph(3), z.SubdivideEdge(0, 1, 1))
-        assert z.is_isomorphic(g, z.cycle_graph(4))
+        assert is_isomorphic(g, z.cycle_graph(4))
 
     def test_subdivide_counts(self):
         g = z.circulant(8, {1, 2})
@@ -159,7 +160,7 @@ class TestEdits:
         cube = z.extended_cube(0, 0)
         g1 = z.apply_edit(cube, z.SubdivisionEdgeInsertion((0, 1), (5, 4), 2))
         g2 = z.apply_edit(g1, z.SubdivisionEdgeInsertion((2, 3), (6, 7), 1))
-        assert z.is_isomorphic(g2, z.extended_cube(1, 2))
+        assert is_isomorphic(g2, z.extended_cube(1, 2))
 
     def test_insertion_rejects_same_edge(self):
         with pytest.raises(ValueError):
@@ -216,8 +217,8 @@ class TestInvariants:
                 assert v in g.neighbors(u) and u in g.neighbors(v)
 
     def test_isomorphism_sanity(self):
-        assert z.is_isomorphic(z.cycle_graph(6), z.circulant(6, {1}))
-        assert not z.is_isomorphic(z.cycle_graph(6), z.path_graph(6))
-        assert not z.is_isomorphic(
+        assert is_isomorphic(z.cycle_graph(6), z.circulant(6, {1}))
+        assert not is_isomorphic(z.cycle_graph(6), z.path_graph(6))
+        assert not is_isomorphic(
             z.complete_bipartite_graph(3, 3), z.complete_graph(6)
         )
