@@ -64,11 +64,8 @@ from .linalg import (
     CoeffDomain,
     ExactMatrix,
     QuadRational,
-    Spectrum,
     adjacency_matrix,
     format_matrix,
-    multiset_contained,
-    multisets_close,
     parse_matrix,
     prime_field,
     root_of_unity,

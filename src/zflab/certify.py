@@ -25,6 +25,8 @@ from .structure import has_sap, min_degree, vertex_connectivity
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11)
 DEFAULT_LAMBDAS = (-2, -1, 0, 1, 2)
+GF2_ORDER_CAP = 24  # largest order the 2^n diagonal enumeration accepts
+HARNESS_ORDER_CAP = 120  # conjecture instances beyond this order are skipped
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,15 @@ def _gf2_rank(rows):
     return rank
 
 
-def min_rank_gf2_exhaustive(g, target_rank=None, cap=24):
+def min_rank_gf2_exhaustive(g, target_rank=None):
     """Exact minimum rank over the GF(2) matrices with the graph's
     off-diagonal pattern, by trying all 2^n diagonals; returns the witness
     diagonal and, when asked, whether some diagonal attains target_rank."""
     n = g.n
-    if n > cap:
-        raise ValueError(f"graph order {n} exceeds the 2^n enumeration cap {cap}")
+    if n > GF2_ORDER_CAP:
+        raise ValueError(
+            f"graph order {n} exceeds the 2^n enumeration cap {GF2_ORDER_CAP}"
+        )
     base = [0] * n
     for u, v in g.edges:
         base[u] |= 1 << v
@@ -188,7 +192,9 @@ class ParameterReport:
 
 
 def parameter_report(g, lambdas=DEFAULT_LAMBDAS, graph_id="G"):
-    """Populated parameter table; asserts the recorded inequalities."""
+    """Populated parameter table. A contradiction of the recorded chain
+    kappa, nullities <= Z is reported, not raised: chain_consistent() is
+    False and `zflab report` exits 1."""
     nulls = {lam: nullity_over(g, lam, QQ) for lam in lambdas}
     kw = vertex_connectivity(g)
     zf = zero_forcing_number(g)
@@ -209,8 +215,6 @@ def parameter_report(g, lambdas=DEFAULT_LAMBDAS, graph_id="G"):
         best,
         source,
     )
-    if zf.is_exact and not report.chain_consistent():
-        raise AssertionError("parameter chain violated; check implementation")
     return report
 
 
@@ -229,15 +233,15 @@ class HarnessRow:
     status: str  # "pass" | "fail" | "skipped"
 
 
-def conjecture_harness(family, primes=(2, 3, 5), nullity_cap=120, **ranges):
+def conjecture_harness(family, primes=(2, 3, 5), **ranges):
     """Instance tables for the two conjectured families.
 
     family "circ_l": circulants on (l^2 - 1)k vertices with connection set
     {1, l}, conjectured nullity = Z = 2l (ranges: l_values, k_values).
     family "ecg_tr": widened cubes ECG(t, 6r - t - 4), conjectured
-    nullity = Z = 4 (ranges: t_values, r_values). Instances beyond the
-    nullity cap, or whose forcing search runs out of its budget, are reported
-    as skipped, never asserted.
+    nullity = Z = 4 (ranges: t_values, r_values). Instances on more than
+    HARNESS_ORDER_CAP vertices, or whose forcing search runs out of its
+    budget, are reported as skipped, never asserted.
     """
     from .graphs import circulant, extended_cube
 
@@ -248,7 +252,7 @@ def conjecture_harness(family, primes=(2, 3, 5), nullity_cap=120, **ranges):
                 n = (ell * ell - 1) * k
                 name = f"Circ[{n},{{1,{ell}}}]"
                 conj = 2 * ell
-                if n > nullity_cap:
+                if n > HARNESS_ORDER_CAP:
                     rows.append(HarnessRow(name, n, None, None, {}, conj, "skipped"))
                     continue
                 g = circulant(n, {1, ell})
@@ -261,7 +265,7 @@ def conjecture_harness(family, primes=(2, 3, 5), nullity_cap=120, **ranges):
                     continue
                 n = 8 + 2 * (t + k)
                 name = f"ECG({t},{k})"
-                if n > nullity_cap:
+                if n > HARNESS_ORDER_CAP:
                     rows.append(HarnessRow(name, n, None, None, {}, 4, "skipped"))
                     continue
                 g = extended_cube(t, k)

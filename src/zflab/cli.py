@@ -185,7 +185,7 @@ def _cmd_decompose(args):
         out["blocks"] = [
             [[str(x) for x in row] for row in b] for b in dec.blocks
         ]
-    out["block_spectra"] = [list(s.eigenvalues) for s in dec.block_spectra()]
+    out["block_spectra"] = [list(s) for s in dec.block_spectra()]
     _emit(out, args)
     return 0
 

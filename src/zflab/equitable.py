@@ -7,6 +7,9 @@ matrix, and its spectrum embeds in the spectrum of A(G). A uniform
 automorphism (all orbits of one size k) refines this: slicing a compatible
 matrix along the powers of the automorphism applied to a transversal and
 combining the slices with k-th root of unity weights block-diagonalizes it.
+One loop builds the blocks for every orbit size: exactly over Q, Q(i) or
+Q(w) for k in {1, 2, 3, 4, 6}, in complex floats otherwise. Spectra are
+descending tuples of floats.
 
 Graphs tagged "half-step" (circulants whose connection set contains n/2) are
 rejected by the operations here; the small-quotient divisor comparison those
@@ -15,10 +18,8 @@ tags exist for is not valid on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 import math
+from dataclasses import dataclass
 
 from .linalg import (
     QI,
@@ -26,7 +27,6 @@ from .linalg import (
     QW,
     ExactMatrix,
     QuadRational,
-    Spectrum,
     adjacency_matrix,
     root_of_unity,
     spectrum,
@@ -152,7 +152,7 @@ def divisor_matrix(g, partition):
     return ExactMatrix(QQ, [list(row) for row in data])
 
 
-def divisor_spectrum(g, partition, tol=1e-10):
+def divisor_spectrum(g, partition):
     """Eigenvalues of the divisor matrix via the similarity that symmetrizes
     it: scaling block i by sqrt(|V_i|) turns [b_ij] into the symmetric
     matrix [b_ij * sqrt(|V_i| / |V_j|)] with the same spectrum."""
@@ -166,7 +166,7 @@ def divisor_spectrum(g, partition, tol=1e-10):
         [b[i][j] * math.sqrt(sizes[i] / sizes[j]) for j in range(k)]
         for i in range(k)
     ]
-    return spectrum(sym, tol)
+    return spectrum(sym)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +246,8 @@ class Decomposition:
     blocks: tuple  # ExactMatrix over Q / Q(i) / Q(w), or complex lists when inexact
     exact: bool
 
-    def block_spectra(self, tol=1e-10):
-        return [spectrum(b, tol) for b in self.blocks]
+    def block_spectra(self):
+        return [spectrum(b) for b in self.blocks]
 
 
 def _block_domain(k):
@@ -319,56 +319,22 @@ def equitable_decomposition(g_or_matrix, phi, t0=None, graph=None):
         )
     omega = root_of_unity(k)
     domain = _block_domain(k)
+    zero = 0 * omega  # Fraction(0), a QuadRational zero or 0j
     blocks = []
-    if domain is not None:
-        for j in range(k):
-            acc = [[_dom_zero(domain) for _ in range(r)] for _ in range(r)]
-            w = _dom_one(domain)
-            wj = _dom_pow(omega, j, domain)
-            for ell in range(k):
-                for a in range(r):
-                    row = slices[ell].row(a)
-                    for c in range(r):
-                        if row[c]:
-                            acc[a][c] = acc[a][c] + w * row[c]
-                w = w * wj
-            blocks.append(ExactMatrix(domain, acc))
-        exact = True
-    else:
-        for j in range(k):
-            acc = [[0j] * r for _ in range(r)]
-            for ell in range(k):
-                w = omega ** (j * ell)
-                for a in range(r):
-                    row = slices[ell].row(a)
-                    for c in range(r):
-                        if row[c]:
-                            acc[a][c] += w * complex(row[c])
-            blocks.append(acc)
-        exact = False
+    for j in range(k):
+        acc = [[zero] * r for _ in range(r)]
+        for ell in range(k):
+            w = omega ** (j * ell)
+            for a in range(r):
+                row = slices[ell].row(a)
+                for c in range(r):
+                    if row[c]:
+                        acc[a][c] = acc[a][c] + w * row[c]
+        blocks.append(acc if domain is None else ExactMatrix(domain, acc))
     return Decomposition(
-        k, omega, tuple(transversals), tuple(slices), tuple(blocks), exact
+        k, omega, tuple(transversals), tuple(slices), tuple(blocks),
+        domain is not None,
     )
-
-
-def _dom_zero(domain):
-    if domain == QQ:
-        return Fraction(0)
-    return QuadRational(0, 0, "i" if domain == QI else "w")
-
-
-def _dom_one(domain):
-    if domain == QQ:
-        return Fraction(1)
-    return QuadRational(1, 0, "i" if domain == QI else "w")
-
-
-def _dom_pow(omega, j, domain):
-    out = _dom_one(domain)
-    base = omega if not isinstance(omega, (int, Fraction)) else _dom_one(domain) * omega
-    for _ in range(j):
-        out = out * base
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 Supported domains: the rationals, prime fields GF(p), and the two quadratic
 extensions of the rationals generated by a 4th / 3rd root of unity (enough
 for exact root-of-unity block arithmetic with orbit sizes 1, 2, 3, 4, 6).
+An ExactMatrix offers only what zflab uses: entry and row access,
+transpose, matmul, matvec, rank and nullity, and a nullspace basis.
 
 One elimination kernel, `_echelon`, serves every domain: forward
 elimination to row echelon form with first-nonzero pivoting. Rank is its
@@ -10,7 +12,9 @@ pivot count and the nullspace basis is back-substituted from it. Only the
 row operation depends on the domain: fraction-free (Bareiss) on integer rows
 over the rationals, a normalized pivot row over GF(p), division by the
 pivot over the quadratic extensions. Floating-point spectra of real
-symmetric / complex Hermitian matrices come from numpy's eigvalsh.
+symmetric / complex Hermitian matrices come from numpy's eigvalsh, as
+descending tuples of floats; callers compare them with their own
+tolerance.
 """
 
 from __future__ import annotations
@@ -127,6 +131,14 @@ class QuadRational:
 
     __rmul__ = __mul__
 
+    def __pow__(self, e):
+        if not isinstance(e, int) or e < 0:
+            return NotImplemented
+        out = QuadRational(1, 0, self.kind)
+        for _ in range(e):
+            out = out * self
+        return out
+
     def conjugate(self):
         if self.kind == "i":
             return QuadRational(self.a, -self.b, "i")
@@ -228,85 +240,17 @@ class ExactMatrix:
             tuple(_normalize(x, domain) for x in row) for row in data
         )
 
-    @classmethod
-    def identity(cls, n, domain=QQ):
-        return cls(domain, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows, cols, domain=QQ):
-        return cls(domain, [[0] * cols for _ in range(rows)])
-
     def entry(self, i, j):
         return self.data[i][j]
 
     def row(self, i):
         return self.data[i]
 
-    def tolists(self):
-        return [list(r) for r in self.data]
-
     def transpose(self):
         return ExactMatrix(
             self.domain,
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
-
-    def conjugate_transpose(self):
-        if self.domain.kind in ("QI", "QW"):
-            return ExactMatrix(
-                self.domain,
-                [
-                    [self.data[i][j].conjugate() for i in range(self.rows)]
-                    for j in range(self.cols)
-                ],
-            )
-        return self.transpose()
-
-    def is_symmetric(self):
-        return self.rows == self.cols and all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
-
-    def add(self, other):
-        self._compat(other)
-        return ExactMatrix(
-            self.domain,
-            [
-                [self._plus(self.data[i][j], other.data[i][j]) for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
-
-    def sub(self, other):
-        self._compat(other)
-        if self.domain.kind == "GF":
-            p = self.domain.p
-            return ExactMatrix(
-                self.domain,
-                [
-                    [(self.data[i][j] - other.data[i][j]) % p for j in range(self.cols)]
-                    for i in range(self.rows)
-                ],
-            )
-        return ExactMatrix(
-            self.domain,
-            [
-                [self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
-
-    def scale(self, c):
-        c = _normalize(c, self.domain)
-        if self.domain.kind == "GF":
-            p = self.domain.p
-            return ExactMatrix(
-                self.domain,
-                [[x * c % p for x in row] for row in self.data],
-            )
-        return ExactMatrix(self.domain, [[x * c for x in row] for row in self.data])
 
     def matmul(self, other):
         if self.domain != other.domain:
@@ -333,17 +277,6 @@ class ExactMatrix:
             s = sum(self.data[i][j] * vec[j] for j in range(self.cols))
             out.append(s % p if p else s)
         return out
-
-    def _plus(self, x, y):
-        if self.domain.kind == "GF":
-            return (x + y) % self.domain.p
-        return x + y
-
-    def _compat(self, other):
-        if self.domain != other.domain:
-            raise ValueError("domain mismatch")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
 
     def __eq__(self, other):
         return (
@@ -482,21 +415,6 @@ def adjacency_matrix(g, shift=0, domain=QQ):
 # floating-point spectra
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Multiset of real eigenvalues, sorted descending, plus the tolerance
-    the caller compares them with."""
-
-    eigenvalues: tuple
-    tol: float
-
-    def __iter__(self):
-        return iter(self.eigenvalues)
-
-    def __len__(self):
-        return len(self.eigenvalues)
-
-
 def _as_complex_array(m):
     if isinstance(m, ExactMatrix):
         if m.domain.kind in ("QI", "QW"):
@@ -512,39 +430,15 @@ def _as_complex_array(m):
     return arr
 
 
-def spectrum(m, tol=1e-10):
-    """All eigenvalues of a real symmetric / complex Hermitian matrix, by
-    LAPACK's Hermitian eigensolver (numpy.linalg.eigvalsh). Its error is
-    about machine precision times the matrix norm, far below any tol used
-    for spectrum comparisons; tol is recorded with the result."""
+def spectrum(m):
+    """All eigenvalues of a real symmetric / complex Hermitian matrix as a
+    descending tuple of floats, by LAPACK's Hermitian eigensolver
+    (numpy.linalg.eigvalsh); its error is about machine precision times the
+    matrix norm."""
     a = _as_complex_array(m)
     if not np.allclose(a, a.conj().T, rtol=0.0, atol=1e-12):
         raise ValueError("matrix is not Hermitian")
-    vals = sorted((float(x) for x in np.linalg.eigvalsh(a)), reverse=True)
-    return Spectrum(tuple(vals), tol)
-
-
-def multisets_close(xs, ys, tol=1e-6):
-    """Sorted pairwise comparison of two real multisets."""
-    xs = sorted(xs)
-    ys = sorted(ys)
-    return len(xs) == len(ys) and all(abs(x - y) < tol for x, y in zip(xs, ys))
-
-
-def multiset_contained(xs, ys, tol=1e-6):
-    """True if multiset xs embeds into ys matching within tol."""
-    ys = sorted(ys)
-    used = [False] * len(ys)
-    for x in sorted(xs):
-        hit = None
-        for i, y in enumerate(ys):
-            if not used[i] and abs(x - y) < tol:
-                hit = i
-                break
-        if hit is None:
-            return False
-        used[hit] = True
-    return True
+    return tuple(sorted((float(x) for x in np.linalg.eigvalsh(a)), reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -150,8 +150,6 @@ def apply_red_sequence(g, certificate):
             raise RedCertificateError(idx, str(exc)) from None
         if not ok:
             raise RedCertificateError(idx, "row equation does not hold")
-        if move.u in red_set:
-            raise RedCertificateError(idx, f"target {move.u} is already red")
         red.append(move.u)
         red_set.add(move.u)
     return red
@@ -228,22 +226,18 @@ def bipartite_doubling_bound(g, side, certificate):
     for u, v in g.edges:
         if (u in side) == (v in side):
             raise ValueError(f"edge ({u},{v}) does not cross the bipartition")
-    red = []
-    red_set = set()
+    certificate = tuple(certificate)
     for idx, move in enumerate(certificate):
         if move.u not in side:
-            raise RedCertificateError(idx, f"target {move.u} escapes the side")
-        if not move.participants() <= side:
-            raise RedCertificateError(idx, "move data escapes the side")
-        try:
-            ok = verify_red_move(g, red_set, move)
-        except ValueError as exc:
-            raise RedCertificateError(idx, str(exc)) from None
-        if not ok:
-            raise RedCertificateError(idx, "row equation does not hold")
-        red.append(move.u)
-        red_set.add(move.u)
-    bound = 2 * len(red)
+            problem = f"target {move.u} escapes the side"
+        elif not move.participants() <= side:
+            problem = "move data escapes the side"
+        else:
+            continue
+        # an earlier move that fails its replay is the first failing move
+        apply_red_sequence(g, certificate[:idx])
+        raise RedCertificateError(idx, problem)
+    bound = 2 * len(apply_red_sequence(g, certificate))
     nullity = graph_nullity(g)
     if bound > nullity:
         raise AssertionError(

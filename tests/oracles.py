@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: ranks by
 naive rational elimination, zero forcing by trying all subsets with a
 set-based closure, red moves by materializing the edge-count maps of the
-modified general graphs, spectra by numpy. The last section holds two
+modified general graphs, spectra by numpy and compared as multisets within
+a tolerance. The last section holds two
 graph helpers only the tests use: a family dispatch and a backtracking
 isomorphism test.
 """
@@ -82,6 +83,29 @@ def laplace_determinant(rows):
         minor = [[rows[i][t] for t in range(n) if t != j] for i in range(1, n)]
         det += (-1) ** j * Fraction(rows[0][j]) * laplace_determinant(minor)
     return det
+
+
+def multisets_close(xs, ys, tol=1e-6):
+    """Sorted pairwise comparison of two real multisets."""
+    xs = sorted(xs)
+    ys = sorted(ys)
+    return len(xs) == len(ys) and all(abs(x - y) < tol for x, y in zip(xs, ys))
+
+
+def multiset_contained(xs, ys, tol=1e-6):
+    """True if multiset xs embeds into ys matching within tol."""
+    ys = sorted(ys)
+    used = [False] * len(ys)
+    for x in sorted(xs):
+        hit = None
+        for i, y in enumerate(ys):
+            if not used[i] and abs(x - y) < tol:
+                hit = i
+                break
+        if hit is None:
+            return False
+        used[hit] = True
+    return True
 
 
 # ---------------------------------------------------------------------------

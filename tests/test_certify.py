@@ -107,7 +107,7 @@ class TestGf2MinRank:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            z.min_rank_gf2_exhaustive(z.circulant(30, {1}), cap=24)
+            z.min_rank_gf2_exhaustive(z.circulant(30, {1}))
 
 
 class TestParameterReport:
@@ -159,9 +159,7 @@ class TestConjectureHarness:
         assert all(r.status in ("pass", "skipped") for r in rows)
 
     def test_skip_beyond_cap(self):
-        rows = z.conjecture_harness(
-            "circ_l", l_values=(5,), k_values=(1, 6), nullity_cap=120
-        )
+        rows = z.conjecture_harness("circ_l", l_values=(5,), k_values=(1, 6))
         assert rows[0].status == "pass"
         assert rows[1].status == "skipped"  # n = 144 exceeds nullity cap
 

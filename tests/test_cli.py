@@ -3,7 +3,7 @@ import json
 import pytest
 
 import zflab.cli as cli
-from zflab import forcing
+from zflab import KappaWitness, certify, forcing
 
 
 def run(capsys, *argv):
@@ -121,6 +121,16 @@ class TestCommands:
         code, obj = run(capsys, "report", "--graph", "circulant:9:1,2")
         assert code == 0
         assert obj["kappa"] == obj["min_degree"] == 4 and obj["Z"] == 4
+
+    def test_report_chain_violation_exit(self, capsys, monkeypatch):
+        # kappa = n > Z contradicts the chain: printed and exit 1, no traceback
+        monkeypatch.setattr(
+            certify, "vertex_connectivity", lambda g: KappaWitness(g.n, ())
+        )
+        code, obj = run(capsys, "report", "--graph", "circulant:9:1,2")
+        assert code == 1
+        assert obj["kappa"] == 9 and obj["Z"] == 4
+        assert obj["sandwich"] == "9 <= M(G) <= Z(G) = 4"
 
     def test_conjecture(self, capsys):
         code, rows = run(

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 import zflab as z
-from oracles import laplace_determinant, naive_rational_rank
+from oracles import (
+    laplace_determinant,
+    multisets_close,
+    naive_rational_rank,
+)
 
 
 class TestDomains:
@@ -69,7 +73,8 @@ class TestDomains:
 
 class TestRank:
     def test_identity(self):
-        assert z.ExactMatrix.identity(4).rank_nullity() == (4, 0)
+        eye = [[int(i == j) for j in range(4)] for i in range(4)]
+        assert z.ExactMatrix(z.QQ, eye).rank_nullity() == (4, 0)
 
     def test_k33_adjacency(self):
         m = z.adjacency_matrix(z.complete_bipartite_graph(3, 3))
@@ -133,7 +138,7 @@ class TestRank:
 
 def non_pivot_columns(m):
     """Columns in the span of the columns before them."""
-    data = m.tolists()
+    data = m.data
     ranks = [0] + [
         z.ExactMatrix(m.domain, [row[: j + 1] for row in data]).rank_nullity()[0]
         for j in range(m.cols)
@@ -146,7 +151,7 @@ class TestNullspace:
         assert z.adjacency_matrix(z.complete_graph(2)).nullspace_basis() == []
 
     def test_zero_matrix(self):
-        basis = z.ExactMatrix.zeros(3, 3).nullspace_basis()
+        basis = z.ExactMatrix(z.QQ, [[0] * 3] * 3).nullspace_basis()
         assert len(basis) == 3
         assert basis[0] == [1, 0, 0] and basis[2] == [0, 0, 1]
 
@@ -177,18 +182,18 @@ class TestNullspace:
 
 class TestSpectrum:
     def test_identity(self):
-        assert z.spectrum(np.eye(3)).eigenvalues == (1.0, 1.0, 1.0)
+        assert z.spectrum(np.eye(3)) == (1.0, 1.0, 1.0)
 
     def test_block_b0(self):
         b0 = [[0, 1, 2], [1, 1, 1], [2, 1, 0]]
-        vals = z.spectrum(b0, 1e-12).eigenvalues
-        assert z.multisets_close(vals, [3, 0, -2], 1e-9)
+        vals = z.spectrum(b0)
+        assert multisets_close(vals, [3, 0, -2], 1e-9)
 
     def test_block_b1_values(self):
         i = z.QuadRational(0, 1, "i")
         b1 = z.ExactMatrix(z.QI, [[0, 1, -1 - i], [1, -1, 1], [-1 + i, 1, 0]])
-        vals = z.spectrum(b1, 1e-12).eigenvalues
-        assert z.multisets_close(vals, [1.561552, 0.0, -2.561552], 1e-6)
+        vals = z.spectrum(b1)
+        assert multisets_close(vals, [1.561552, 0.0, -2.561552], 1e-6)
 
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(3)
@@ -200,14 +205,14 @@ class TestSpectrum:
             else:
                 m = rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
                 m = (m + m.conj().T) / 2
-            mine = z.spectrum(m, 1e-11).eigenvalues
+            mine = z.spectrum(m)
             ref = sorted(np.linalg.eigvalsh(m), reverse=True)
             assert max(abs(a - b) for a, b in zip(mine, ref)) < 1e-8
 
     def test_trace_property(self, families):
         for g in families.values():
-            vals = z.spectrum(z.adjacency_matrix(g), 1e-10)
-            assert abs(sum(vals.eigenvalues)) < g.n * 1e-9
+            vals = z.spectrum(z.adjacency_matrix(g))
+            assert abs(sum(vals)) < g.n * 1e-9
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -215,19 +220,19 @@ class TestSpectrum:
 
     def test_deterministic_across_runs(self):
         m = z.adjacency_matrix(z.circulant(12, {1, 3}))
-        a = z.spectrum(m, 1e-10).eigenvalues
-        b = z.spectrum(m, 1e-10).eigenvalues
+        a = z.spectrum(m)
+        b = z.spectrum(m)
         assert all(abs(x - y) < 1e-9 for x, y in zip(a, b))
 
 
 class TestAdjacency:
     def test_k2(self):
         m = z.adjacency_matrix(z.complete_graph(2))
-        assert m.tolists() == [[0, 1], [1, 0]]
+        assert m.data == ((0, 1), (1, 0))
 
     def test_shift(self):
         m = z.adjacency_matrix(z.complete_graph(2), 2)
-        assert m.tolists() == [[-2, 1], [1, -2]]
+        assert m.data == ((-2, 1), (1, -2))
 
     def test_c4_mod2(self):
         m = z.adjacency_matrix(z.cycle_graph(4), 0, z.prime_field(2))
@@ -242,7 +247,7 @@ class TestAdjacency:
         assert m.row(0) == (1, 1)
 
     def test_k3_determinant_via_oracle(self):
-        rows = z.adjacency_matrix(z.complete_graph(3)).tolists()
+        rows = z.adjacency_matrix(z.complete_graph(3)).data
         assert laplace_determinant(rows) == 2
 
 

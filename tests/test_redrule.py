@@ -218,6 +218,15 @@ class TestBipartiteDoubling:
         with pytest.raises(z.RedCertificateError):
             z.bipartite_doubling_bound(g, set(range(0, 8, 2)), [move])
 
+    def test_first_failing_move_is_reported(self):
+        # move 0 fails its row equation, move 1 escapes the side
+        g = z.cycle_graph(8)
+        cert = [z.RedMove.make(0, 2), z.RedMove.make(1, 3)]
+        with pytest.raises(z.RedCertificateError) as err:
+            z.bipartite_doubling_bound(g, set(range(0, 8, 2)), cert)
+        assert err.value.index == 0
+        assert "row equation" in str(err.value)
+
     def test_never_exceeds_nullity_fuzz(self):
         rng = random.Random(17)
         for _ in range(40):
