@@ -17,7 +17,6 @@ from .certify import (
     parameter_report,
 )
 from .equitable import (
-    Automorphism,
     Decomposition,
     Partition,
     coarsest_equitable,

@@ -36,26 +36,32 @@ def parse_graph_spec(spec):
         return _graphs.cartesian_product(parse_graph_spec(left), parse_graph_spec(right))
     name, _, rest = spec.partition(":")
     args = [a for a in rest.split(":") if a] if rest else []
+
+    def arg(i):
+        if i >= len(args):
+            raise ValueError(f"graph spec {spec!r} is missing arguments")
+        return args[i]
+
     if name == "path":
-        return _graphs.path_graph(int(args[0]))
+        return _graphs.path_graph(int(arg(0)))
     if name == "cycle":
-        return _graphs.cycle_graph(int(args[0]))
+        return _graphs.cycle_graph(int(arg(0)))
     if name == "complete":
-        return _graphs.complete_graph(int(args[0]))
+        return _graphs.complete_graph(int(arg(0)))
     if name == "kbip":
-        a, b = (int(x) for x in args[0].split(","))
+        a, b = (int(x) for x in arg(0).split(","))
         return _graphs.complete_bipartite_graph(a, b)
     if name == "circulant":
-        n = int(args[0])
-        s = {int(x) for x in args[1].split(",")}
+        n = int(arg(0))
+        s = {int(x) for x in arg(1).split(",")}
         return _graphs.circulant(n, s)
     if name == "aztec":
-        return _graphs.aztec_diamond(int(args[0]))
+        return _graphs.aztec_diamond(int(arg(0)))
     if name == "ecg":
-        t, k = (int(x) for x in args[0].split(","))
+        t, k = (int(x) for x in arg(0).split(","))
         return _graphs.extended_cube(t, k)
     if name == "petersen":
-        n, k = (int(x) for x in args[0].split(","))
+        n, k = (int(x) for x in arg(0).split(","))
         return _graphs.generalized_petersen(n, k)
     raise ValueError(f"cannot parse graph spec {spec!r}")
 
@@ -335,7 +341,7 @@ def build_parser():
     ce = sub.add_parser("certify", help="field-independence certification")
     ce.add_argument("--graph", required=True)
     ce.add_argument("--lambda", dest="lam", type=int, default=0)
-    ce.add_argument("--primes", default="2,3,5")
+    ce.add_argument("--primes", default=",".join(map(str, _certify.PRIMES)))
     ce.set_defaults(func=_cmd_certify)
 
     mr = sub.add_parser("mr2", help="exhaustive GF(2) minimum rank")
@@ -362,7 +368,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

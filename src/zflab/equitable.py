@@ -10,10 +10,6 @@ combining the slices with k-th root of unity weights block-diagonalizes it.
 One loop builds the blocks for every orbit size: exactly over Q, Q(i) or
 Q(w) for k in {1, 2, 3, 4, 6}, in complex floats otherwise. Spectra are
 descending tuples of floats.
-
-Graphs tagged "half-step" (circulants whose connection set contains n/2) are
-rejected by the operations here; the small-quotient divisor comparison those
-tags exist for is not valid on them.
 """
 
 from __future__ import annotations
@@ -45,13 +41,6 @@ class Partition:
     def size(self):
         return len(self.blocks)
 
-    def block_of(self):
-        out = {}
-        for i, blk in enumerate(self.blocks):
-            for v in blk:
-                out[v] = i
-        return out
-
 
 def _check_partition(g, blocks):
     seen = set()
@@ -68,18 +57,9 @@ def _check_partition(g, blocks):
         raise ValueError("blocks do not cover the vertex set")
 
 
-def _reject_half_step(g):
-    if "half-step" in g.flags:
-        raise ValueError(
-            "graph is tagged half-step (connection set contains n/2); "
-            "equitable operations are not supported on it"
-        )
-
-
 def is_equitable(g, partition):
     """(True, b) when the neighbor counts are block-constant, else
     (False, (v, j)) naming a vertex and block index that break constancy."""
-    _reject_half_step(g)
     blocks = tuple(tuple(blk) for blk in (
         partition.blocks if isinstance(partition, Partition) else partition
     ))
@@ -108,7 +88,6 @@ def coarsest_equitable(g, initial=None):
     """Refine the initial partition (default: one block) by neighbor-count
     signatures until stable. The result refines the input, is equitable, and
     is the coarsest such refinement; blocks are ordered by least vertex."""
-    _reject_half_step(g)
     if initial is None:
         blocks = [tuple(range(g.n))]
     else:
@@ -173,12 +152,6 @@ def divisor_spectrum(g, partition):
 # automorphisms and orbit partitions
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    perm: tuple
-    orbit_size: int | None = None  # set when uniform
-
-
 def check_automorphism(g, perm):
     """Validate a permutation as a graph automorphism; raises naming a
     violated pair."""
@@ -212,18 +185,10 @@ def _cycles(perm):
     return cycles
 
 
-def as_automorphism(g, perm):
-    perm = check_automorphism(g, perm)
-    sizes = {len(c) for c in _cycles(perm)}
-    return Automorphism(perm, sizes.pop() if len(sizes) == 1 else None)
-
-
 def orbit_partition(g, phi):
     """Blocks are the orbits (cycles) of the automorphism, ordered by least
     vertex; the result is always equitable."""
-    _reject_half_step(g)
-    perm = phi.perm if isinstance(phi, Automorphism) else tuple(phi)
-    check_automorphism(g, perm)
+    perm = check_automorphism(g, phi)
     blocks = tuple(
         tuple(sorted(c)) for c in sorted(_cycles(perm), key=min)
     )
@@ -240,9 +205,7 @@ def orbit_partition(g, phi):
 @dataclass(frozen=True)
 class Decomposition:
     k: int
-    omega: object  # exact root for k in {1,2,3,4,6}, complex float otherwise
     transversals: tuple  # (T_0, ..., T_{k-1}), each a tuple of vertices
-    slices: tuple  # rational ExactMatrix A_l = M[T_0, T_l]
     blocks: tuple  # ExactMatrix over Q / Q(i) / Q(w), or complex lists when inexact
     exact: bool
 
@@ -281,9 +244,7 @@ def equitable_decomposition(g_or_matrix, phi, t0=None, graph=None):
         g = graph
         if m.domain != QQ or m.rows != g.n or m.cols != g.n:
             raise ValueError("matrix must be rational and match the graph order")
-    _reject_half_step(g)
-    perm = phi.perm if isinstance(phi, Automorphism) else tuple(phi)
-    check_automorphism(g, perm)
+    perm = check_automorphism(g, phi)
     cycles = sorted(_cycles(perm), key=min)
     sizes = {len(c) for c in cycles}
     if len(sizes) != 1:
@@ -302,6 +263,9 @@ def equitable_decomposition(g_or_matrix, phi, t0=None, graph=None):
         for idx, c in enumerate(cycles):
             for v in c:
                 orbit_of[v] = idx
+        for v in t0:
+            if v not in orbit_of:
+                raise ValueError(f"t0 vertex {v} is out of range 0..{g.n - 1}")
         hit = [orbit_of[v] for v in t0]
         if len(t0) != len(cycles) or sorted(hit) != list(range(len(cycles))):
             raise ValueError("t0 must contain exactly one vertex per orbit")
@@ -310,13 +274,9 @@ def equitable_decomposition(g_or_matrix, phi, t0=None, graph=None):
     for _ in range(k - 1):
         cur = tuple(perm[v] for v in cur)
         transversals.append(cur)
+    # slice l is M[T_0, T_l]
+    slices = [[[m.entry(a, c) for c in tl] for a in t0] for tl in transversals]
     r = len(t0)
-    slices = []
-    for ell in range(k):
-        tl = transversals[ell]
-        slices.append(
-            ExactMatrix(QQ, [[m.entry(t0[i], tl[j]) for j in range(r)] for i in range(r)])
-        )
     omega = root_of_unity(k)
     domain = _block_domain(k)
     zero = 0 * omega  # Fraction(0), a QuadRational zero or 0j
@@ -326,15 +286,12 @@ def equitable_decomposition(g_or_matrix, phi, t0=None, graph=None):
         for ell in range(k):
             w = omega ** (j * ell)
             for a in range(r):
-                row = slices[ell].row(a)
+                row = slices[ell][a]
                 for c in range(r):
                     if row[c]:
                         acc[a][c] = acc[a][c] + w * row[c]
         blocks.append(acc if domain is None else ExactMatrix(domain, acc))
-    return Decomposition(
-        k, omega, tuple(transversals), tuple(slices), tuple(blocks),
-        domain is not None,
-    )
+    return Decomposition(k, tuple(transversals), tuple(blocks), domain is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "labels", "flags", "_adj", "_masks")
+    __slots__ = ("n", "edges", "labels", "_adj", "_masks")
 
-    def __init__(self, n, edges, labels=None, flags=()):
+    def __init__(self, n, edges, labels=None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         norm = set()
@@ -36,7 +36,6 @@ class Graph:
         self.n = n
         self.edges = tuple(sorted(norm))
         self.labels = dict(labels) if labels else None
-        self.flags = frozenset(flags)
         adj = [set() for _ in range(n)]
         for u, v in self.edges:
             adj[u].add(v)
@@ -96,25 +95,6 @@ class Graph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == self.n
-
-    def connected_components(self):
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = True
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
 
     def is_complete(self):
         return self.num_edges == self.n * (self.n - 1) // 2
@@ -184,9 +164,8 @@ def complete_bipartite_graph(a, b):
 def circulant(n, connection_set):
     """Circulant graph on Z_n: i adjacent to i+-s (mod n) for each s in the set.
 
-    Steps must lie in 1..n//2. A graph built with the half-step n/2 in its
-    connection set is tagged "half-step"; the divisor-matrix machinery refuses
-    those (the small-quotient comparison breaks down there).
+    Steps must lie in 1..n//2; the step n/2 adds the perfect matching
+    {i, i + n/2}.
     """
     s_set = set(connection_set)
     if n < 3:
@@ -200,8 +179,7 @@ def circulant(n, connection_set):
     for i in range(n):
         for s in s_set:
             edges.add(tuple(sorted((i, (i + s) % n))))
-    flags = ("half-step",) if (n % 2 == 0 and n // 2 in s_set) else ()
-    return Graph(n, edges, flags=flags)
+    return Graph(n, edges)
 
 
 def cartesian_product(g, h):
@@ -261,19 +239,15 @@ def extended_cube(t, k):
     return Graph(n, edges)
 
 
-def generalized_petersen(n, k, allow_degenerate=False):
+def generalized_petersen(n, k):
     """Generalized Petersen graph P(n, k): outer n-cycle 0..n-1, inner
-    vertices n..2n-1 with steps of k, and the n spokes.
-
-    Requires 1 <= k < n/2; pass allow_degenerate=True to accept k = n/2
-    (the inner step edges then coincide in pairs and are deduplicated).
+    vertices n..2n-1 with steps of k, and the n spokes. Requires
+    1 <= k < n/2 (at k = n/2 the inner step edges would coincide in pairs).
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    if k < 1 or 2 * k > n:
-        raise ValueError(f"step k={k} outside 1..{n // 2}")
-    if 2 * k == n and not allow_degenerate:
-        raise ValueError("k = n/2 collapses inner edges; pass allow_degenerate=True")
+    if k < 1 or 2 * k >= n:
+        raise ValueError(f"step k={k} outside 1 <= k < n/2")
     edges = set()
     for i in range(n):
         edges.add(tuple(sorted((i, (i + 1) % n))))
@@ -318,11 +292,6 @@ class SubdivisionEdgeInsertion:
     e1: tuple
     e2: tuple
     k: int = 1
-
-
-GraphEdit = (
-    DeleteVertex | DeleteEdge | ContractEdge | SubdivideEdge | SubdivisionEdgeInsertion
-)
 
 
 def _check_vertex(g, v):

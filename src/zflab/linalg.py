@@ -400,13 +400,9 @@ def _echelon(matrix):
 
 def adjacency_matrix(g, shift=0, domain=QQ):
     """A(G) - shift*I over the requested domain."""
-    n = g.n
-    rows = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        rows[u][v] = 1
-        rows[v][u] = 1
+    rows = g.adjacency_rows()
     if shift:
-        for i in range(n):
+        for i in range(g.n):
             rows[i][i] -= shift
     return ExactMatrix(domain, rows)
 
@@ -461,7 +457,11 @@ def format_matrix(m):
 
 def parse_matrix(text):
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError('empty matrix text; expected a header "rows cols domain"')
     head = lines[0].split()
+    if len(head) != 3:
+        raise ValueError(f'malformed header {lines[0]!r}; expected "rows cols domain"')
     rows, cols, dom = int(head[0]), int(head[1]), head[2]
     if dom == "Q":
         domain = QQ

@@ -17,7 +17,7 @@ splitting the integer coefficients by sign gives the X / Y multisets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 
 from .linalg import QQ, adjacency_matrix
@@ -67,14 +67,6 @@ class RedMove:
                 "the clearing denominator blew up"
             )
         return cls(int(u), int(v), tuple(sorted(xs.items())), tuple(sorted(ys.items())), int(k))
-
-    @property
-    def x_multiset(self):
-        return dict(self.x)
-
-    @property
-    def y_multiset(self):
-        return dict(self.y)
 
     def participants(self):
         return {self.v} | {v for v, _ in self.x} | {v for v, _ in self.y}

@@ -182,7 +182,7 @@ class TestConjectureHarness:
     def test_budget_exhaustion_skips(self, monkeypatch):
         monkeypatch.setattr(forcing, "STATE_BUDGET", 5)
         g = z.generalized_petersen(10, 3)  # nullity 0, Z = 8
-        row = certify._harness_row(g, "P(10,3)", 8, (2,))
+        row = certify._harness_row(g, "P(10,3)", 8)
         assert row.status == "skipped" and row.z_number is None
 
     def test_circ_48_beyond_old_order_cap(self):

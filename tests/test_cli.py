@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import zflab as z
 import zflab.cli as cli
 from zflab import KappaWitness, certify, forcing
 
@@ -142,6 +143,46 @@ class TestCommands:
     def test_error_exit_code(self, capsys):
         code = cli.main(["kappa", "--graph", "nonsense:9"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["kappa", "--graph", "circulant:8"], "'circulant:8' is missing arguments"),
+            (["kappa", "--graph", "path"], "'path' is missing arguments"),
+            (["sap", "--graph", "path:3", "--matrix", "{tmp}/missing.txt"],
+             "missing.txt"),
+            (["sap", "--graph", "path:3", "--matrix", "{tmp}/empty.txt"],
+             "empty matrix text"),
+            (["sap", "--graph", "path:3", "--matrix", "{tmp}/short.txt"],
+             "malformed header '3 3'"),
+            (["decompose", "--graph", "circulant:8:1,3", "--perm", "4,5,6,7,0,1,2,3",
+              "--transversal", "0,9"], "t0 vertex 9 is out of range 0..7"),
+        ],
+        ids=["missing-step", "missing-order", "missing-file", "empty-matrix",
+             "short-header", "transversal-range"],
+    )
+    def test_bad_input_exit_code(self, capsys, tmp_path, argv, message):
+        (tmp_path / "empty.txt").write_text("\n")
+        (tmp_path / "short.txt").write_text("3 3\n0 1 0\n1 0 1\n0 1 0\n")
+        code = cli.main([a.format(tmp=tmp_path) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
+    def test_half_step_circulant_same_as_edge_list(self, capsys, tmp_path):
+        spec = "circulant:8:1,4"
+        path = tmp_path / "g.txt"
+        path.write_text(z.write_edge_list(cli.parse_graph_spec(spec)))
+        for command in (
+            ["equitable", "refine"],
+            ["decompose", "--perm", "2,3,4,5,6,7,0,1"],
+        ):
+            outputs = []
+            for graph in (spec, str(path)):
+                code = cli.main(command + ["--graph", graph])
+                outputs.append(capsys.readouterr().out)
+                assert code == 0, command
+            assert outputs[0] == outputs[1], command
 
     def test_conjecture_table(self, capsys):
         code = cli.main(

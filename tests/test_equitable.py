@@ -33,10 +33,9 @@ class TestIsEquitable:
         with pytest.raises(ValueError):
             z.is_equitable(z.cycle_graph(4), [(0, 1)])
 
-    def test_rejects_half_step_graph(self):
+    def test_half_step_circulant(self):
         g = z.circulant(6, {1, 3})
-        with pytest.raises(ValueError):
-            z.is_equitable(g, [tuple(range(6))])
+        assert z.is_equitable(g, [range(6)]) == (True, ((3,),))
 
 
 class TestRefinement:
@@ -244,6 +243,11 @@ class TestDecomposition:
             ("C6 shift 1", z.cycle_graph(6), [(i + 1) % 6 for i in range(6)]),
             ("Circ[8,{1,3}] shift 4", z.circulant(8, {1, 3}), [(i + 4) % 8 for i in range(8)]),
             ("ECG(1,1)", z.extended_cube(1, 1), [(i + 3) % 12 for i in range(12)]),
+        ]
+        cases += [
+            (f"Circ[12,{{1,6}}] shift {s}", z.circulant(12, {1, 6}),
+             [(i + s) % 12 for i in range(12)])
+            for s in range(12)
         ]
         for name, g, perm in cases:
             dec = z.equitable_decomposition(g, perm)
