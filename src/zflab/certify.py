@@ -10,8 +10,12 @@ set of size nu. A disagreement over some prime would contradict the chain;
 computing the modular nullities anyway guards the implementation.
 
 For GF(2) the minimum rank over all matrices with the graph's off-diagonal
-pattern is computed exhaustively: off-diagonal entries are forced (the only
-nonzero element is 1), so the search space is the 2^n free diagonals.
+pattern is exact: off-diagonal entries are forced (the only nonzero element
+is 1), so the search space is the 2^n free diagonals. A branch and bound
+walks them, pruning a prefix whose rank already reaches the best rank, and
+stops at the floor n - |greedy zero forcing set|, which is at most
+n - Z <= mr. The attained ranks form the interval [mr, n], so the minimum
+alone decides whether a target rank is attained.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .structure import has_sap, min_degree, vertex_connectivity
 
 PRIMES = (2, 3, 5)  # the prime fields certify and the harness check
 REPORT_SHIFTS = (-2, -1, 0, 1, 2)  # the shifts lambda parameter_report tries
-GF2_ORDER_CAP = 24  # largest order the 2^n diagonal enumeration accepts
+GF2_ORDER_CAP = 24  # largest order the GF(2) minimum rank search accepts
 HARNESS_ORDER_CAP = 120  # conjecture instances beyond this order are skipped
 
 
@@ -96,7 +100,7 @@ def certify_universal_optimality(g, lam=0, primes=PRIMES, graph_id="G"):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive GF(2) minimum rank
+# GF(2) minimum rank by branch and bound
 
 
 @dataclass(frozen=True)
@@ -105,48 +109,85 @@ class Gf2MinRank:
     witness_diagonal: tuple
     target_rank: int | None = None
     target_attained: bool | None = None
+    nodes_examined: int = 0  # diagonal prefixes whose rank was computed
 
 
-def _gf2_rank(rows):
-    rank = 0
+def _reduce(pivots, row):
+    """Reduce row against an echelon basis whose k-th vector avoids the
+    lowest set bits of the ones before it; the result avoids every such
+    bit, so it is the canonical representative modulo the span and the
+    reduction is linear."""
+    for p in pivots:
+        if row & p & -p:
+            row ^= p
+    return row
+
+
+def _gf2_min_rank(base, floor):
+    """(least rank, least diagonal attaining it, prefixes examined) by a
+    depth-first search fixing the diagonal bits of vertices n-1 down to 0,
+    0 before 1, so leaves come in increasing integer order of the diagonal.
+
+    The echelon basis of the fixed rows lives on a stack, so a node reduces
+    one row and one unit vector, not n rows; by linearity the d = 1 row
+    reduces to the sum of the two. A prefix's rank bounds the whole
+    matrix's rank from below, so a prefix that already reaches the best
+    rank is pruned, and a leaf at the proven floor ends the search."""
+    n = len(base)
+    best, best_diag, nodes = n + 1, 0, 0
     pivots = []
-    for row in rows:
-        for p in pivots:
-            low = p & -p
-            if row & low:
-                row ^= p
-        if row:
-            pivots.append(row)
-            rank += 1
-    return rank
+
+    def visit(i, rank, diag):
+        nonlocal best, best_diag, nodes
+        if i < 0:
+            best, best_diag = rank, diag
+            return rank <= floor
+        row = _reduce(pivots, base[i])
+        unit = _reduce(pivots, 1 << i)
+        nodes += 2
+        for bit, reduced in ((0, row), (1, row ^ unit)):
+            grown = rank + (reduced != 0)
+            if grown >= best:
+                continue
+            if reduced:
+                pivots.append(reduced)
+            done = visit(i - 1, grown, diag | (bit << i))
+            if reduced:
+                pivots.pop()
+            if done:
+                return True
+        return False
+
+    visit(n - 1, 0, 0)
+    return best, best_diag, nodes
 
 
 def min_rank_gf2_exhaustive(g, target_rank=None):
     """Exact minimum rank over the GF(2) matrices with the graph's
-    off-diagonal pattern, by trying all 2^n diagonals; returns the witness
-    diagonal and, when asked, whether some diagonal attains target_rank."""
+    off-diagonal pattern (the 2^n free diagonals), by branch and bound
+    down to the floor n - |greedy zero forcing set| <= n - Z <= mr.
+    Returns the least witness diagonal and, when asked, whether some
+    diagonal attains target_rank, which holds exactly when
+    min <= target_rank <= n. One flipped diagonal bit moves the rank by at
+    most 1 and single flips connect all diagonals, so the attained ranks
+    form an interval; it ends at n because det(A + D) is multilinear in the
+    diagonal bits with coefficient 1 on their product (only the identity
+    permutation takes every diagonal entry), and a nonzero multilinear
+    polynomial over GF(2) is nonzero at some point of {0,1}^n."""
     n = g.n
     if n > GF2_ORDER_CAP:
         raise ValueError(
-            f"graph order {n} exceeds the 2^n enumeration cap {GF2_ORDER_CAP}"
+            f"graph order {n} exceeds the GF(2) search cap {GF2_ORDER_CAP}"
         )
-    base = g.adjacency_masks  # cached on the graph: read, never written
-    best = n + 1
-    best_diag = 0
-    attained = False
-    for diag in range(1 << n):
-        rows = [base[i] | (((diag >> i) & 1) << i) for i in range(n)]
-        r = _gf2_rank(rows)
-        if r < best:
-            best = r
-            best_diag = diag
-        if target_rank is not None and r == target_rank:
-            attained = True
+    floor = n - len(forcing._greedy_upper_bound(g))
+    # adjacency_masks is cached on the graph: read, never written
+    best, best_diag, nodes = _gf2_min_rank(g.adjacency_masks, floor)
     return Gf2MinRank(
         best,
         tuple((best_diag >> i) & 1 for i in range(n)),
         target_rank,
-        attained if target_rank is not None else None,
+        None if target_rank is None else best <= target_rank <= n,
+        nodes,
     )
 
 

@@ -37,32 +37,38 @@ def parse_graph_spec(spec):
     name, _, rest = spec.partition(":")
     args = [a for a in rest.split(":") if a] if rest else []
 
-    def arg(i):
+    def ints(i, count):
+        """The i-th argument as a comma-separated list of integers; count
+        None takes any number of them."""
         if i >= len(args):
             raise ValueError(f"graph spec {spec!r} is missing arguments")
-        return args[i]
+        try:
+            vals = [int(x) for x in args[i].split(",")]
+        except ValueError:
+            raise ValueError(f"graph spec {spec!r} has a non-integer argument") from None
+        if count is not None and len(vals) != count:
+            raise ValueError(
+                f"graph spec {spec!r} needs {count} comma-separated integers "
+                f"in argument {i + 1}, got {len(vals)}"
+            )
+        return vals
 
     if name == "path":
-        return _graphs.path_graph(int(arg(0)))
+        return _graphs.path_graph(*ints(0, 1))
     if name == "cycle":
-        return _graphs.cycle_graph(int(arg(0)))
+        return _graphs.cycle_graph(*ints(0, 1))
     if name == "complete":
-        return _graphs.complete_graph(int(arg(0)))
+        return _graphs.complete_graph(*ints(0, 1))
     if name == "kbip":
-        a, b = (int(x) for x in arg(0).split(","))
-        return _graphs.complete_bipartite_graph(a, b)
+        return _graphs.complete_bipartite_graph(*ints(0, 2))
     if name == "circulant":
-        n = int(arg(0))
-        s = {int(x) for x in arg(1).split(",")}
-        return _graphs.circulant(n, s)
+        return _graphs.circulant(*ints(0, 1), set(ints(1, None)))
     if name == "aztec":
-        return _graphs.aztec_diamond(int(arg(0)))
+        return _graphs.aztec_diamond(*ints(0, 1))
     if name == "ecg":
-        t, k = (int(x) for x in arg(0).split(","))
-        return _graphs.extended_cube(t, k)
+        return _graphs.extended_cube(*ints(0, 2))
     if name == "petersen":
-        n, k = (int(x) for x in arg(0).split(","))
-        return _graphs.generalized_petersen(n, k)
+        return _graphs.generalized_petersen(*ints(0, 2))
     raise ValueError(f"cannot parse graph spec {spec!r}")
 
 
@@ -75,6 +81,33 @@ def _load_json_arg(arg):
         with open(arg) as fh:
             return json.load(fh)
     return json.loads(arg)
+
+
+def _load_moves(arg):
+    """--cert: a JSON list of move objects whose X and Y are objects."""
+    obj = _load_json_arg(arg)
+    if not isinstance(obj, list) or not all(
+        isinstance(o, dict)
+        and isinstance(o.get("X", {}), dict)
+        and isinstance(o.get("Y", {}), dict)
+        for o in obj
+    ):
+        raise ValueError("--cert must be a JSON list of move objects")
+    try:
+        return [_redrule.RedMove.from_json_obj(o) for o in obj]
+    except TypeError as exc:
+        raise ValueError(f"--cert has a malformed move: {exc}") from None
+
+
+def _load_blocks(arg):
+    """--partition: a JSON object whose "blocks" is a list of vertex lists."""
+    obj = _load_json_arg(arg)
+    blocks = obj.get("blocks") if isinstance(obj, dict) else None
+    if not isinstance(blocks, list) or not all(
+        isinstance(b, list) and all(isinstance(v, int) for v in b) for b in blocks
+    ):
+        raise ValueError('--partition must be JSON {"blocks": [[vertex, ...], ...]}')
+    return blocks
 
 
 def _emit(obj, args):
@@ -107,15 +140,16 @@ def _cmd_zf(args):
         )
         return 0
     res = _forcing.zero_forcing_number(g)
-    _emit(
-        {
-            "zf_number": res.zf_number,
-            "witness": list(res.witness or ()),
-            "forces": [list(f) for f in res.forces],
-            "exact": res.is_exact,
-        },
-        args,
-    )
+    out = {
+        "zf_number": res.zf_number,
+        "witness": list(res.witness or ()),
+        "forces": [list(f) for f in res.forces],
+        "exact": res.is_exact,
+    }
+    if not res.is_exact:
+        out["lower_bound"] = res.lower_bound
+        out["upper_bound"] = res.upper_bound
+    _emit(out, args)
     return 0
 
 
@@ -125,7 +159,7 @@ def _cmd_red(args):
         cert = _redrule.derive_red_certificates(g)
         _emit([m.to_json_obj() for m in cert], args)
         return 0
-    moves = [_redrule.RedMove.from_json_obj(o) for o in _load_json_arg(args.cert)]
+    moves = _load_moves(args.cert)
     try:
         red = _redrule.apply_red_sequence(g, moves)
     except _redrule.RedCertificateError as exc:
@@ -162,14 +196,12 @@ def _cmd_sap(args):
 def _cmd_equitable(args):
     g = parse_graph_spec(args.graph)
     if args.eq_command == "refine":
-        initial = None
-        if args.partition:
-            initial = _load_json_arg(args.partition)["blocks"]
+        initial = _load_blocks(args.partition) if args.partition else None
         part = _equitable.coarsest_equitable(g, initial)
         _emit({"blocks": [list(b) for b in part.blocks],
                "divisor": [list(r) for r in part.b]}, args)
         return 0
-    blocks = _load_json_arg(args.partition)["blocks"]
+    blocks = _load_blocks(args.partition)
     dm = _equitable.divisor_matrix(g, blocks)
     _emit({"divisor": [[int(x) for x in row] for row in dm.data]}, args)
     return 0
@@ -344,7 +376,9 @@ def build_parser():
     ce.add_argument("--primes", default=",".join(map(str, _certify.PRIMES)))
     ce.set_defaults(func=_cmd_certify)
 
-    mr = sub.add_parser("mr2", help="exhaustive GF(2) minimum rank")
+    mr = sub.add_parser(
+        "mr2", help="GF(2) minimum rank by branch and bound to the greedy floor"
+    )
     mr.add_argument("--graph", required=True)
     mr.add_argument("--target-rank", type=int, default=None)
     mr.set_defaults(func=_cmd_mr2)

@@ -76,7 +76,7 @@ def _split_maxflow(g, s, t):
             b = a
         flow += 1
         if flow > n:
-            raise AssertionError("flow exceeded vertex count")
+            raise ArithmeticError("flow exceeded vertex count")
     # min cut: split arcs (v_in -> v_out) crossing the reachable set
     reach = {source}
     stack = [source]
@@ -104,9 +104,10 @@ def vertex_connectivity(g):
         return KappaWitness(0, ())
     if g.is_complete():
         return KappaWitness(n - 1, ())
+    # v0 has least degree and the graph is not complete, so v0 has a
+    # non-neighbor and the pairs below are nonempty; every flow is below n
     v0 = min(range(n), key=g.degree)
-    best = None
-    best_cut = None
+    best, best_cut = n, ()
     nbrs = sorted(g.neighbors(v0))
     non_nbrs = [t for t in range(n) if t != v0 and t not in g.neighbors(v0)]
     pairs = [(v0, t) for t in non_nbrs]
@@ -118,12 +119,10 @@ def vertex_connectivity(g):
     ]
     for s, t in pairs:
         flow, cut = _split_maxflow(g, s, t)
-        if best is None or flow < best:
+        if flow < best:
             best, best_cut = flow, cut
             if best == 0:
                 break
-    if best is None:  # no non-adjacent pair: complete graph, handled above
-        raise AssertionError("unreachable")
     return KappaWitness(best, tuple(sorted(best_cut)))
 
 

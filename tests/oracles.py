@@ -72,6 +72,36 @@ def brute_zero_forcing(g):
     raise AssertionError("unreachable: V(G) always forces")
 
 
+def gf2_rank(rows):
+    """Rank over GF(2) of rows given as bit masks, by keeping each reduced
+    row below every earlier pivot's leading bit."""
+    pivots = []
+    for row in rows:
+        for p in pivots:
+            row = min(row, row ^ p)
+        if row:
+            pivots.append(row)
+            pivots.sort(reverse=True)
+    return len(pivots)
+
+
+def brute_min_rank_gf2(g):
+    """Plain enumeration of the 2^n diagonals of the GF(2) matrices with the
+    graph's off-diagonal pattern: the minimum rank, the smallest minimizing
+    diagonal (bit i is vertex i) and the set of ranks that occur."""
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    best, best_diag, ranks = g.n + 1, 0, set()
+    for diag in range(1 << g.n):
+        r = gf2_rank([adj[i] | (diag & (1 << i)) for i in range(g.n)])
+        ranks.add(r)
+        if r < best:
+            best, best_diag = r, diag
+    return best, tuple((best_diag >> i) & 1 for i in range(g.n)), ranks
+
+
 def laplace_determinant(rows):
     n = len(rows)
     if n == 1:

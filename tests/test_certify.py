@@ -6,6 +6,8 @@ import zflab as z
 from zflab import certify, forcing
 from zflab.forcing import ZfResult
 
+from oracles import brute_min_rank_gf2
+
 
 class TestCertify:
     def test_aztec_2(self):
@@ -108,6 +110,40 @@ class TestGf2MinRank:
     def test_cap(self):
         with pytest.raises(ValueError):
             z.min_rank_gf2_exhaustive(z.circulant(30, {1}))
+
+    def test_matches_oracle(self, corpus, families):
+        graphs = corpus[:40] + [g for g in families.values() if g.n <= 12]
+        for g in graphs:
+            best, diag, ranks = brute_min_rank_gf2(g)
+            for t in range(-1, g.n + 2):
+                res = z.min_rank_gf2_exhaustive(g, target_rank=t)
+                assert (res.min_rank, res.witness_diagonal) == (best, diag)
+                assert res.target_attained is (t in ranks)
+            # the attained ranks form the interval [min, n]
+            assert ranks == set(range(best, g.n + 1))
+
+    def test_floor_ends_search(self):
+        # C9xP2: the greedy floor 18 - 4 equals the minimum, so the search
+        # stops at the first diagonal of rank 14, far short of 2^18
+        g = z.cartesian_product(z.cycle_graph(9), z.path_graph(2))
+        res = z.min_rank_gf2_exhaustive(g)
+        assert res.min_rank == g.n - len(forcing._greedy_upper_bound(g)) == 14
+        assert 0 < res.nodes_examined < 1000
+
+    def test_target_needs_no_search(self):
+        # the attained ranks are [min, n], so a target, below the floor or
+        # not, is decided by the minimum and costs no search node
+        g = z.cartesian_product(z.cycle_graph(7), z.path_graph(2))
+        plain = z.min_rank_gf2_exhaustive(g)
+        floor = g.n - len(forcing._greedy_upper_bound(g))
+        for t in (floor - 1, plain.min_rank, plain.min_rank + 1, g.n, g.n + 1):
+            res = z.min_rank_gf2_exhaustive(g, target_rank=t)
+            assert res.target_attained is (plain.min_rank <= t <= g.n)
+            assert res.nodes_examined == plain.nodes_examined
+
+    def test_empty_graph(self):
+        res = z.min_rank_gf2_exhaustive(z.Graph(0, []))
+        assert (res.min_rank, res.witness_diagonal) == (0, ())
 
 
 class TestParameterReport:

@@ -42,6 +42,13 @@ class TestCommands:
     def test_zf_number(self, capsys):
         code, obj = run(capsys, "zf", "number", "--graph", "circulant:8:1,3")
         assert code == 0 and obj["zf_number"] == 6
+        assert set(obj) == {"zf_number", "witness", "forces", "exact"}
+
+    def test_zf_number_inexact_prints_bounds(self, capsys, monkeypatch):
+        monkeypatch.setattr(forcing, "STATE_BUDGET", 5)
+        code, obj = run(capsys, "zf", "number", "--graph", "petersen:10,3")
+        assert code == 0 and obj["exact"] is False
+        assert obj["lower_bound"] <= 8 <= obj["upper_bound"] == obj["zf_number"]
 
     def test_red_derive_then_verify(self, capsys, tmp_path):
         code, cert = run(capsys, "red", "derive", "--graph", "circulant:8:1,3")
@@ -157,9 +164,28 @@ class TestCommands:
              "malformed header '3 3'"),
             (["decompose", "--graph", "circulant:8:1,3", "--perm", "4,5,6,7,0,1,2,3",
               "--transversal", "0,9"], "t0 vertex 9 is out of range 0..7"),
+            (["red", "verify", "--graph", "path:3", "--cert", "{{}}"],
+             "--cert must be a JSON list of move objects"),
+            (["red", "verify", "--graph", "path:3", "--cert", "[1]"],
+             "--cert must be a JSON list of move objects"),
+            (["red", "verify", "--graph", "path:3", "--cert",
+              '[{{"u": 0, "v": 1, "X": [2]}}]'], "--cert must be a JSON list"),
+            (["red", "verify", "--graph", "path:3", "--cert",
+              '[{{"u": 0, "v": 1, "k": "a"}}]'], "--cert has a malformed move"),
+            (["equitable", "refine", "--graph", "path:3", "--partition", "[1]"],
+             '--partition must be JSON {"blocks"'),
+            (["equitable", "divisor", "--graph", "path:3", "--partition",
+              '{{"blocks": [0, 1, 2]}}'], '--partition must be JSON {"blocks"'),
+            (["kappa", "--graph", "kbip:4"], "'kbip:4' needs 2 comma-separated"),
+            (["kappa", "--graph", "ecg:1"], "'ecg:1' needs 2 comma-separated"),
+            (["kappa", "--graph", "petersen:10"], "'petersen:10' needs 2 comma-separated"),
+            (["kappa", "--graph", "cycle:x"], "'cycle:x' has a non-integer argument"),
         ],
         ids=["missing-step", "missing-order", "missing-file", "empty-matrix",
-             "short-header", "transversal-range"],
+             "short-header", "transversal-range", "cert-object", "cert-number",
+             "cert-move-shape", "cert-move-value", "partition-list",
+             "partition-blocks", "kbip-pair", "ecg-pair", "petersen-pair",
+             "non-integer"],
     )
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, message):
         (tmp_path / "empty.txt").write_text("\n")
