@@ -21,28 +21,18 @@ from .equitable import (
     Partition,
     coarsest_equitable,
     divisor_matrix,
-    divisor_spectrum,
     equitable_decomposition,
     is_equitable,
-    orbit_partition,
-    verify_ecg_nullvectors,
 )
 from .forcing import (
     Coloring,
     ZfResult,
-    construction_zfs,
     is_zfs,
     zero_forcing_number,
     zf_closure,
 )
 from .graphs import (
-    ContractEdge,
-    DeleteEdge,
-    DeleteVertex,
     Graph,
-    SubdivideEdge,
-    SubdivisionEdgeInsertion,
-    apply_edit,
     aztec_diamond,
     cartesian_product,
     circulant,
@@ -53,8 +43,6 @@ from .graphs import (
     generalized_petersen,
     path_graph,
     read_edge_list,
-    write_edge_list,
-    write_json_graph,
 )
 from .linalg import (
     QI,
@@ -64,7 +52,6 @@ from .linalg import (
     ExactMatrix,
     QuadRational,
     adjacency_matrix,
-    format_matrix,
     parse_matrix,
     prime_field,
     root_of_unity,
@@ -74,17 +61,12 @@ from .redrule import (
     RedCertificateError,
     RedMove,
     apply_red_sequence,
-    aztec_diagonal_certificate,
-    bipartite_doubling_bound,
-    circulant_half_certificate,
     derive_red_certificates,
-    graph_nullity,
     verify_red_move,
 )
 from .structure import (
     KappaWitness,
     SapReport,
-    circulant_kappa_deficient,
     has_sap,
     min_degree,
     vertex_connectivity,

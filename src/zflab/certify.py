@@ -285,8 +285,8 @@ def conjecture_harness(family, **ranges):
 
     rows = []
     if family == "circ_l":
-        for ell in ranges.get("l_values", (3, 5)):
-            for k in ranges.get("k_values", (1, 2)):
+        for ell in ranges["l_values"]:
+            for k in ranges["k_values"]:
                 n = (ell * ell - 1) * k
                 name = f"Circ[{n},{{1,{ell}}}]"
                 conj = 2 * ell
@@ -296,8 +296,8 @@ def conjecture_harness(family, **ranges):
                 g = circulant(n, {1, ell})
                 rows.append(_harness_row(g, name, conj))
     elif family == "ecg_tr":
-        for t in ranges.get("t_values", (0, 1, 2)):
-            for r in ranges.get("r_values", (1, 2)):
+        for t in ranges["t_values"]:
+            for r in ranges["r_values"]:
                 k = 6 * r - t - 4
                 if k < t:
                     continue

@@ -1,4 +1,4 @@
-"""Equitable partitions, divisor matrices, automorphism orbits, and the
+"""Equitable partitions, divisor matrices, automorphism checks, and the
 root-of-unity block decomposition of a compatible matrix.
 
 A partition V_0, ..., V_k of V(G) is equitable when every vertex of V_i has
@@ -14,7 +14,6 @@ descending tuples of floats.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .linalg import (
@@ -22,7 +21,6 @@ from .linalg import (
     QQ,
     QW,
     ExactMatrix,
-    QuadRational,
     adjacency_matrix,
     root_of_unity,
     spectrum,
@@ -131,25 +129,8 @@ def divisor_matrix(g, partition):
     return ExactMatrix(QQ, [list(row) for row in data])
 
 
-def divisor_spectrum(g, partition):
-    """Eigenvalues of the divisor matrix via the similarity that symmetrizes
-    it: scaling block i by sqrt(|V_i|) turns [b_ij] into the symmetric
-    matrix [b_ij * sqrt(|V_i| / |V_j|)] with the same spectrum."""
-    ok, b = is_equitable(g, partition)
-    if not ok:
-        raise ValueError("partition is not equitable")
-    blocks = partition.blocks if isinstance(partition, Partition) else partition
-    sizes = [len(blk) for blk in blocks]
-    k = len(sizes)
-    sym = [
-        [b[i][j] * math.sqrt(sizes[i] / sizes[j]) for j in range(k)]
-        for i in range(k)
-    ]
-    return spectrum(sym)
-
-
 # ---------------------------------------------------------------------------
-# automorphisms and orbit partitions
+# automorphisms
 
 
 def check_automorphism(g, perm):
@@ -183,19 +164,6 @@ def _cycles(perm):
             v = perm[v]
         cycles.append(tuple(cyc))
     return cycles
-
-
-def orbit_partition(g, phi):
-    """Blocks are the orbits (cycles) of the automorphism, ordered by least
-    vertex; the result is always equitable."""
-    perm = check_automorphism(g, phi)
-    blocks = tuple(
-        tuple(sorted(c)) for c in sorted(_cycles(perm), key=min)
-    )
-    ok, b = is_equitable(g, blocks)
-    if not ok:
-        raise ArithmeticError("the orbits of an automorphism are not equitable")
-    return Partition(blocks, b)
 
 
 # ---------------------------------------------------------------------------
@@ -292,53 +260,3 @@ def equitable_decomposition(g_or_matrix, phi, t0=None, graph=None):
                         acc[a][c] = acc[a][c] + w * row[c]
         blocks.append(acc if domain is None else ExactMatrix(domain, acc))
     return Decomposition(k, tuple(transversals), tuple(blocks), domain is not None)
-
-
-# ---------------------------------------------------------------------------
-# the widened-cube nullvector scheme
-
-
-def verify_ecg_nullvectors(q):
-    """Exact check that the four decomposition blocks of the widened cube on
-    24q+12 vertices (equal horizontal and vertical ladder width 6q+1) are all
-    singular: the three tiled vectors annihilate blocks 0..2 and block 3 is
-    the transpose of block 1. Returns True when every check passes."""
-    from .graphs import extended_cube
-
-    t = 6 * q + 1
-    g = extended_cube(t, t)
-    n = g.n
-    r = n // 4
-    perm = tuple((x + r) % n for x in range(n))
-    dec = equitable_decomposition(g, perm)
-    if dec.k != 4 or not dec.exact:
-        return False
-    b0, b1, b2, b3 = dec.blocks
-
-    def qi(a, b=0):
-        return QuadRational(a, b, "i")
-
-    tile0 = [qi(1), qi(-2), qi(1)]
-    tile1 = [qi(0, 1), qi(1, 1), qi(1)]
-    hat1 = [qi(-1), qi(-1, -1), qi(0, -1)]
-    tile2 = [qi(1), qi(0), qi(-1)]
-    hat2 = [qi(-1), qi(0), qi(1)]
-
-    x0 = tile0 * (2 * q + 1)
-    x1 = (tile1 + hat1) * q + tile1
-    x2 = (tile2 + hat2) * q + tile2
-    if len(x0) != r:
-        return False
-
-    def annihilates(block, vec):
-        return all(not e for e in block.matvec(vec))
-
-    if not annihilates(b0, x0):
-        return False
-    if not annihilates(b1, x1):
-        return False
-    if not annihilates(b2, x2):
-        return False
-    if b3.data != b1.transpose().data:
-        return False
-    return True

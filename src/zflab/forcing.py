@@ -215,48 +215,3 @@ def _greedy_upper_bound(g):
         if is_zfs(g, trial):
             blue = trial
     return blue
-
-
-# ---------------------------------------------------------------------------
-# explicit forcing sets for the families with a known scheme
-
-
-def construction_zfs(kind, **params):
-    """The explicit zero forcing set used for a family instance.
-
-    kind: "aztec" (r), "circulant_half" (n, connection {1, n/2-1}, 8 | n),
-    "ecg" (t, k), "circulant" (n, s: generic 2*max bound), or
-    "circulant_consec_minus" (n: the set [m]\\{m-1} family). The returned set
-    is stated in vertex indices of the corresponding generator's output.
-    """
-    if kind == "aztec":
-        r = params["r"]
-        from .graphs import aztec_diamond
-
-        g = aztec_diamond(r)
-        cells = [(i, r + 1 - i) for i in range(1, r + 1)]
-        cells += [(i, r + i) for i in range(1, r + 1)]
-        return frozenset(g.vertex_of_label(c) for c in cells)
-    if kind == "circulant_half":
-        n = params["n"]
-        if n % 8:
-            raise ValueError("needs n divisible by 8")
-        return frozenset(list(range(n // 2 + 1)) + [n - 1])
-    if kind == "ecg":
-        t, k = params["t"], params["k"]
-        n = 8 + 2 * (t + k)
-        r = n - t - 3
-        return frozenset({0, r, r + 1, n - 1})
-    if kind == "circulant":
-        s = set(params["s"])
-        m = max(s)
-        return frozenset(range(2 * m))
-    if kind == "circulant_consec_minus":
-        n = params["n"]
-        m = -(-n // 2) - 1
-        if n % 2:
-            removed = {m - 2, m - 1, m + 2}
-        else:
-            removed = {2, m - 1, m + 3}
-        return frozenset(set(range(n)) - removed)
-    raise ValueError(f"unrecognized family {kind!r}")

@@ -1,24 +1,22 @@
-"""Simple undirected graphs: representation, family generators, edit operations, I/O.
+"""Simple undirected graphs: representation, family generators, edge-list input.
 
 Vertices are always 0..n-1. Edges are unordered pairs stored as (u, v) with
-u < v. Generators may attach a display-label map (e.g. the (i, j) grid labels
-of diamond-shaped grid graphs). All graphs are immutable after construction;
-every operation returns a new Graph.
+u < v. A graph is its order and its edges, nothing more; it is immutable
+after construction.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 
 
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "labels", "_adj", "_masks")
+    __slots__ = ("n", "edges", "_adj", "_masks")
 
-    def __init__(self, n, edges, labels=None):
+    def __init__(self, n, edges):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         norm = set()
@@ -35,7 +33,6 @@ class Graph:
             norm.add((u, v))
         self.n = n
         self.edges = tuple(sorted(norm))
-        self.labels = dict(labels) if labels else None
         adj = [set() for _ in range(n)]
         for u, v in self.edges:
             adj[u].add(v)
@@ -75,14 +72,6 @@ class Graph:
             rows[v][u] = 1
         return rows
 
-    def vertex_of_label(self, label):
-        if self.labels is None:
-            raise KeyError("graph carries no labels")
-        for v, lab in self.labels.items():
-            if lab == label:
-                return v
-        raise KeyError(f"no vertex labeled {label!r}")
-
     def is_connected(self):
         if self.n <= 1:
             return True
@@ -98,26 +87,6 @@ class Graph:
 
     def is_complete(self):
         return self.num_edges == self.n * (self.n - 1) // 2
-
-    def bipartition(self):
-        """2-coloring as (side0, side1), or None if not bipartite."""
-        color = [-1] * self.n
-        for s in range(self.n):
-            if color[s] >= 0:
-                continue
-            color[s] = 0
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for w in self._adj[v]:
-                    if color[w] < 0:
-                        color[w] = 1 - color[v]
-                        stack.append(w)
-                    elif color[w] == color[v]:
-                        return None
-        side0 = frozenset(v for v in range(self.n) if color[v] == 0)
-        side1 = frozenset(v for v in range(self.n) if color[v] == 1)
-        return side0, side1
 
     def __eq__(self, other):
         return (
@@ -193,14 +162,13 @@ def cartesian_product(g, h):
     for (v1, v2) in g.edges:
         for w in range(h.n):
             edges.append((v1 * h.n + w, v2 * h.n + w))
-    labels = {v * h.n + w: (v, w) for v in range(g.n) for w in range(h.n)}
-    return Graph(g.n * h.n, edges, labels=labels)
+    return Graph(g.n * h.n, edges)
 
 
 def aztec_diamond(r):
     """Adjacency graph of the order-r diamond of unit squares (2r(r+1) vertices).
 
-    Squares carry labels (i, j) with 1 <= i, j <= 2r, r+1 <= i+j <= 3r+1 and
+    Squares are the cells (i, j) with 1 <= i, j <= 2r, r+1 <= i+j <= 3r+1 and
     |j-i| <= r; two squares are adjacent iff they share a side. Vertices are
     ordered row-major by (i, j).
     """
@@ -219,8 +187,7 @@ def aztec_diamond(r):
             w = index.get((i + di, j + dj))
             if w is not None:
                 edges.append((v, w))
-    labels = {v: cell for cell, v in index.items()}
-    return Graph(len(cells), edges, labels=labels)
+    return Graph(len(cells), edges)
 
 
 def extended_cube(t, k):
@@ -257,146 +224,29 @@ def generalized_petersen(n, k):
 
 
 # ---------------------------------------------------------------------------
-# edit operations
-
-
-@dataclass(frozen=True)
-class DeleteVertex:
-    v: int
-
-
-@dataclass(frozen=True)
-class DeleteEdge:
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
-class ContractEdge:
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
-class SubdivideEdge:
-    u: int
-    v: int
-    k: int = 1
-
-
-@dataclass(frozen=True)
-class SubdivisionEdgeInsertion:
-    """k-subdivide edges e1=(u,v) and e2=(w,x), then join the i-th new
-    vertices of the two subdivided paths by an edge, for i = 1..k."""
-
-    e1: tuple
-    e2: tuple
-    k: int = 1
-
-
-def _check_vertex(g, v):
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} not in graph")
-
-
-def _check_edge(g, u, v):
-    _check_vertex(g, u)
-    _check_vertex(g, v)
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-
-
-def _delete_vertices(g, dead):
-    keep = [v for v in range(g.n) if v not in dead]
-    remap = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (remap[u], remap[v]) for u, v in g.edges if u not in dead and v not in dead
-    ]
-    return Graph(len(keep), edges), remap
-
-
-def apply_edit(g, edit):
-    """Apply one edit, relabeling deterministically: deleted vertices close
-    gaps in label order, inserted vertices are appended at the end."""
-    if isinstance(edit, DeleteVertex):
-        _check_vertex(g, edit.v)
-        return _delete_vertices(g, {edit.v})[0]
-    if isinstance(edit, DeleteEdge):
-        _check_edge(g, edit.u, edit.v)
-        dead = tuple(sorted((edit.u, edit.v)))
-        return Graph(g.n, [e for e in g.edges if e != dead])
-    if isinstance(edit, ContractEdge):
-        _check_edge(g, edit.u, edit.v)
-        merged = set(g.neighbors(edit.u) | g.neighbors(edit.v)) - {edit.u, edit.v}
-        h, remap = _delete_vertices(g, {edit.u, edit.v})
-        new = h.n
-        edges = list(h.edges) + [(remap[w], new) for w in sorted(merged)]
-        return Graph(h.n + 1, edges)
-    if isinstance(edit, SubdivideEdge):
-        if edit.k < 1:
-            raise ValueError("k must be >= 1")
-        _check_edge(g, edit.u, edit.v)
-        dead = tuple(sorted((edit.u, edit.v)))
-        edges = [e for e in g.edges if e != dead]
-        chain = [edit.u] + list(range(g.n, g.n + edit.k)) + [edit.v]
-        edges += list(zip(chain, chain[1:]))
-        return Graph(g.n + edit.k, edges)
-    if isinstance(edit, SubdivisionEdgeInsertion):
-        if edit.k < 1:
-            raise ValueError("k must be >= 1")
-        u, v = edit.e1
-        w, x = edit.e2
-        _check_edge(g, u, v)
-        _check_edge(g, w, x)
-        if tuple(sorted((u, v))) == tuple(sorted((w, x))):
-            raise ValueError("the two edges must be distinct")
-        edges = [
-            e
-            for e in g.edges
-            if e != tuple(sorted((u, v))) and e != tuple(sorted((w, x)))
-        ]
-        first = [u] + list(range(g.n, g.n + edit.k)) + [v]
-        second = [w] + list(range(g.n + edit.k, g.n + 2 * edit.k)) + [x]
-        edges += list(zip(first, first[1:]))
-        edges += list(zip(second, second[1:]))
-        edges += [(first[i], second[i]) for i in range(1, edit.k + 1)]
-        return Graph(g.n + 2 * edit.k, edges)
-    raise TypeError(f"unknown edit {edit!r}")
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 _EDGE_LIST_DOC = 'line 1 "n m", then m lines "u v" with 0 <= u < v < n'
+_JSON_DOC = '{"n": N, "edges": [[u, v], ...]}'
 
 
-def write_edge_list(g):
-    """Canonical edge-list text: header "n m", then sorted "u v" lines."""
-    lines = [f"{g.n} {g.num_edges}"]
-    lines += [f"{u} {v}" for u, v in g.edges]
-    return "\n".join(lines) + "\n"
-
-
-def write_json_graph(g):
-    obj = {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
-    if g.labels:
-        obj["labels"] = {str(v): list(lab) if isinstance(lab, tuple) else lab
-                         for v, lab in g.labels.items()}
-    return json.dumps(obj)
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def read_edge_list(text):
-    """Parse the edge-list text format; a JSON object form is also accepted."""
+    """Parse the edge-list text format; a JSON object form is also accepted
+    (other keys than "n" and "edges" are ignored)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         obj = json.loads(text)
-        labels = None
-        if "labels" in obj:
-            labels = {
-                int(v): tuple(lab) if isinstance(lab, list) else lab
-                for v, lab in obj["labels"].items()
-            }
-        return Graph(obj["n"], [tuple(e) for e in obj["edges"]], labels=labels)
+        n, edges = obj.get("n"), obj.get("edges")
+        if not _is_int(n) or not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
+            for e in edges
+        ):
+            raise ValueError(f"malformed JSON graph; expected {_JSON_DOC}")
+        return Graph(n, [tuple(e) for e in edges])
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"empty input; expected {_EDGE_LIST_DOC}")

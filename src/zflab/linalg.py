@@ -4,7 +4,7 @@ Supported domains: the rationals, prime fields GF(p), and the two quadratic
 extensions of the rationals generated by a 4th / 3rd root of unity (enough
 for exact root-of-unity block arithmetic with orbit sizes 1, 2, 3, 4, 6).
 An ExactMatrix offers only what zflab uses: entry and row access,
-transpose, matmul, matvec, rank and nullity, and a nullspace basis.
+matmul, rank and nullity, and a nullspace basis.
 
 One elimination kernel, `_echelon`, serves every domain: forward
 elimination to row echelon form with first-nonzero pivoting. Rank is its
@@ -246,12 +246,6 @@ class ExactMatrix:
     def row(self, i):
         return self.data[i]
 
-    def transpose(self):
-        return ExactMatrix(
-            self.domain,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-
     def matmul(self, other):
         if self.domain != other.domain:
             raise ValueError("domain mismatch")
@@ -266,17 +260,6 @@ class ExactMatrix:
                 row.append(s % p if p else s)
             out.append(row)
         return ExactMatrix(self.domain, out)
-
-    def matvec(self, vec):
-        vec = [_normalize(v, self.domain) for v in vec]
-        if len(vec) != self.cols:
-            raise ValueError("shape mismatch")
-        p = self.domain.p if self.domain.kind == "GF" else None
-        out = []
-        for i in range(self.rows):
-            s = sum(self.data[i][j] * vec[j] for j in range(self.cols))
-            out.append(s % p if p else s)
-        return out
 
     def __eq__(self, other):
         return (
@@ -438,24 +421,11 @@ def spectrum(m):
 
 
 # ---------------------------------------------------------------------------
-# debug text form
-
-
-def format_matrix(m):
-    """Text form: header "rows cols domain", then row-major entries."""
-    def fmt(x):
-        if isinstance(x, QuadRational):
-            g = "i" if x.kind == "i" else "w"
-            sign = "+" if x.b >= 0 else "-"
-            return f"{x.a}{sign}{abs(x.b)}{g}"
-        return str(x)
-
-    lines = [f"{m.rows} {m.cols} {m.domain}"]
-    lines += [" ".join(fmt(x) for x in row) for row in m.data]
-    return "\n".join(lines) + "\n"
+# text form
 
 
 def parse_matrix(text):
+    """Text form: header "rows cols domain", then one line of entries per row."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError('empty matrix text; expected a header "rows cols domain"')
@@ -488,7 +458,7 @@ def parse_matrix(text):
             return int(tok)
         return Fraction(tok)
 
-    data = [[parse_entry(tok) for tok in ln.split()] for ln in lines[1 : rows + 1]]
+    data = [[parse_entry(tok) for tok in ln.split()] for ln in lines[1:]]
     if len(data) != rows or any(len(r) != cols for r in data):
         raise ValueError("entry count mismatch")
     return ExactMatrix(domain, data)

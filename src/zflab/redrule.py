@@ -25,6 +25,12 @@ from .linalg import QQ, adjacency_matrix
 COUNT_GUARD = 10**6
 
 
+def _check_int(x, what):
+    # truncating a float would turn a malformed move into a valid one
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+
+
 def _as_multiset(m):
     out = {}
     if m is None:
@@ -34,11 +40,12 @@ def _as_multiset(m):
     else:
         items = ((v, 1) for v in m)
     for v, c in items:
-        c = int(c)
+        _check_int(v, "a multiset vertex")
+        _check_int(c, "a multiset count")
         if c < 0:
             raise ValueError("multiset counts must be nonnegative")
         if c:
-            out[int(v)] = out.get(int(v), 0) + c
+            out[v] = out.get(v, 0) + c
     return out
 
 
@@ -55,6 +62,8 @@ class RedMove:
 
     @classmethod
     def make(cls, u, v, x=None, y=None, k=0):
+        for name, val in (("u", u), ("v", v), ("k", k)):
+            _check_int(val, name)
         if k < 0:
             raise ValueError("k must be nonnegative")
         xs = _as_multiset(x)
@@ -66,7 +75,7 @@ class RedMove:
                 f"multiset count exceeds the guard {COUNT_GUARD}; "
                 "the clearing denominator blew up"
             )
-        return cls(int(u), int(v), tuple(sorted(xs.items())), tuple(sorted(ys.items())), int(k))
+        return cls(u, v, tuple(sorted(xs.items())), tuple(sorted(ys.items())), k)
 
     def participants(self):
         return {self.v} | {v for v, _ in self.x} | {v for v, _ in self.y}
@@ -147,11 +156,6 @@ def apply_red_sequence(g, certificate):
     return red
 
 
-def graph_nullity(g):
-    """Exact rational nullity of the adjacency matrix."""
-    return adjacency_matrix(g, 0, QQ).rank_nullity()[1]
-
-
 def derive_red_certificates(g):
     """Certificate with one verifying move per non-basis adjacency row, read
     off the rational nullspace basis of A.
@@ -201,86 +205,3 @@ def derive_red_certificates(g):
         y = dict(neg)
         moves.append(RedMove.make(u, v, x, y, d - 1))
     return tuple(moves)
-
-
-def bipartite_doubling_bound(g, side, certificate):
-    """Replay a one-sided certificate on a balanced bipartite graph and
-    return 2 * |red set|, checked against the exact nullity.
-
-    Hypotheses verified: the given side and its complement are both
-    independent sets of equal size, every move's target lies in the side,
-    and every move's witness data stays inside the side.
-    """
-    side = frozenset(side)
-    other = frozenset(range(g.n)) - side
-    if len(side) != len(other):
-        raise ValueError("the two sides must have equal size")
-    for u, v in g.edges:
-        if (u in side) == (v in side):
-            raise ValueError(f"edge ({u},{v}) does not cross the bipartition")
-    certificate = tuple(certificate)
-    for idx, move in enumerate(certificate):
-        if move.u not in side:
-            problem = f"target {move.u} escapes the side"
-        elif not move.participants() <= side:
-            problem = "move data escapes the side"
-        else:
-            continue
-        # an earlier move that fails its replay is the first failing move
-        apply_red_sequence(g, certificate[:idx])
-        raise RedCertificateError(idx, problem)
-    bound = 2 * len(apply_red_sequence(g, certificate))
-    nullity = graph_nullity(g)
-    if bound > nullity:
-        raise AssertionError(
-            f"doubled red set {bound} exceeds the nullity {nullity}; "
-            "a verified certificate cannot do that"
-        )
-    return bound
-
-
-# ---------------------------------------------------------------------------
-# the explicit certificates used for the two worked families
-
-
-def aztec_diagonal_certificate(r):
-    """One move per anti-diagonal D_l of the order-r diamond graph, all of it
-    inside one parity class: along each diagonal the last cell is colored
-    using the second-to-last as witness and the earlier cells split into
-    X / Y by alternating sign."""
-    from .graphs import aztec_diamond
-
-    g = aztec_diamond(r)
-    moves = []
-    for ell in range(r):
-        cells = [(i + ell, r + 2 + ell - i) for i in range(1, r + 2)]
-        idx = [g.vertex_of_label(c) for c in cells]
-        u = idx[r]  # last cell (i = r+1)
-        v = idx[r - 1]  # i = r
-        x = {}
-        y = {}
-        for i in range(1, r):  # cells with i < r
-            if (r - i) % 2 == 0:
-                x[idx[i - 1]] = 1
-            else:
-                y[idx[i - 1]] = 1
-        moves.append(RedMove.make(u, v, x, y, 0))
-    return g, moves
-
-
-def circulant_half_certificate(n):
-    """The n/4 twin moves plus the alternating-sign move coloring vertex n/2
-    in the circulant with connection set {1, n/2 - 1}, n divisible by 8. All
-    targets and witnesses are even (one side of the bipartition)."""
-    if n % 8:
-        raise ValueError("needs n divisible by 8")
-    moves = [RedMove.make(v, v + n // 2) for v in range(0, n // 2 - 1, 2)]
-    x = {}
-    y = {}
-    for j, w in enumerate(range(n // 2 + 4, n - 1, 2)):
-        if j % 2 == 0:
-            y[w] = 1
-        else:
-            x[w] = 1
-    moves.append(RedMove.make(n // 2, n // 2 + 2, x, y, 0))
-    return moves

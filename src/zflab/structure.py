@@ -1,5 +1,5 @@
-"""Vertex connectivity, minimum degree, the circulant connectivity-deficiency
-divisor criterion, and Strong Arnold Property verification.
+"""Vertex connectivity, minimum degree, and Strong Arnold Property
+verification.
 
 Vertex connectivity runs unit-capacity max-flow on the vertex-split digraph
 (each vertex v becomes v_in -> v_out with capacity 1). Source/target pairs
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import QQ, ExactMatrix, adjacency_matrix
+from .linalg import QQ, ExactMatrix
 
 
 @dataclass(frozen=True)
@@ -124,30 +124,6 @@ def vertex_connectivity(g):
             if best == 0:
                 break
     return KappaWitness(best, tuple(sorted(best_cut)))
-
-
-def circulant_kappa_deficient(n, connection_set):
-    """Divisor criterion for kappa < delta on a circulant.
-
-    Scans the proper divisors d of n in increasing order; d witnesses
-    deficiency when the number of distinct positive residues modulo d of the
-    steps and their negatives falls below min(d - 1, delta * d / n). Returns
-    (True, d) for the first witness, else (False, None).
-    """
-    s_set = sorted(set(connection_set))
-    if not s_set or any(not 1 <= s <= n // 2 for s in s_set):
-        raise ValueError("invalid connection set")
-    delta = 2 * len(s_set) - (1 if n % 2 == 0 and n // 2 in s_set else 0)
-    for d in range(1, n):
-        if n % d:
-            continue
-        residues = {s % d for s in s_set} | {(n - s) % d for s in s_set}
-        residues.discard(0)
-        count = len(residues)
-        # count < min(d-1, delta*d/n), kept in exact arithmetic
-        if count < d - 1 and Fraction(count) < Fraction(delta * d, n):
-            return True, d
-    return False, None
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@
 Everything here deliberately avoids the library's own code paths: ranks by
 naive rational elimination, zero forcing by trying all subsets with a
 set-based closure, red moves by materializing the edge-count maps of the
-modified general graphs, spectra by numpy and compared as multisets within
-a tolerance. The last section holds two
-graph helpers only the tests use: a family dispatch and a backtracking
-isomorphism test.
+modified general graphs, products by the textbook sum, spectra by numpy and
+compared as multisets within a tolerance. The last sections hold the
+helpers only the tests use: a family dispatch, a backtracking isomorphism
+test, induced subgraphs, and the edge-list and matrix text writers that
+round-trip the library's readers.
+
+This module imports nothing from the tests, so it also loads on its own
+from its file path.
 """
 
 from __future__ import annotations
@@ -100,6 +104,13 @@ def brute_min_rank_gf2(g):
         if r < best:
             best, best_diag = r, diag
     return best, tuple((best_diag >> i) & 1 for i in range(g.n)), ranks
+
+
+def matvec(m, vec):
+    """The ExactMatrix m times the column vector vec, row by row; reduced
+    mod p over GF(p)."""
+    out = [sum(a * b for a, b in zip(row, vec)) for row in m.data]
+    return [x % m.domain.p for x in out] if m.domain.p else out
 
 
 def laplace_determinant(rows):
@@ -278,3 +289,36 @@ def is_isomorphic(g, h):
         return False
 
     return extend(0)
+
+
+def induced_subgraph(g, keep):
+    """The subgraph induced on the vertices in keep, renumbered 0.. in
+    increasing order."""
+    index = {v: i for i, v in enumerate(sorted(keep))}
+    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    return z.Graph(len(index), edges)
+
+
+# ---------------------------------------------------------------------------
+# text writers for the library's readers
+
+
+def write_edge_list(g):
+    """Canonical edge-list text: header "n m", then sorted "u v" lines."""
+    lines = [f"{g.n} {g.num_edges}"]
+    lines += [f"{u} {v}" for u, v in g.edges]
+    return "\n".join(lines) + "\n"
+
+
+def format_matrix(m):
+    """Text form: header "rows cols domain", then row-major entries."""
+    def fmt(x):
+        if isinstance(x, z.QuadRational):
+            g = "i" if x.kind == "i" else "w"
+            sign = "+" if x.b >= 0 else "-"
+            return f"{x.a}{sign}{abs(x.b)}{g}"
+        return str(x)
+
+    lines = [f"{m.rows} {m.cols} {m.domain}"]
+    lines += [" ".join(fmt(x) for x in row) for row in m.data]
+    return "\n".join(lines) + "\n"

@@ -19,6 +19,15 @@ from oracles import (
     red_move_semantics,
     set_closure,
 )
+from paper import (
+    aztec_zfs,
+    bipartite_doubling_bound,
+    circulant_kappa_deficient,
+    circulant_zfs,
+    divisor_spectrum,
+    orbit_partition,
+    verify_ecg_nullvectors,
+)
 
 PRIMES = (2, 3, 5)
 
@@ -40,7 +49,7 @@ def test_criterion_01_aztec_diamonds():
             assert z.zero_forcing_number(g).zf_number == 2 * r
         else:
             # the construction set pins Z from above, the nullity from below
-            blue = z.construction_zfs("aztec", r=r)
+            blue = aztec_zfs(r)
             assert len(blue) == 2 * r and z.is_zfs(g, blue)
     _report(1, "diamond grids: nullity = Z = 2r over Q and GF(2,3,5), r <= 4", t0)
 
@@ -62,7 +71,7 @@ def test_criterion_03_circulant_one_ell():
             n = (ell * ell - 1) * k
             g = z.circulant(n, {1, ell})
             assert z.adjacency_matrix(g).rank_nullity()[1] == 2 * ell
-            blue = z.construction_zfs("circulant", s={1, ell})
+            blue = circulant_zfs({1, ell})
             assert len(blue) == 2 * ell and z.is_zfs(g, blue)
             # nullity <= M <= Z <= |construction| forces equality throughout
     _report(3, "circulants {1, l}: nullity = Z = 2l for l in {3,5}, k in {1,2}", t0)
@@ -101,7 +110,7 @@ def test_criterion_06_extended_cubes():
     for t, q in ((1, 0), (7, 1)):
         g = z.extended_cube(t, t)
         assert z.adjacency_matrix(g).rank_nullity()[1] == 4
-        assert z.verify_ecg_nullvectors(q)
+        assert verify_ecg_nullvectors(q)
         for p in PRIMES:
             assert z.adjacency_matrix(g, 0, z.prime_field(p)).rank_nullity()[1] == 4
     _report(6, "widened cubes: Z = 4; nullity 4 over Q and GF(p); block nullvectors", t0)
@@ -137,13 +146,13 @@ def test_criterion_08_equitable_decomposition():
 def test_criterion_09_divisor_matrices():
     t0 = time.perf_counter()
     g24 = z.circulant(24, {1, 3})
-    part8 = z.orbit_partition(g24, [(i + 8) % 24 for i in range(24)])
+    part8 = orbit_partition(g24, [(i + 8) % 24 for i in range(24)])
     assert (
         z.divisor_matrix(g24, part8).data
         == z.adjacency_matrix(z.circulant(8, {1, 3})).data
     )
     g12 = z.circulant(12, {1, 3})
-    part6 = z.orbit_partition(g12, [(i + 6) % 12 for i in range(12)])
+    part6 = orbit_partition(g12, [(i + 6) % 12 for i in range(12)])
     displayed = [
         [0, 1, 0, 2, 0, 1],
         [1, 0, 1, 0, 2, 0],
@@ -154,7 +163,7 @@ def test_criterion_09_divisor_matrices():
     ]
     assert [[int(x) for x in row] for row in z.divisor_matrix(g12, part6).data] == displayed
     for g, part in ((g24, part8), (g12, part6)):
-        ds = z.divisor_spectrum(g, part)
+        ds = divisor_spectrum(g, part)
         full = z.spectrum(z.adjacency_matrix(g))
         assert multiset_contained(ds, full, 1e-6)
     # eigenvalue 3 of the 3-regular balanced bipartite graph is absent here
@@ -190,7 +199,7 @@ def test_criterion_11_connectivity():
         for mask in range(1, 1 << (n // 2)):
             s = {i + 1 for i in range(n // 2) if mask >> i & 1}
             g = z.circulant(n, s)
-            deficient, _ = z.circulant_kappa_deficient(n, s)
+            deficient, _ = circulant_kappa_deficient(n, s)
             assert deficient == (
                 z.vertex_connectivity(g).kappa < z.min_degree(g)
             ), (n, s)
@@ -247,7 +256,7 @@ def test_criterion_12_property_suites():
     # derived certificates hit the exact nullity everywhere
     for g in itertools.chain(corpus, families.values()):
         cert = z.derive_red_certificates(g)
-        assert len(cert) == z.graph_nullity(g)
+        assert len(cert) == z.adjacency_matrix(g).rank_nullity()[1]
         assert len(z.apply_red_sequence(g, cert)) == len(cert)
 
     # one-sided doubling never exceeds the nullity
@@ -268,6 +277,7 @@ def test_criterion_12_property_suites():
         moves = []
         for group in byrow.values():
             moves += [z.RedMove.make(u, group[-1]) for u in group[:-1]]
-        assert z.bipartite_doubling_bound(g, set(range(half)), moves) <= z.graph_nullity(g)
+        bound = bipartite_doubling_bound(g, set(range(half)), moves)
+        assert bound <= z.adjacency_matrix(g).rank_nullity()[1]
 
     _report(12, "property suites on the 200-graph corpus plus the named families", t0)

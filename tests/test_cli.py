@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-import zflab as z
 import zflab.cli as cli
+from oracles import write_edge_list
 from zflab import KappaWitness, certify, forcing
 
 
@@ -162,6 +162,8 @@ class TestCommands:
              "empty matrix text"),
             (["sap", "--graph", "path:3", "--matrix", "{tmp}/short.txt"],
              "malformed header '3 3'"),
+            (["sap", "--graph", "path:2", "--matrix", "{tmp}/long.txt"],
+             "entry count mismatch"),
             (["decompose", "--graph", "circulant:8:1,3", "--perm", "4,5,6,7,0,1,2,3",
               "--transversal", "0,9"], "t0 vertex 9 is out of range 0..7"),
             (["red", "verify", "--graph", "path:3", "--cert", "{{}}"],
@@ -172,6 +174,13 @@ class TestCommands:
               '[{{"u": 0, "v": 1, "X": [2]}}]'], "--cert must be a JSON list"),
             (["red", "verify", "--graph", "path:3", "--cert",
               '[{{"u": 0, "v": 1, "k": "a"}}]'], "--cert has a malformed move"),
+            (["red", "verify", "--graph", "path:3", "--cert",
+              '[{{"u": 2.7, "v": 0.2}}]'], "u must be an integer, got 2.7"),
+            (["red", "verify", "--graph", "path:3", "--cert",
+              '[{{"u": 2, "v": 0, "X": {{"1": 1.0}}}}]'],
+             "a multiset count must be an integer"),
+            (["red", "verify", "--graph", "path:3", "--cert",
+              '[{{"u": 2, "v": 0, "k": true}}]'], "k must be an integer, got True"),
             (["equitable", "refine", "--graph", "path:3", "--partition", "[1]"],
              '--partition must be JSON {"blocks"'),
             (["equitable", "divisor", "--graph", "path:3", "--partition",
@@ -180,16 +189,32 @@ class TestCommands:
             (["kappa", "--graph", "ecg:1"], "'ecg:1' needs 2 comma-separated"),
             (["kappa", "--graph", "petersen:10"], "'petersen:10' needs 2 comma-separated"),
             (["kappa", "--graph", "cycle:x"], "'cycle:x' has a non-integer argument"),
+            (["kappa", "--graph", "{tmp}/edges-not-pairs.json"], "malformed JSON graph"),
+            (["kappa", "--graph", "{tmp}/n-string.json"], "malformed JSON graph"),
+            (["kappa", "--graph", "{tmp}/n-float.json"], "malformed JSON graph"),
+            (["kappa", "--graph", "{tmp}/n-bool.json"], "malformed JSON graph"),
+            (["kappa", "--graph", "{tmp}/edge-triple.json"], "malformed JSON graph"),
         ],
         ids=["missing-step", "missing-order", "missing-file", "empty-matrix",
-             "short-header", "transversal-range", "cert-object", "cert-number",
-             "cert-move-shape", "cert-move-value", "partition-list",
+             "short-header", "extra-rows", "transversal-range", "cert-object",
+             "cert-number", "cert-move-shape", "cert-move-value", "cert-float-vertex",
+             "cert-float-count", "cert-bool-k", "partition-list",
              "partition-blocks", "kbip-pair", "ecg-pair", "petersen-pair",
-             "non-integer"],
+             "non-integer", "json-edges", "json-n-string", "json-n-float",
+             "json-n-bool", "json-edge-triple"],
     )
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, message):
         (tmp_path / "empty.txt").write_text("\n")
         (tmp_path / "short.txt").write_text("3 3\n0 1 0\n1 0 1\n0 1 0\n")
+        (tmp_path / "long.txt").write_text("2 2 Q\n0 1\n1 0\n1 1\n")
+        for name, text in (
+            ("edges-not-pairs", '{"n": 3, "edges": [1]}'),
+            ("n-string", '{"n": "3", "edges": []}'),
+            ("n-float", '{"n": 2.5, "edges": []}'),
+            ("n-bool", '{"n": true, "edges": []}'),
+            ("edge-triple", '{"n": 3, "edges": [[0, 1, 2]]}'),
+        ):
+            (tmp_path / f"{name}.json").write_text(text)
         code = cli.main([a.format(tmp=tmp_path) for a in argv])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -198,7 +223,7 @@ class TestCommands:
     def test_half_step_circulant_same_as_edge_list(self, capsys, tmp_path):
         spec = "circulant:8:1,4"
         path = tmp_path / "g.txt"
-        path.write_text(z.write_edge_list(cli.parse_graph_spec(spec)))
+        path.write_text(write_edge_list(cli.parse_graph_spec(spec)))
         for command in (
             ["equitable", "refine"],
             ["decompose", "--perm", "2,3,4,5,6,7,0,1"],

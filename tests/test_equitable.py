@@ -7,6 +7,7 @@ import pytest
 import zflab as z
 from zflab import equitable
 from oracles import multiset_contained, multisets_close
+from paper import divisor_spectrum, orbit_partition, verify_ecg_nullvectors
 
 
 class TestIsEquitable:
@@ -72,14 +73,12 @@ class TestRefinement:
         monkeypatch.setattr(equitable, "is_equitable", lambda g, p: (False, None))
         with pytest.raises(ArithmeticError):
             z.coarsest_equitable(z.path_graph(3))
-        with pytest.raises(ArithmeticError):
-            z.orbit_partition(z.cycle_graph(4), [1, 2, 3, 0])
 
 
 class TestDivisorMatrix:
     def test_circ24_equals_circ8_adjacency(self):
         g = z.circulant(24, {1, 3})
-        part = z.orbit_partition(g, [(i + 8) % 24 for i in range(24)])
+        part = orbit_partition(g, [(i + 8) % 24 for i in range(24)])
         dm = z.divisor_matrix(g, part)
         assert dm.data == z.adjacency_matrix(z.circulant(8, {1, 3})).data
 
@@ -87,7 +86,7 @@ class TestDivisorMatrix:
         # Circ[nk, S] vs Circ[n, S] for S inside 1..ceil(n/2)-1
         for n, k, s in ((8, 3, {1, 3}), (8, 2, {1, 3}), (5, 4, {1, 2}), (8, 2, {1, 2})):
             big = z.circulant(n * k, s)
-            part = z.orbit_partition(big, [(i + n) % (n * k) for i in range(n * k)])
+            part = orbit_partition(big, [(i + n) % (n * k) for i in range(n * k)])
             dm = z.divisor_matrix(big, part)
             assert dm.data == z.adjacency_matrix(z.circulant(n, s)).data
             # consequently the small nullity embeds in the big one
@@ -97,7 +96,7 @@ class TestDivisorMatrix:
 
     def test_circ12_displayed_matrix(self):
         g = z.circulant(12, {1, 3})
-        part = z.orbit_partition(g, [(i + 6) % 12 for i in range(12)])
+        part = orbit_partition(g, [(i + 6) % 12 for i in range(12)])
         dm = z.divisor_matrix(g, part)
         assert [[int(x) for x in row] for row in dm.data] == [
             [0, 1, 0, 2, 0, 1],
@@ -122,7 +121,7 @@ class TestDivisorMatrix:
             part = z.coarsest_equitable(g)
             if part.size == g.n:
                 continue
-            ds = z.divisor_spectrum(g, part)
+            ds = divisor_spectrum(g, part)
             full = z.spectrum(z.adjacency_matrix(g))
             assert multiset_contained(ds, full, 1e-6)
 
@@ -155,25 +154,25 @@ class TestDivisorMatrix:
 class TestOrbitPartition:
     def test_circ24(self):
         g = z.circulant(24, {1, 3})
-        part = z.orbit_partition(g, [(i + 8) % 24 for i in range(24)])
+        part = orbit_partition(g, [(i + 8) % 24 for i in range(24)])
         assert part.blocks == tuple(
             tuple(i + 8 * t for t in range(3)) for i in range(8)
         )
 
     def test_identity(self):
         g = z.cycle_graph(4)
-        part = z.orbit_partition(g, [0, 1, 2, 3])
+        part = orbit_partition(g, [0, 1, 2, 3])
         assert part.blocks == ((0,), (1,), (2,), (3,))
 
     def test_ecg_shift(self):
         g = z.extended_cube(1, 1)
-        part = z.orbit_partition(g, [(x + 3) % 12 for x in range(12)])
+        part = orbit_partition(g, [(x + 3) % 12 for x in range(12)])
         assert part.blocks == ((0, 3, 6, 9), (1, 4, 7, 10), (2, 5, 8, 11))
 
     def test_non_automorphism_rejected(self):
         g = z.path_graph(4)
         with pytest.raises(ValueError):
-            z.orbit_partition(g, [1, 0, 2, 3])
+            orbit_partition(g, [1, 0, 2, 3])
 
 
 class TestDecomposition:
@@ -328,15 +327,15 @@ class TestDecomposition:
 
 class TestEcgNullvectors:
     def test_q0(self):
-        assert z.verify_ecg_nullvectors(0)
+        assert verify_ecg_nullvectors(0)
 
     def test_q1(self):
-        assert z.verify_ecg_nullvectors(1)
+        assert verify_ecg_nullvectors(1)
         g = z.extended_cube(7, 7)
         assert z.adjacency_matrix(g).rank_nullity()[1] == 4
 
     def test_q2_nullity(self):
-        assert z.verify_ecg_nullvectors(2)
+        assert verify_ecg_nullvectors(2)
         g = z.extended_cube(13, 13)
         assert g.n == 60
         assert z.adjacency_matrix(g).rank_nullity()[1] == 4

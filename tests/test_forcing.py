@@ -6,6 +6,14 @@ import pytest
 import zflab as z
 from zflab import forcing
 from oracles import brute_zero_forcing, set_closure
+from paper import (
+    aztec_cells,
+    aztec_zfs,
+    circulant_consec_minus_zfs,
+    circulant_half_zfs,
+    circulant_zfs,
+    ecg_zfs,
+)
 
 
 class TestClosure:
@@ -21,8 +29,8 @@ class TestClosure:
 
     def test_aztec_3_construction_forces_all(self):
         g = z.aztec_diamond(3)
-        blue = z.construction_zfs("aztec", r=3)
-        cells = sorted(g.labels[v] for v in blue)
+        blue = aztec_zfs(3)
+        cells = sorted(aztec_cells(3)[v] for v in blue)
         assert cells == [(1, 3), (1, 4), (2, 2), (2, 5), (3, 1), (3, 6)]
         assert z.zf_closure(g, blue).all_colored
 
@@ -134,7 +142,7 @@ class TestSearch:
 
     def test_hint_with_assertion(self):
         g = z.circulant(16, {1, 7})
-        nu = z.graph_nullity(g)
+        nu = z.adjacency_matrix(g).rank_nullity()[1]
         res = z.zero_forcing_number(g, floor=nu)
         assert res.zf_number == 10
         assert z.is_zfs(g, res.witness)
@@ -198,26 +206,22 @@ class TestSearch:
 class TestConstructions:
     def test_all_constructions_force(self):
         cases = [
-            (z.aztec_diamond(2), z.construction_zfs("aztec", r=2)),
-            (z.aztec_diamond(4), z.construction_zfs("aztec", r=4)),
-            (z.circulant(8, {1, 3}), z.construction_zfs("circulant_half", n=8)),
-            (z.circulant(24, {1, 11}), z.construction_zfs("circulant_half", n=24)),
-            (z.extended_cube(1, 2), z.construction_zfs("ecg", t=1, k=2)),
-            (z.extended_cube(7, 7), z.construction_zfs("ecg", t=7, k=7)),
-            (z.circulant(12, {1, 3}), z.construction_zfs("circulant", s={1, 3})),
-            (z.circulant(24, {1, 5}), z.construction_zfs("circulant", s={1, 5})),
-            (z.circulant(10, {1, 2, 4}), z.construction_zfs("circulant_consec_minus", n=10)),
-            (z.circulant(11, {1, 2, 3, 5}), z.construction_zfs("circulant_consec_minus", n=11)),
+            (z.aztec_diamond(2), aztec_zfs(2)),
+            (z.aztec_diamond(4), aztec_zfs(4)),
+            (z.circulant(8, {1, 3}), circulant_half_zfs(8)),
+            (z.circulant(24, {1, 11}), circulant_half_zfs(24)),
+            (z.extended_cube(1, 2), ecg_zfs(1, 2)),
+            (z.extended_cube(7, 7), ecg_zfs(7, 7)),
+            (z.circulant(12, {1, 3}), circulant_zfs({1, 3})),
+            (z.circulant(24, {1, 5}), circulant_zfs({1, 5})),
+            (z.circulant(10, {1, 2, 4}), circulant_consec_minus_zfs(10)),
+            (z.circulant(11, {1, 2, 3, 5}), circulant_consec_minus_zfs(11)),
         ]
         for g, blue in cases:
             assert z.is_zfs(g, blue), f"construction fails on {g!r}"
 
     def test_ecg_12_set(self):
-        assert z.construction_zfs("ecg", t=1, k=2) == frozenset({0, 10, 11, 13})
+        assert ecg_zfs(1, 2) == frozenset({0, 10, 11, 13})
 
     def test_circulant_12_13_set(self):
-        assert z.construction_zfs("circulant", s={1, 3}) == frozenset(range(6))
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            z.construction_zfs("moebius", n=8)
+        assert circulant_zfs({1, 3}) == frozenset(range(6))

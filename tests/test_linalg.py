@@ -7,7 +7,9 @@ import pytest
 
 import zflab as z
 from oracles import (
+    format_matrix,
     laplace_determinant,
+    matvec,
     multisets_close,
     naive_rational_rank,
 )
@@ -162,7 +164,7 @@ class TestNullspace:
                 basis = m.nullspace_basis()
                 assert len(basis) == m.rank_nullity()[1]
                 for v in basis:
-                    assert not any(m.matvec(v))
+                    assert not any(matvec(m, v))
                 if basis:
                     stacked = z.ExactMatrix(domain, basis)
                     assert stacked.rank_nullity()[0] == len(basis)
@@ -177,7 +179,7 @@ class TestNullspace:
         basis = m.nullspace_basis()
         assert len(basis) == m.rank_nullity()[1]
         for v in basis:
-            assert not any(m.matvec(v))
+            assert not any(matvec(m, v))
 
 
 class TestSpectrum:
@@ -254,13 +256,13 @@ class TestAdjacency:
 class TestTextForm:
     def test_roundtrip_rational(self):
         m = z.ExactMatrix(z.QQ, [[Fraction(1, 2), -3], [0, Fraction(7, 5)]])
-        assert z.parse_matrix(z.format_matrix(m)) == m
+        assert z.parse_matrix(format_matrix(m)) == m
 
     def test_roundtrip_gf(self):
         m = z.ExactMatrix(z.prime_field(7), [[3, 5], [6, 0]])
-        assert z.parse_matrix(z.format_matrix(m)) == m
+        assert z.parse_matrix(format_matrix(m)) == m
 
     def test_roundtrip_gaussian(self):
         i = z.QuadRational(0, 1, "i")
         m = z.ExactMatrix(z.QI, [[1 + i, -i], [Fraction(1, 2) * i + 2, 0]])
-        assert z.parse_matrix(z.format_matrix(m)) == m
+        assert z.parse_matrix(format_matrix(m)) == m

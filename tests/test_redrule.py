@@ -5,6 +5,16 @@ import pytest
 import zflab as z
 from conftest import example_graph_21
 from oracles import all_small_moves, red_move_semantics
+from paper import (
+    aztec_cells,
+    aztec_diagonal_certificate,
+    bipartite_doubling_bound,
+    circulant_half_certificate,
+)
+
+
+def nullity(g):
+    return z.adjacency_matrix(g).rank_nullity()[1]
 
 
 class TestVerifyMove:
@@ -22,7 +32,7 @@ class TestVerifyMove:
 
     def test_aztec_figure_move(self):
         g = z.aztec_diamond(3)
-        vl = g.vertex_of_label
+        vl = aztec_cells(3).index
         move = z.RedMove.make(
             vl((4, 1)), vl((3, 2)), {vl((1, 4)): 1}, {vl((2, 3)): 1}, 0
         )
@@ -108,9 +118,9 @@ class TestSequences:
 
 class TestGraphNullity:
     def test_values(self):
-        assert z.graph_nullity(z.complete_graph(2)) == 0
-        assert z.graph_nullity(z.aztec_diamond(3)) == 6
-        assert z.graph_nullity(z.circulant(16, {1, 7})) == 10
+        assert nullity(z.complete_graph(2)) == 0
+        assert nullity(z.aztec_diamond(3)) == 6
+        assert nullity(z.circulant(16, {1, 7})) == 10
 
 
 class TestDeriveCertificates:
@@ -133,7 +143,7 @@ class TestDeriveCertificates:
     def test_isolated_vertex(self):
         g = z.Graph(3, [(0, 1)])
         cert = z.derive_red_certificates(g)
-        assert len(cert) == z.graph_nullity(g) == 1
+        assert len(cert) == nullity(g) == 1
         assert z.apply_red_sequence(g, cert) == [2]
 
     def test_aztec_4_moves_pinned(self):
@@ -164,66 +174,66 @@ class TestDeriveCertificates:
     def test_matches_nullity_on_corpus(self, corpus):
         for g in corpus:
             cert = z.derive_red_certificates(g)
-            assert len(cert) == z.graph_nullity(g)
+            assert len(cert) == nullity(g)
             assert len(z.apply_red_sequence(g, cert)) == len(cert)
 
     def test_matches_nullity_on_families(self, families):
         for name, g in families.items():
             cert = z.derive_red_certificates(g)
-            assert len(cert) == z.graph_nullity(g), name
+            assert len(cert) == nullity(g), name
             z.apply_red_sequence(g, cert)
 
 
 class TestBipartiteDoubling:
     def aztec_side(self, g, r):
-        return {v for v, (i, j) in g.labels.items() if (i + j) % 2 == r % 2}
+        return {v for v, (i, j) in enumerate(aztec_cells(r)) if (i + j) % 2 == r % 2}
 
     def test_aztec_3(self):
-        g, moves = z.aztec_diagonal_certificate(3)
-        assert z.bipartite_doubling_bound(g, self.aztec_side(g, 3), moves) == 6
+        g, moves = aztec_diagonal_certificate(3)
+        assert bipartite_doubling_bound(g, self.aztec_side(g, 3), moves) == 6
 
     def test_aztec_all_orders(self):
         for r in (1, 2, 4):
-            g, moves = z.aztec_diagonal_certificate(r)
-            bound = z.bipartite_doubling_bound(g, self.aztec_side(g, r), moves)
-            assert bound == 2 * r == z.graph_nullity(g)
+            g, moves = aztec_diagonal_certificate(r)
+            bound = bipartite_doubling_bound(g, self.aztec_side(g, r), moves)
+            assert bound == 2 * r == nullity(g)
 
     def test_circulant_half(self):
         g = z.circulant(8, {1, 3})
-        moves = z.circulant_half_certificate(8)
-        assert z.bipartite_doubling_bound(g, set(range(0, 8, 2)), moves) == 6
+        moves = circulant_half_certificate(8)
+        assert bipartite_doubling_bound(g, set(range(0, 8, 2)), moves) == 6
 
     def test_circulant_16(self):
         g = z.circulant(16, {1, 7})
-        moves = z.circulant_half_certificate(16)
-        assert z.bipartite_doubling_bound(g, set(range(0, 16, 2)), moves) == 10
+        moves = circulant_half_certificate(16)
+        assert bipartite_doubling_bound(g, set(range(0, 16, 2)), moves) == 10
 
     def test_empty_certificate(self):
         g = z.complete_bipartite_graph(3, 3)
-        assert z.bipartite_doubling_bound(g, {0, 1, 2}, []) == 0
+        assert bipartite_doubling_bound(g, {0, 1, 2}, []) == 0
 
     def test_rejects_unbalanced(self):
         g = z.complete_bipartite_graph(2, 3)
         with pytest.raises(ValueError):
-            z.bipartite_doubling_bound(g, {0, 1}, [])
+            bipartite_doubling_bound(g, {0, 1}, [])
 
     def test_rejects_non_bipartition(self):
         g = z.cycle_graph(6)
         with pytest.raises(ValueError):
-            z.bipartite_doubling_bound(g, {0, 1, 2}, [])
+            bipartite_doubling_bound(g, {0, 1, 2}, [])
 
     def test_rejects_escaping_move(self):
         g = z.circulant(8, {1, 3})
         move = z.RedMove.make(1, 5)  # odd-side twin move, even side given
         with pytest.raises(z.RedCertificateError):
-            z.bipartite_doubling_bound(g, set(range(0, 8, 2)), [move])
+            bipartite_doubling_bound(g, set(range(0, 8, 2)), [move])
 
     def test_first_failing_move_is_reported(self):
         # move 0 fails its row equation, move 1 escapes the side
         g = z.cycle_graph(8)
         cert = [z.RedMove.make(0, 2), z.RedMove.make(1, 3)]
         with pytest.raises(z.RedCertificateError) as err:
-            z.bipartite_doubling_bound(g, set(range(0, 8, 2)), cert)
+            bipartite_doubling_bound(g, set(range(0, 8, 2)), cert)
         assert err.value.index == 0
         assert "row equation" in str(err.value)
 
@@ -248,5 +258,5 @@ class TestBipartiteDoubling:
             moves = []
             for group in byrow.values():
                 moves += [z.RedMove.make(u, group[-1]) for u in group[:-1]]
-            bound = z.bipartite_doubling_bound(g, side, moves)
-            assert bound <= z.graph_nullity(g)
+            bound = bipartite_doubling_bound(g, side, moves)
+            assert bound <= nullity(g)
