@@ -95,7 +95,7 @@ def _load_moves(arg):
         raise ValueError("--cert must be a JSON list of move objects")
     try:
         return [_redrule.RedMove.from_json_obj(o) for o in obj]
-    except TypeError as exc:
+    except (TypeError, RuntimeError) as exc:  # RuntimeError: a count above COUNT_GUARD
         raise ValueError(f"--cert has a malformed move: {exc}") from None
 
 
@@ -104,7 +104,9 @@ def _load_blocks(arg):
     obj = _load_json_arg(arg)
     blocks = obj.get("blocks") if isinstance(obj, dict) else None
     if not isinstance(blocks, list) or not all(
-        isinstance(b, list) and all(isinstance(v, int) for v in b) for b in blocks
+        isinstance(b, list)
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in b)
+        for b in blocks
     ):
         raise ValueError('--partition must be JSON {"blocks": [[vertex, ...], ...]}')
     return blocks

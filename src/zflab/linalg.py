@@ -206,6 +206,8 @@ def root_of_unity(k):
 
 def _normalize(value, domain):
     if domain.kind == "GF":
+        if isinstance(value, int):  # checked first: Fraction's check is slow
+            return value % domain.p
         if isinstance(value, Fraction):
             if value.denominator % domain.p == 0:
                 raise ZeroDivisionError("denominator vanishes mod p")

@@ -7,15 +7,29 @@ follow the standard sound reduction: fix a minimum-degree vertex v0, run
 flows from v0 to each of its non-neighbors, and between each non-adjacent
 pair of neighbors of v0. Any minimum separator either misses v0 (first
 family catches it) or contains it, in which case v0 has neighbors in two
-components of the separated graph and the second family catches it.
+components of the separated graph and the second family catches it. The
+split digraph is built once; each flow stops as soon as it reaches the best
+cut found so far, since only a smaller flow can change the answer.
+
+The Strong Arnold Property is decided on the integral linear system A X = 0
+over the symmetric X supported on non-edges. One rank modulo a large prime
+proves the property when it is full; only a rank-deficient system is
+eliminated over the rationals, which yields the exact violation dimension
+and a sample violation checked by A X = 0.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import QQ, ExactMatrix
+from .linalg import QQ, ExactMatrix, prime_field
+
+# has_sap's modulus: near 10^6, so its primality check at import is cheap
+SAP_PRIME = 1_000_003
+_SAP_FIELD = prime_field(SAP_PRIME)
 
 
 @dataclass(frozen=True)
@@ -36,54 +50,71 @@ def min_degree(g):
 _INF = 1 << 30
 
 
-def _split_maxflow(g, s, t):
-    """Max number of internally vertex-disjoint s-t paths, plus a minimum
-    vertex cut realizing it. Node 2v = v_in, 2v+1 = v_out."""
-    n = g.n
-    cap = {}
+def _split_digraph(g):
+    """The vertex-split digraph as paired arcs: arc e runs to head[e] with
+    capacity cap[e], arc e ^ 1 is its reverse, and out[a] lists the arcs
+    leaving node a. Node 2v = v_in, 2v+1 = v_out."""
+    out = [[] for _ in range(2 * g.n)]
+    head, cap = [], []
 
     def add(a, b, c):
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        cap.setdefault((b, a), 0)
+        out[a].append(len(head))
+        head.append(b)
+        cap.append(c)
+        out[b].append(len(head))
+        head.append(a)
+        cap.append(0)
 
-    for v in range(n):
-        add(2 * v, 2 * v + 1, _INF if v in (s, t) else 1)
+    for v in range(g.n):
+        add(2 * v, 2 * v + 1, 1)
     for u, v in g.edges:
         add(2 * u + 1, 2 * v, _INF)
         add(2 * v + 1, 2 * u, _INF)
-    adj = {}
-    for (a, b) in cap:
-        adj.setdefault(a, []).append(b)
+    return out, head, cap
+
+
+def _split_maxflow(digraph, s, t, limit):
+    """Internally vertex-disjoint s-t paths on the split digraph, up to
+    limit of them, plus a minimum vertex cut when fewer than limit exist.
+    The split arcs of s and t never carry flow (the source is s_out and the
+    sink t_in), so their unit capacity is harmless."""
+    out, head, cap0 = digraph
+    cap = cap0.copy()
+    n = len(out) // 2
     source, sink = 2 * s + 1, 2 * t
     flow = 0
-    while True:
-        # BFS augmenting path
+    while flow < limit:
+        # BFS augmenting path; parent[b] is the arc that reached b
         parent = {source: None}
-        queue = [source]
+        queue = deque([source])
         while queue and sink not in parent:
-            a = queue.pop(0)
-            for b in adj.get(a, ()):
-                if b not in parent and cap[(a, b)] > 0:
-                    parent[b] = a
+            a = queue.popleft()
+            for e in out[a]:
+                b = head[e]
+                if b not in parent and cap[e] > 0:
+                    parent[b] = e
                     queue.append(b)
         if sink not in parent:
             break
         b = sink
         while parent[b] is not None:
-            a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
+            e = parent[b]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            b = head[e ^ 1]
         flow += 1
         if flow > n:
             raise ArithmeticError("flow exceeded vertex count")
+    if flow == limit:
+        return flow, None
     # min cut: split arcs (v_in -> v_out) crossing the reachable set
     reach = {source}
     stack = [source]
     while stack:
         a = stack.pop()
-        for b in adj.get(a, ()):
-            if b not in reach and cap[(a, b)] > 0:
+        for e in out[a]:
+            b = head[e]
+            if b not in reach and cap[e] > 0:
                 reach.add(b)
                 stack.append(b)
     cut = [
@@ -117,8 +148,10 @@ def vertex_connectivity(g):
         for y in nbrs[i + 1 :]
         if not g.has_edge(x, y)
     ]
+    digraph = _split_digraph(g)
     for s, t in pairs:
-        flow, cut = _split_maxflow(g, s, t)
+        # a flow that reaches best cannot lower it, so it stops there
+        flow, cut = _split_maxflow(digraph, s, t, best)
         if flow < best:
             best, best_cut = flow, cut
             if best == 0:
@@ -159,9 +192,14 @@ def has_sap(a, g):
 
     The Hadamard conditions force X to vanish on the diagonal and on edges,
     so X is assembled from one variable per non-adjacent pair only; A X = 0
-    then becomes an exact rational linear system whose nullity is the
-    violation dimension. has_sap iff that dimension is zero; otherwise one
-    nullspace vector is materialized as a sample violation.
+    then becomes a linear system whose nullity is the violation dimension,
+    and has_sap iff that dimension is zero. Each row of A is first scaled
+    by the lcm of its denominators, which keeps the solutions of A X = 0 and
+    makes the system integral. Its rank modulo SAP_PRIME is at most its rank
+    over Q, so full column rank mod p proves the property with no rational
+    work. Only a rank-deficient modular system is eliminated over Q, which
+    settles both a real violation, with one nullspace vector materialized
+    as a checked sample violation, and a deficiency that exists only mod p.
     """
     _check_pattern(a, g)
     n = g.n
@@ -170,30 +208,32 @@ def has_sap(a, g):
     ]
     if not free:
         return SapReport(True, 0, None)
-    var_of = {pair: t for t, pair in enumerate(free)}
+    # the variables of column j of X: (k, t) with x_kj the t-th unknown
+    col_vars = [[] for _ in range(n)]
+    for t, (i, j) in enumerate(free):
+        col_vars[i].append((j, t))
+        col_vars[j].append((i, t))
     # equations: (A X)[i, j] = sum_k a_ik x_kj = 0 for all i, j
     rows = []
     for i in range(n):
+        lcm = math.lcm(*(x.denominator for x in a.row(i)))
+        a_i = [x.numerator * (lcm // x.denominator) for x in a.row(i)]
         for j in range(n):
-            row = [Fraction(0)] * len(free)
-            for k in range(n):
-                aik = a.entry(i, k)
-                if not aik or k == j:
-                    continue
-                pair = (k, j) if k < j else (j, k)
-                t = var_of.get(pair)
-                if t is not None:
-                    row[t] += aik
+            row = [0] * len(free)
+            for k, t in col_vars[j]:
+                row[t] = a_i[k]
             if any(row):
                 rows.append(row)
     if not rows:
-        rows = [[Fraction(0)] * len(free)]
+        rows = [[0] * len(free)]
+    if ExactMatrix(_SAP_FIELD, rows).rank_nullity()[1] == 0:
+        return SapReport(True, 0, None)
     basis = ExactMatrix(QQ, rows).nullspace_basis()
     if not basis:
         return SapReport(True, 0, None)
     vec = basis[0]
     sample = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), t in var_of.items():
+    for t, (i, j) in enumerate(free):
         sample[i][j] = vec[t]
         sample[j][i] = vec[t]
     x = ExactMatrix(QQ, sample)

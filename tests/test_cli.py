@@ -181,10 +181,15 @@ class TestCommands:
              "a multiset count must be an integer"),
             (["red", "verify", "--graph", "path:3", "--cert",
               '[{{"u": 2, "v": 0, "k": true}}]'], "k must be an integer, got True"),
+            (["red", "verify", "--graph", "path:3", "--cert",
+              '[{{"u": 0, "v": 1, "X": {{"2": 10000000}}}}]'],
+             "--cert has a malformed move"),
             (["equitable", "refine", "--graph", "path:3", "--partition", "[1]"],
              '--partition must be JSON {"blocks"'),
             (["equitable", "divisor", "--graph", "path:3", "--partition",
               '{{"blocks": [0, 1, 2]}}'], '--partition must be JSON {"blocks"'),
+            (["equitable", "refine", "--graph", "path:3", "--partition",
+              '{{"blocks": [[true], [0, 2]]}}'], '--partition must be JSON {"blocks"'),
             (["kappa", "--graph", "kbip:4"], "'kbip:4' needs 2 comma-separated"),
             (["kappa", "--graph", "ecg:1"], "'ecg:1' needs 2 comma-separated"),
             (["kappa", "--graph", "petersen:10"], "'petersen:10' needs 2 comma-separated"),
@@ -198,8 +203,8 @@ class TestCommands:
         ids=["missing-step", "missing-order", "missing-file", "empty-matrix",
              "short-header", "extra-rows", "transversal-range", "cert-object",
              "cert-number", "cert-move-shape", "cert-move-value", "cert-float-vertex",
-             "cert-float-count", "cert-bool-k", "partition-list",
-             "partition-blocks", "kbip-pair", "ecg-pair", "petersen-pair",
+             "cert-float-count", "cert-bool-k", "cert-count-guard", "partition-list",
+             "partition-blocks", "partition-bool", "kbip-pair", "ecg-pair", "petersen-pair",
              "non-integer", "json-edges", "json-n-string", "json-n-float",
              "json-n-bool", "json-edge-triple"],
     )

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 import zflab as z
-from oracles import induced_subgraph
+from oracles import induced_subgraph, naive_rational_rank
 from paper import circulant_kappa_deficient
+from zflab.structure import SAP_PRIME
 
 
 class TestVertexConnectivity:
@@ -140,3 +141,75 @@ class TestSap:
         a = z.ExactMatrix(z.QQ, [[Fraction(1, 2), 3], [3, -2]])
         rep = z.has_sap(a, g)
         assert rep.has_sap
+
+    def test_deficient_only_mod_p(self, monkeypatch):
+        # the one unknown x_02 has coefficients a_i0 and a_i2, each 0 or
+        # SAP_PRIME, so its column vanishes mod p but not over Q
+        p = SAP_PRIME
+        g = z.path_graph(3)
+        a = z.ExactMatrix(z.QQ, [[0, p, 0], [p, 1, p], [0, p, 0]])
+        calls = []
+        nullspace_basis = z.ExactMatrix.nullspace_basis
+
+        def spy(m):
+            calls.append(m.domain)
+            return nullspace_basis(m)
+
+        monkeypatch.setattr(z.ExactMatrix, "nullspace_basis", spy)
+        rep = z.has_sap(a, g)
+        assert rep.has_sap and rep.violation_dim == 0
+        assert rep.sample_violation is None
+        assert calls == [z.QQ]
+        # full rank mod p settles an ordinary matrix with no rational work
+        calls.clear()
+        assert z.has_sap(z.adjacency_matrix(g), g).has_sap
+        assert calls == []
+
+    def test_violation_dim_matches_definition(self, corpus):
+        rng = random.Random(8)
+
+        def frac():
+            return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 6))
+
+        for g in corpus[:25]:
+            a = z.adjacency_matrix(g)
+            # a diagonal congruence D A D keeps the pattern and the violation
+            # dimension; random entries are generic
+            d = [frac() for _ in range(g.n)]
+            scaled = [[d[i] * a.entry(i, j) * d[j] for j in range(g.n)]
+                      for i in range(g.n)]
+            generic = [[Fraction(0)] * g.n for _ in range(g.n)]
+            for i in range(g.n):
+                generic[i][i] = frac() if rng.random() < 0.7 else Fraction(0)
+            for i, j in g.edges:
+                generic[i][j] = generic[j][i] = frac()
+            dims = []
+            for m in (a, z.ExactMatrix(z.QQ, scaled), z.ExactMatrix(z.QQ, generic)):
+                rep = z.has_sap(m, g)
+                assert rep.violation_dim == _violation_dim(m, g)
+                assert rep.has_sap == (rep.violation_dim == 0)
+                dims.append(rep.violation_dim)
+            assert dims[0] == dims[1]
+
+
+def _violation_dim(a, g):
+    """Nullity of X -> A X over the symmetric X that vanish on the diagonal
+    and on the edges: one column per non-edge, holding A X for the 0/1
+    matrix X of that non-edge."""
+    n = g.n
+    columns = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if g.has_edge(i, j):
+                continue
+            x = [[0] * n for _ in range(n)]
+            x[i][j] = x[j][i] = 1
+            columns.append([
+                sum(a.entry(r, k) for k in range(n) if x[k][c])
+                for r in range(n)
+                for c in range(n)
+            ])
+    if not columns:
+        return 0
+    rows = [list(r) for r in zip(*columns) if any(r)]
+    return len(columns) - naive_rational_rank(rows)
