@@ -12,10 +12,13 @@ split digraph is built once; each flow stops as soon as it reaches the best
 cut found so far, since only a smaller flow can change the answer.
 
 The Strong Arnold Property is decided on the integral linear system A X = 0
-over the symmetric X supported on non-edges. One rank modulo a large prime
-proves the property when it is full; only a rank-deficient system is
-eliminated over the rationals, which yields the exact violation dimension
-and a sample violation checked by A X = 0.
+over the symmetric X supported on non-edges, by one elimination modulo a
+large prime. An empty modular kernel proves the property. Otherwise each
+modular kernel vector is lifted to Q by rational reconstruction and checked
+exactly over Z against every equation; when all of them pass they are the
+rational nullspace basis itself, which gives the violation dimension and a
+sample violation checked by A X = 0. Only when a vector fails to lift or to
+check is the system eliminated over the rationals.
 """
 
 from __future__ import annotations
@@ -187,6 +190,45 @@ def _check_pattern(a, g):
                     )
 
 
+def _lift_kernel(basis, rows, p):
+    """The GF(p) kernel vectors lifted to Q, or None when one of them fails.
+
+    Each residue is lifted by rational reconstruction (Wang, Guy and
+    Davenport 1982): the half-extended Euclid on (p, r) stops at the first
+    remainder at most B = isqrt(p // 2), and the remainder over its
+    cofactor is the unique fraction with numerator and denominator bounded
+    by B that is congruent to r, if one exists (2 B^2 < p). Residues 0 and
+    1 lift to 0 and 1. Each
+    lifted vector is cleared of denominators and checked exactly over Z
+    against every row, touching only its nonzero coordinates; a vector
+    that has no such lift or fails the check gives None.
+    """
+    bound = math.isqrt(p // 2)
+    lifted = []
+    for vec in basis:
+        out = [Fraction(0)] * len(vec)
+        for t, r in enumerate(vec):
+            if not r:
+                continue
+            r0, r1, t0, t1 = p, r, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1 = r1, r0 - q * r1
+                t0, t1 = t1, t0 - q * t1
+            if abs(t1) > bound or math.gcd(r1, t1) != 1:
+                return None
+            out[t] = Fraction(r1 if t1 > 0 else -r1, abs(t1))
+        lcm = math.lcm(*(x.denominator for x in out))
+        nz = [
+            (t, x.numerator * (lcm // x.denominator)) for t, x in enumerate(out) if x
+        ]
+        for row in rows:
+            if sum(row[t] * x for t, x in nz):
+                return None
+        lifted.append(out)
+    return lifted
+
+
 def has_sap(a, g):
     """Strong Arnold Property of a matrix in S(G).
 
@@ -196,10 +238,24 @@ def has_sap(a, g):
     and has_sap iff that dimension is zero. Each row of A is first scaled
     by the lcm of its denominators, which keeps the solutions of A X = 0 and
     makes the system integral. Its rank modulo SAP_PRIME is at most its rank
-    over Q, so full column rank mod p proves the property with no rational
-    work. Only a rank-deficient modular system is eliminated over Q, which
-    settles both a real violation, with one nullspace vector materialized
-    as a checked sample violation, and a deficiency that exists only mod p.
+    over Q, so an empty nullspace basis mod p proves the property with no
+    rational work.
+
+    Otherwise the modular basis is lifted to Q and checked exactly by
+    _lift_kernel. When every vector passes, the lifted vectors are the
+    rational nullspace_basis itself:
+    - the vector of modular free column f is 1 at f, 0 at the other modular
+      free columns and zero past f, since 0 and 1 lift to 0 and 1;
+    - so its exact check puts column f in the Q-span of the earlier
+      columns, which makes every modular free column rationally free;
+    - the modular nullity is at least the rational nullity, so the two free
+      sets are equal, and given the free set the reduced-echelon basis is
+      unique.
+    The violation dimension is then the number of modular vectors and the
+    sample is the first of them. When a vector fails to lift or to check
+    (a deficiency that exists only mod p, or entries too large to
+    reconstruct), the system is eliminated over Q instead. Either way the
+    sample violation is checked by A X = 0.
     """
     _check_pattern(a, g)
     n = g.n
@@ -226,9 +282,12 @@ def has_sap(a, g):
                 rows.append(row)
     if not rows:
         rows = [[0] * len(free)]
-    if ExactMatrix(_SAP_FIELD, rows).rank_nullity()[1] == 0:
+    basis = ExactMatrix(_SAP_FIELD, rows).nullspace_basis()
+    if not basis:
         return SapReport(True, 0, None)
-    basis = ExactMatrix(QQ, rows).nullspace_basis()
+    basis = _lift_kernel(basis, rows, SAP_PRIME)
+    if basis is None:
+        basis = ExactMatrix(QQ, rows).nullspace_basis()
     if not basis:
         return SapReport(True, 0, None)
     vec = basis[0]

@@ -6,6 +6,7 @@ import pytest
 import zflab as z
 from oracles import induced_subgraph, naive_rational_rank
 from paper import circulant_kappa_deficient
+from zflab import structure
 from zflab.structure import SAP_PRIME
 
 
@@ -148,48 +149,104 @@ class TestSap:
         p = SAP_PRIME
         g = z.path_graph(3)
         a = z.ExactMatrix(z.QQ, [[0, p, 0], [p, 1, p], [0, p, 0]])
-        calls = []
-        nullspace_basis = z.ExactMatrix.nullspace_basis
-
-        def spy(m):
-            calls.append(m.domain)
-            return nullspace_basis(m)
-
-        monkeypatch.setattr(z.ExactMatrix, "nullspace_basis", spy)
+        calls = _spy_nullspace(monkeypatch)
         rep = z.has_sap(a, g)
         assert rep.has_sap and rep.violation_dim == 0
         assert rep.sample_violation is None
-        assert calls == [z.QQ]
+        # the modular kernel vector e_0 lifts to 1 but fails the integer
+        # check, since the column is p over Z, so the rational path runs
+        assert calls == [z.prime_field(p), z.QQ]
         # full rank mod p settles an ordinary matrix with no rational work
         calls.clear()
         assert z.has_sap(z.adjacency_matrix(g), g).has_sap
-        assert calls == []
+        assert calls == [z.prime_field(p)]
+
+    def test_fallback_when_lift_fails(self, monkeypatch):
+        # D A D with D the diagonal of 12 distinct primes above 1000 scales
+        # the kernel entries past the reconstruction bound isqrt(p // 2)
+        g = z.aztec_diamond(2)
+        d = [1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069]
+        assert g.n == len(d)
+        a = z.adjacency_matrix(g)
+        m = z.ExactMatrix(z.QQ, [[d[i] * a.entry(i, j) * d[j] for j in range(g.n)]
+                                 for i in range(g.n)])
+        calls = _spy_nullspace(monkeypatch)
+        rep = z.has_sap(m, g)
+        assert calls == [z.prime_field(SAP_PRIME), z.QQ]
+        assert rep.violation_dim == _violation_dim(m, g) == 2
+        assert not rep.has_sap
+        x = rep.sample_violation
+        assert all(not e for row in m.matmul(x).data for e in row)
+
+    def test_lift_path_matches_rational_path(self, corpus, monkeypatch):
+        # the matrices of test_violation_dim_matches_definition
+        rng = random.Random(8)
+        cases = [(m, g) for g in corpus[:25] for m in _sap_matrices(g, rng)]
+        cases += [(z.adjacency_matrix(g), g)
+                  for g in (z.aztec_diamond(2), z.aztec_diamond(3))]
+        lifted = [z.has_sap(m, g) for m, g in cases]
+        monkeypatch.setattr(structure, "_lift_kernel", lambda *args: None)
+        assert [z.has_sap(m, g) for m, g in cases] == lifted
+        assert sum(not rep.has_sap for rep in lifted) > 2
+
+    def test_aztec_3_needs_no_rational_elimination(self, monkeypatch):
+        g = z.aztec_diamond(3)
+        calls = _spy_nullspace(monkeypatch)
+        rep = z.has_sap(z.adjacency_matrix(g), g)
+        assert rep.violation_dim == 6
+        assert calls == [z.prime_field(SAP_PRIME)]
+
+    def test_aztec_4(self):
+        g = z.aztec_diamond(4)
+        a = z.adjacency_matrix(g)
+        rep = z.has_sap(a, g)
+        assert not rep.has_sap and rep.violation_dim == 12
+        x = rep.sample_violation
+        assert any(e for row in x.data for e in row)
+        assert all(not e for row in a.matmul(x).data for e in row)
 
     def test_violation_dim_matches_definition(self, corpus):
         rng = random.Random(8)
-
-        def frac():
-            return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 6))
-
         for g in corpus[:25]:
-            a = z.adjacency_matrix(g)
-            # a diagonal congruence D A D keeps the pattern and the violation
-            # dimension; random entries are generic
-            d = [frac() for _ in range(g.n)]
-            scaled = [[d[i] * a.entry(i, j) * d[j] for j in range(g.n)]
-                      for i in range(g.n)]
-            generic = [[Fraction(0)] * g.n for _ in range(g.n)]
-            for i in range(g.n):
-                generic[i][i] = frac() if rng.random() < 0.7 else Fraction(0)
-            for i, j in g.edges:
-                generic[i][j] = generic[j][i] = frac()
             dims = []
-            for m in (a, z.ExactMatrix(z.QQ, scaled), z.ExactMatrix(z.QQ, generic)):
+            for m in _sap_matrices(g, rng):
                 rep = z.has_sap(m, g)
                 assert rep.violation_dim == _violation_dim(m, g)
                 assert rep.has_sap == (rep.violation_dim == 0)
                 dims.append(rep.violation_dim)
             assert dims[0] == dims[1]
+
+
+def _sap_matrices(g, rng):
+    """The adjacency matrix of g, a diagonal congruence D A D of it (same
+    pattern and violation dimension) and a generic rational matrix in S(G)."""
+
+    def frac():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 6))
+
+    a = z.adjacency_matrix(g)
+    d = [frac() for _ in range(g.n)]
+    scaled = [[d[i] * a.entry(i, j) * d[j] for j in range(g.n)]
+              for i in range(g.n)]
+    generic = [[Fraction(0)] * g.n for _ in range(g.n)]
+    for i in range(g.n):
+        generic[i][i] = frac() if rng.random() < 0.7 else Fraction(0)
+    for i, j in g.edges:
+        generic[i][j] = generic[j][i] = frac()
+    return a, z.ExactMatrix(z.QQ, scaled), z.ExactMatrix(z.QQ, generic)
+
+
+def _spy_nullspace(monkeypatch):
+    """Record the domain of every nullspace_basis call."""
+    calls = []
+    nullspace_basis = z.ExactMatrix.nullspace_basis
+
+    def spy(m):
+        calls.append(m.domain)
+        return nullspace_basis(m)
+
+    monkeypatch.setattr(z.ExactMatrix, "nullspace_basis", spy)
+    return calls
 
 
 def _violation_dim(a, g):
