@@ -45,9 +45,7 @@ from .graphs import (
     read_edge_list,
 )
 from .linalg import (
-    QI,
     QQ,
-    QW,
     CoeffDomain,
     ExactMatrix,
     QuadRational,

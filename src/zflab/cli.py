@@ -95,6 +95,8 @@ def _load_moves(arg):
         raise ValueError("--cert must be a JSON list of move objects")
     try:
         return [_redrule.RedMove.from_json_obj(o) for o in obj]
+    except KeyError as exc:
+        raise ValueError(f"--cert has a malformed move: missing {exc}") from None
     except (TypeError, RuntimeError) as exc:  # RuntimeError: a count above COUNT_GUARD
         raise ValueError(f"--cert has a malformed move: {exc}") from None
 
@@ -219,12 +221,7 @@ def _cmd_decompose(args):
         "exact": dec.exact,
         "transversals": [list(t) for t in dec.transversals],
     }
-    if dec.exact:
-        out["blocks"] = [[[str(x) for x in row] for row in b.data] for b in dec.blocks]
-    else:
-        out["blocks"] = [
-            [[str(x) for x in row] for row in b] for b in dec.blocks
-        ]
+    out["blocks"] = [[[str(x) for x in row] for row in b] for b in dec.blocks]
     out["block_spectra"] = [list(s) for s in dec.block_spectra()]
     _emit(out, args)
     return 0
@@ -353,7 +350,10 @@ def build_parser():
 
     sp = sub.add_parser("sap", help="Strong Arnold Property of a matrix in S(G)")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--matrix", default=None, help="matrix text file; default A(G)")
+    sp.add_argument(
+        "--matrix", default=None,
+        help='rational matrix text file, header "rows cols Q"; default A(G)',
+    )
     sp.set_defaults(func=_cmd_sap)
 
     eq = sub.add_parser("equitable", help="equitable partitions")

@@ -7,24 +7,16 @@ matrix, and its spectrum embeds in the spectrum of A(G). A uniform
 automorphism (all orbits of one size k) refines this: slicing a compatible
 matrix along the powers of the automorphism applied to a transversal and
 combining the slices with k-th root of unity weights block-diagonalizes it.
-One loop builds the blocks for every orbit size: exactly over Q, Q(i) or
-Q(w) for k in {1, 2, 3, 4, 6}, in complex floats otherwise. Spectra are
-descending tuples of floats.
+One loop builds the blocks for every orbit size, as tuples of row tuples:
+exactly, with entries in Q, Q(i) or Q(w), for k in {1, 2, 3, 4, 6}, in
+complex floats otherwise. Spectra are descending tuples of floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (
-    QI,
-    QQ,
-    QW,
-    ExactMatrix,
-    adjacency_matrix,
-    root_of_unity,
-    spectrum,
-)
+from .linalg import QQ, ExactMatrix, adjacency_matrix, root_of_unity, spectrum
 
 
 @dataclass(frozen=True)
@@ -34,10 +26,6 @@ class Partition:
 
     blocks: tuple  # ((v, ...), ...)
     b: tuple | None = None
-
-    @property
-    def size(self):
-        return len(self.blocks)
 
 
 def _check_partition(g, blocks):
@@ -174,21 +162,11 @@ def _cycles(perm):
 class Decomposition:
     k: int
     transversals: tuple  # (T_0, ..., T_{k-1}), each a tuple of vertices
-    blocks: tuple  # ExactMatrix over Q / Q(i) / Q(w), or complex lists when inexact
+    blocks: tuple  # row tuples: Fractions or QuadRationals when exact, else complex
     exact: bool
 
     def block_spectra(self):
         return [spectrum(b) for b in self.blocks]
-
-
-def _block_domain(k):
-    if k in (1, 2):
-        return QQ
-    if k == 4:
-        return QI
-    if k in (3, 6):
-        return QW
-    return None
 
 
 def equitable_decomposition(g_or_matrix, phi, t0=None, graph=None):
@@ -246,7 +224,6 @@ def equitable_decomposition(g_or_matrix, phi, t0=None, graph=None):
     slices = [[[m.entry(a, c) for c in tl] for a in t0] for tl in transversals]
     r = len(t0)
     omega = root_of_unity(k)
-    domain = _block_domain(k)
     zero = 0 * omega  # Fraction(0), a QuadRational zero or 0j
     blocks = []
     for j in range(k):
@@ -258,5 +235,6 @@ def equitable_decomposition(g_or_matrix, phi, t0=None, graph=None):
                 for c in range(r):
                     if row[c]:
                         acc[a][c] = acc[a][c] + w * row[c]
-        blocks.append(acc if domain is None else ExactMatrix(domain, acc))
-    return Decomposition(k, tuple(transversals), tuple(blocks), domain is not None)
+        blocks.append(tuple(map(tuple, acc)))
+    exact = not isinstance(omega, complex)
+    return Decomposition(k, tuple(transversals), tuple(blocks), exact)

@@ -1,20 +1,19 @@
-"""Dense exact matrices over selectable coefficient domains.
+"""Dense exact matrices over the rationals and prime fields GF(p).
 
-Supported domains: the rationals, prime fields GF(p), and the two quadratic
-extensions of the rationals generated by a 4th / 3rd root of unity (enough
-for exact root-of-unity block arithmetic with orbit sizes 1, 2, 3, 4, 6).
-An ExactMatrix offers only what zflab uses: entry and row access,
-matmul, rank and nullity, and a nullspace basis.
+These are the two domains zflab eliminates over. An ExactMatrix offers only
+what zflab uses: entry and row access, rank and nullity, and a nullspace
+basis. QuadRational is the ring arithmetic of Q(i) and Q(w) that the
+root-of-unity block decomposition builds its entries with; nothing
+eliminates over it.
 
-One elimination kernel, `_echelon`, serves every domain: forward
+One elimination kernel, `_echelon`, serves both domains: forward
 elimination to row echelon form with first-nonzero pivoting. Rank is its
 pivot count and the nullspace basis is back-substituted from it. Only the
 row operation depends on the domain: fraction-free (Bareiss) on integer rows
-over the rationals, a normalized pivot row over GF(p), division by the
-pivot over the quadratic extensions. Floating-point spectra of real
-symmetric / complex Hermitian matrices come from numpy's eigvalsh, as
-descending tuples of floats; callers compare them with their own
-tolerance.
+over the rationals, a normalized pivot row over GF(p). Floating-point
+spectra of real symmetric / complex Hermitian matrices come from numpy's
+eigvalsh, as descending tuples of floats; callers compare them with their
+own tolerance.
 """
 
 from __future__ import annotations
@@ -41,14 +40,13 @@ def is_prime(p):
 
 @dataclass(frozen=True)
 class CoeffDomain:
-    """Coefficient domain tag: "Q", "GF" (with prime p), "QI" (rationals
-    adjoined i) or "QW" (rationals adjoined a primitive cube root of unity)."""
+    """Coefficient domain tag: "Q" or "GF" (with prime p)."""
 
     kind: str
     p: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("Q", "GF", "QI", "QW"):
+        if self.kind not in ("Q", "GF"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.kind == "GF":
             if self.p is None or self.p >= 2**31 or not is_prime(self.p):
@@ -61,8 +59,6 @@ class CoeffDomain:
 
 
 QQ = CoeffDomain("Q")
-QI = CoeffDomain("QI")
-QW = CoeffDomain("QW")
 
 
 def prime_field(p):
@@ -139,32 +135,6 @@ class QuadRational:
             out = out * self
         return out
 
-    def conjugate(self):
-        if self.kind == "i":
-            return QuadRational(self.a, -self.b, "i")
-        return QuadRational(self.a - self.b, -self.b, "w")
-
-    def norm(self):
-        if self.kind == "i":
-            return self.a * self.a + self.b * self.b
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero element")
-        c = self.conjugate()
-        return QuadRational(c.a / n, c.b / n, self.kind)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 
@@ -177,7 +147,7 @@ class QuadRational:
     def __hash__(self):
         return hash((self.a, self.b, self.kind))
 
-    def to_complex(self):
+    def __complex__(self):
         if self.kind == "i":
             return complex(self.a) + 1j * complex(self.b)
         w = complex(-0.5, math.sqrt(3) / 2)
@@ -213,14 +183,7 @@ def _normalize(value, domain):
                 raise ZeroDivisionError("denominator vanishes mod p")
             return value.numerator * pow(value.denominator, -1, domain.p) % domain.p
         return int(value) % domain.p
-    if domain.kind == "Q":
-        return Fraction(value)
-    kind = "i" if domain.kind == "QI" else "w"
-    if isinstance(value, QuadRational):
-        if value.kind != kind:
-            raise TypeError("wrong extension kind for domain")
-        return value
-    return QuadRational(value, 0, kind)
+    return Fraction(value)
 
 
 class ExactMatrix:
@@ -247,21 +210,6 @@ class ExactMatrix:
 
     def row(self, i):
         return self.data[i]
-
-    def matmul(self, other):
-        if self.domain != other.domain:
-            raise ValueError("domain mismatch")
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        p = self.domain.p if self.domain.kind == "GF" else None
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                s = sum(self.data[i][t] * other.data[t][j] for t in range(self.cols))
-                row.append(s % p if p else s)
-            out.append(row)
-        return ExactMatrix(self.domain, out)
 
     def __eq__(self, other):
         return (
@@ -321,13 +269,12 @@ def _echelon(matrix):
 
     The pivot of each column is its first nonzero entry at or below the
     current row, so the pivot columns are the lexicographically first column
-    basis whatever the domain. Over Q the rows are cleared to integers (row
+    basis in both domains. Over Q the rows are cleared to integers (row
     scaling keeps the rank and the right nullspace) and eliminated
     fraction-free (Bareiss), which keeps intermediate entries polynomially
     bounded; every row below the pivot must be updated for the exact
     divisions to hold. Over GF(p) the pivot row is normalized to pivot 1 and
-    only rows with a nonzero entry in the pivot column are touched. Over the
-    quadratic extensions the rows are eliminated by dividing by the pivot.
+    only rows with a nonzero entry in the pivot column are touched.
     """
     kind = matrix.domain.kind
     if kind == "Q":
@@ -360,19 +307,13 @@ def _echelon(matrix):
                 for c in range(col, n_cols):
                     row_r[c] = (row_r[c] * piv - factor * row_p[c]) // prev
             prev = piv
-        elif kind == "GF":
+        else:
             inv = pow(piv, -1, p)
             row_p = rows[rank] = [x * inv % p for x in row_p]
             for r in range(rank + 1, n_rows):
                 f = rows[r][col]
                 if f:
                     rows[r] = [(x - f * y) % p for x, y in zip(rows[r], row_p)]
-        else:
-            for r in range(rank + 1, n_rows):
-                f = rows[r][col]
-                if f:
-                    f = f / piv
-                    rows[r] = [x - f * y for x, y in zip(rows[r], row_p)]
         pivots.append(col)
         if rank + 1 == n_rows:
             break
@@ -396,27 +337,14 @@ def adjacency_matrix(g, shift=0, domain=QQ):
 # floating-point spectra
 
 
-def _as_complex_array(m):
-    if isinstance(m, ExactMatrix):
-        if m.domain.kind in ("QI", "QW"):
-            return np.array(
-                [[x.to_complex() for x in row] for row in m.data], dtype=complex
-            )
-        if m.domain.kind == "GF":
-            raise ValueError("spectra over finite fields are not defined here")
-        return np.array([[float(x) for x in row] for row in m.data], dtype=complex)
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+def spectrum(rows):
+    """All eigenvalues of a real symmetric / complex Hermitian matrix, given
+    as rows of numbers numpy converts to complex, as a descending tuple of
+    floats, by LAPACK's Hermitian eigensolver (numpy.linalg.eigvalsh); its
+    error is about machine precision times the matrix norm."""
+    a = np.asarray(rows, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
-    return arr
-
-
-def spectrum(m):
-    """All eigenvalues of a real symmetric / complex Hermitian matrix as a
-    descending tuple of floats, by LAPACK's Hermitian eigensolver
-    (numpy.linalg.eigvalsh); its error is about machine precision times the
-    matrix norm."""
-    a = _as_complex_array(m)
     if not np.allclose(a, a.conj().T, rtol=0.0, atol=1e-12):
         raise ValueError("matrix is not Hermitian")
     return tuple(sorted((float(x) for x in np.linalg.eigvalsh(a)), reverse=True))
@@ -427,7 +355,8 @@ def spectrum(m):
 
 
 def parse_matrix(text):
-    """Text form: header "rows cols domain", then one line of entries per row."""
+    """Text form: header "rows cols Q", then one line of rational entries
+    per row."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError('empty matrix text; expected a header "rows cols domain"')
@@ -435,32 +364,12 @@ def parse_matrix(text):
     if len(head) != 3:
         raise ValueError(f'malformed header {lines[0]!r}; expected "rows cols domain"')
     rows, cols, dom = int(head[0]), int(head[1]), head[2]
-    if dom == "Q":
-        domain = QQ
-    elif dom == "QI":
-        domain = QI
-    elif dom == "QW":
-        domain = QW
-    elif dom.startswith("GF(") and dom.endswith(")"):
-        domain = prime_field(int(dom[3:-1]))
-    else:
-        raise ValueError(f"unknown domain {dom!r}")
-
-    def parse_entry(tok):
-        if domain.kind in ("QI", "QW"):
-            g = "i" if domain.kind == "QI" else "w"
-            if tok.endswith(g):
-                body = tok[:-1]
-                cut = max(body.rfind("+", 1), body.rfind("-", 1))
-                return QuadRational(
-                    Fraction(body[:cut]), Fraction(body[cut:]), g
-                )
-            return QuadRational(Fraction(tok), 0, g)
-        if domain.kind == "GF":
-            return int(tok)
-        return Fraction(tok)
-
-    data = [[parse_entry(tok) for tok in ln.split()] for ln in lines[1:]]
+    if dom != "Q":
+        raise ValueError(f'domain {dom!r}: the matrix must be rational ("Q")')
+    try:
+        data = [[Fraction(tok) for tok in ln.split()] for ln in lines[1:]]
+    except ZeroDivisionError:
+        raise ValueError("a matrix entry has denominator 0") from None
     if len(data) != rows or any(len(r) != cols for r in data):
         raise ValueError("entry count mismatch")
-    return ExactMatrix(domain, data)
+    return ExactMatrix(QQ, data)

@@ -296,9 +296,11 @@ def has_sap(a, g):
         sample[i][j] = vec[t]
         sample[j][i] = vec[t]
     x = ExactMatrix(QQ, sample)
-    # the sample really is a violation
+    # the sample really is a violation: A X = 0 summed over the nonzero a_ik
     if not any(any(row) for row in x.data):
         raise ArithmeticError("the sample SAP violation is the zero matrix")
-    if any(e for row in a.matmul(x).data for e in row):
-        raise ArithmeticError("the sample SAP violation does not satisfy A X = 0")
+    for i in range(n):
+        a_i = [(k, e) for k, e in enumerate(a.row(i)) if e]
+        if any(sum(e * x.data[k][j] for k, e in a_i) for j in range(n)):
+            raise ArithmeticError("the sample SAP violation does not satisfy A X = 0")
     return SapReport(False, len(basis), x)

@@ -1,7 +1,8 @@
 """Independent reference implementations the test suite checks against.
 
 Everything here deliberately avoids the library's own code paths: ranks by
-naive rational elimination, zero forcing by trying all subsets with a
+naive rational elimination (over Q(i) and Q(w) through the regular
+representation over Q), zero forcing by trying all subsets with a
 set-based closure, red moves by materializing the edge-count maps of the
 modified general graphs, products by the textbook sum, spectra by numpy and
 compared as multisets within a tolerance. The last sections hold the
@@ -45,6 +46,25 @@ def naive_rational_rank(rows):
                 m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def extension_rank(rows):
+    """Rank over Q(i) or Q(w) of rows of QuadRationals and rationals.
+
+    Each entry a + b*g becomes its regular representation over Q on the
+    basis (1, g): [[a, -b], [b, a]] for g = i, [[a, -b], [b, a - b]] for
+    g = w, since w*w = -1 - w. The rank over Q of the resulting matrix is
+    twice the rank over the extension field."""
+    def rep(x):
+        if isinstance(x, z.QuadRational):
+            return ((x.a, -x.b), (x.b, x.a - x.b if x.kind == "w" else x.a))
+        return ((x, 0), (0, x))
+
+    real = []
+    for row in rows:
+        reps = [rep(x) for x in row]
+        real += [[e for r in reps for e in r[t]] for t in (0, 1)]
+    return naive_rational_rank(real) // 2
 
 
 def set_closure(g, blue, order=None):
@@ -106,11 +126,17 @@ def brute_min_rank_gf2(g):
     return best, tuple((best_diag >> i) & 1 for i in range(g.n)), ranks
 
 
-def matvec(m, vec):
-    """The ExactMatrix m times the column vector vec, row by row; reduced
-    mod p over GF(p)."""
-    out = [sum(a * b for a, b in zip(row, vec)) for row in m.data]
-    return [x % m.domain.p for x in out] if m.domain.p else out
+def matvec(rows, vec, p=None):
+    """The matrix rows times the column vector vec, row by row; reduced
+    mod p when p is given."""
+    out = [sum(a * b for a, b in zip(row, vec)) for row in rows]
+    return [x % p for x in out] if p else out
+
+
+def matmul(a, b):
+    """Textbook product of two matrices given as rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def laplace_determinant(rows):
@@ -312,13 +338,6 @@ def write_edge_list(g):
 
 def format_matrix(m):
     """Text form: header "rows cols domain", then row-major entries."""
-    def fmt(x):
-        if isinstance(x, z.QuadRational):
-            g = "i" if x.kind == "i" else "w"
-            sign = "+" if x.b >= 0 else "-"
-            return f"{x.a}{sign}{abs(x.b)}{g}"
-        return str(x)
-
     lines = [f"{m.rows} {m.cols} {m.domain}"]
-    lines += [" ".join(fmt(x) for x in row) for row in m.data]
+    lines += [" ".join(str(x) for x in row) for row in m.data]
     return "\n".join(lines) + "\n"

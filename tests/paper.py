@@ -203,7 +203,7 @@ def verify_ecg_nullvectors(q):
         not any(matvec(b0, x0))
         and not any(matvec(b1, x1))
         and not any(matvec(b2, x2))
-        and b3.data == tuple(zip(*b1.data))
+        and b3 == tuple(zip(*b1))
     )
 
 

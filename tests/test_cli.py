@@ -91,6 +91,37 @@ class TestCommands:
         assert code == 0 and obj["orbit_size"] == 4 and obj["exact"]
         assert len(obj["blocks"]) == 4
 
+    def test_decompose_exact_blocks_pinned(self, capsys):
+        # Q(w) blocks of C6 at shift 1 (k = 6) and shift 2 (k = 3), byte for
+        # byte up to the floating-point spectra
+        pinned = {
+            "1,2,3,4,5,0": (
+                '{"orbit_size": 6, "exact": true, "transversals": '
+                '[[0], [1], [2], [3], [4], [5]], "blocks": [[["(2+0w)"]], '
+                '[["(1+0w)"]], [["(-1+0w)"]], [["(-2+0w)"]], [["(-1+0w)"]], '
+                '[["(1+0w)"]]], "block_spectra": '
+            ),
+            "2,3,4,5,0,1": (
+                '{"orbit_size": 3, "exact": true, "transversals": '
+                '[[0, 1], [2, 3], [4, 5]], "blocks": '
+                '[[["(0+0w)", "(2+0w)"], ["(2+0w)", "(0+0w)"]], '
+                '[["(0+0w)", "(0+-1w)"], ["(1+1w)", "(0+0w)"]], '
+                '[["(0+0w)", "(1+1w)"], ["(0+-1w)", "(0+0w)"]]], "block_spectra": '
+            ),
+        }
+        for perm, head in pinned.items():
+            assert cli.main(["decompose", "--graph", "cycle:6", "--perm", perm]) == 0
+            assert capsys.readouterr().out.startswith(head)
+        # the Q(i) block 1 of the order-12 cube
+        perm = ",".join(str((x + 3) % 12) for x in range(12))
+        assert cli.main(["decompose", "--graph", "ecg:1,1", "--perm", perm]) == 0
+        assert (
+            '[[["(0+0i)", "(1+0i)", "(2+0i)"], ["(1+0i)", "(1+0i)", "(1+0i)"], '
+            '["(2+0i)", "(1+0i)", "(0+0i)"]], '
+            '[["(0+0i)", "(1+0i)", "(-1+-1i)"], ["(1+0i)", "(-1+0i)", "(1+0i)"], '
+            '["(-1+1i)", "(1+0i)", "(0+0i)"]], '
+        ) in capsys.readouterr().out
+
     def test_decompose_colon_perm(self, capsys):
         code, obj = run(
             capsys, "decompose", "--graph", "circulant:8:1,3",
@@ -164,6 +195,12 @@ class TestCommands:
              "malformed header '3 3'"),
             (["sap", "--graph", "path:2", "--matrix", "{tmp}/long.txt"],
              "entry count mismatch"),
+            (["sap", "--graph", "path:2", "--matrix", "{tmp}/gf.txt"],
+             'the matrix must be rational ("Q")'),
+            (["sap", "--graph", "path:2", "--matrix", "{tmp}/qi.txt"],
+             'the matrix must be rational ("Q")'),
+            (["sap", "--graph", "path:2", "--matrix", "{tmp}/zero-denominator.txt"],
+             "a matrix entry has denominator 0"),
             (["decompose", "--graph", "circulant:8:1,3", "--perm", "4,5,6,7,0,1,2,3",
               "--transversal", "0,9"], "t0 vertex 9 is out of range 0..7"),
             (["red", "verify", "--graph", "path:3", "--cert", "{{}}"],
@@ -184,6 +221,8 @@ class TestCommands:
             (["red", "verify", "--graph", "path:3", "--cert",
               '[{{"u": 0, "v": 1, "X": {{"2": 10000000}}}}]'],
              "--cert has a malformed move"),
+            (["red", "verify", "--graph", "path:3", "--cert", '[{{"u": 0}}]'],
+             "--cert has a malformed move: missing 'v'"),
             (["equitable", "refine", "--graph", "path:3", "--partition", "[1]"],
              '--partition must be JSON {"blocks"'),
             (["equitable", "divisor", "--graph", "path:3", "--partition",
@@ -201,10 +240,12 @@ class TestCommands:
             (["kappa", "--graph", "{tmp}/edge-triple.json"], "malformed JSON graph"),
         ],
         ids=["missing-step", "missing-order", "missing-file", "empty-matrix",
-             "short-header", "extra-rows", "transversal-range", "cert-object",
-             "cert-number", "cert-move-shape", "cert-move-value", "cert-float-vertex",
-             "cert-float-count", "cert-bool-k", "cert-count-guard", "partition-list",
-             "partition-blocks", "partition-bool", "kbip-pair", "ecg-pair", "petersen-pair",
+             "short-header", "extra-rows", "matrix-gf", "matrix-qi",
+             "matrix-zero-den", "transversal-range", "cert-object", "cert-number",
+             "cert-move-shape", "cert-move-value", "cert-float-vertex",
+             "cert-float-count", "cert-bool-k", "cert-count-guard",
+             "cert-missing-v", "partition-list", "partition-blocks",
+             "partition-bool", "kbip-pair", "ecg-pair", "petersen-pair",
              "non-integer", "json-edges", "json-n-string", "json-n-float",
              "json-n-bool", "json-edge-triple"],
     )
@@ -212,6 +253,9 @@ class TestCommands:
         (tmp_path / "empty.txt").write_text("\n")
         (tmp_path / "short.txt").write_text("3 3\n0 1 0\n1 0 1\n0 1 0\n")
         (tmp_path / "long.txt").write_text("2 2 Q\n0 1\n1 0\n1 1\n")
+        (tmp_path / "gf.txt").write_text("2 2 GF(7)\n0 1\n1 0\n")
+        (tmp_path / "qi.txt").write_text("2 2 QI\n0 1\n1 0\n")
+        (tmp_path / "zero-denominator.txt").write_text("2 2 Q\n0 1/0\n1 0\n")
         for name, text in (
             ("edges-not-pairs", '{"n": 3, "edges": [1]}'),
             ("n-string", '{"n": "3", "edges": []}'),

@@ -6,7 +6,7 @@ import pytest
 
 import zflab as z
 from zflab import equitable
-from oracles import multiset_contained, multisets_close
+from oracles import extension_rank, matmul, multiset_contained, multisets_close
 from paper import divisor_spectrum, orbit_partition, verify_ecg_nullvectors
 
 
@@ -119,16 +119,16 @@ class TestDivisorMatrix:
     def test_spectrum_containment(self, corpus):
         for g in corpus[:25]:
             part = z.coarsest_equitable(g)
-            if part.size == g.n:
+            if len(part.blocks) == g.n:
                 continue
             ds = divisor_spectrum(g, part)
-            full = z.spectrum(z.adjacency_matrix(g))
+            full = z.spectrum(z.adjacency_matrix(g).data)
             assert multiset_contained(ds, full, 1e-6)
 
     def test_negative_control_circ12(self):
         # the 3-regular bipartite small graph has eigenvalue 3; the big one does not
         g12 = z.circulant(12, {1, 3})
-        sp = z.spectrum(z.adjacency_matrix(g12))
+        sp = z.spectrum(z.adjacency_matrix(g12).data)
         assert min(abs(v - 3) for v in sp) > 0.5
 
     def test_circ12_exact_multiplicities(self):
@@ -141,7 +141,7 @@ class TestDivisorMatrix:
             for lam in (4, -4, 1, -1, 0)
         }
         assert mult == {4: 1, -4: 1, 1: 2, -1: 2, 0: 2}
-        squared = a.matmul(a).data
+        squared = matmul(a.data, a.data)
         squared_shift = z.ExactMatrix(
             z.QQ,
             [[x - 3 * (i == j) for j, x in enumerate(row)]
@@ -175,6 +175,11 @@ class TestOrbitPartition:
             orbit_partition(g, [1, 0, 2, 3])
 
 
+def block_nullity(dec):
+    """Sum of the block nullities of an exact decomposition, by the oracle."""
+    return sum(len(b) - extension_rank(b) for b in dec.blocks)
+
+
 class TestDecomposition:
     def test_example_blocks(self):
         g = z.extended_cube(1, 1)
@@ -183,18 +188,18 @@ class TestDecomposition:
         assert dec.transversals[0] == (0, 1, 2)
         b0, b1, b2, b3 = dec.blocks
         qi = lambda a, b=0: z.QuadRational(a, b, "i")
-        assert b0.data == (
+        assert b0 == (
             (qi(0), qi(1), qi(2)),
             (qi(1), qi(1), qi(1)),
             (qi(2), qi(1), qi(0)),
         )
-        assert b2.data == (
+        assert b2 == (
             (qi(0), qi(1), qi(0)),
             (qi(1), qi(1), qi(1)),
             (qi(0), qi(1), qi(0)),
         )
-        assert b1.entry(0, 2) == qi(-1, -1)
-        assert b1.entry(2, 0) == qi(-1, 1)
+        assert b1[0][2] == qi(-1, -1)
+        assert b1[2][0] == qi(-1, 1)
 
     def test_example_spectra(self):
         g = z.extended_cube(1, 1)
@@ -214,7 +219,7 @@ class TestDecomposition:
         g = z.cycle_graph(4)
         dec = z.equitable_decomposition(g, [0, 1, 2, 3])
         assert dec.k == 1 and dec.exact and len(dec.blocks) == 1
-        assert dec.blocks[0].data == z.adjacency_matrix(g).data
+        assert dec.blocks[0] == z.adjacency_matrix(g).data
 
     def test_inexact_blocks_match_numpy(self):
         # bipartite circulants shifted by 2: even-even entries of a block are
@@ -251,9 +256,9 @@ class TestDecomposition:
         for name, g, perm in cases:
             dec = z.equitable_decomposition(g, perm)
             union = sorted(v for s in dec.block_spectra() for v in s)
-            full = z.spectrum(z.adjacency_matrix(g))
+            full = z.spectrum(z.adjacency_matrix(g).data)
             assert multisets_close(union, full, 1e-6), name
-            assert sum(b.rows if hasattr(b, "rows") else len(b) for b in dec.blocks) == g.n
+            assert sum(len(b) for b in dec.blocks) == g.n
 
     def test_k3_exact(self):
         g = z.cycle_graph(6)
@@ -272,30 +277,44 @@ class TestDecomposition:
         dec = z.equitable_decomposition(g, [(i + 1) % 5 for i in range(5)])
         assert dec.k == 5 and not dec.exact
         union = sorted(v for s in dec.block_spectra() for v in s)
-        full = z.spectrum(z.adjacency_matrix(g))
+        full = z.spectrum(z.adjacency_matrix(g).data)
         assert multisets_close(union, full, 1e-6)
 
     def test_nullity_split_k4(self):
         g = z.extended_cube(1, 1)
         dec = z.equitable_decomposition(g, [(x + 3) % 12 for x in range(12)])
-        total = sum(b.rank_nullity()[1] for b in dec.blocks)
+        total = block_nullity(dec)
         assert total == z.adjacency_matrix(g).rank_nullity()[1] == 4
 
     def test_nullity_split_k2(self):
         g = z.circulant(8, {1, 3})
         dec = z.equitable_decomposition(g, [(i + 4) % 8 for i in range(8)])
         assert dec.k == 2
-        total = sum(b.rank_nullity()[1] for b in dec.blocks)
+        total = block_nullity(dec)
         assert total == 6
+
+    def test_nullity_split_k3_k6(self):
+        # Q(w) blocks: their nullities, ranked by the oracle through the
+        # regular representation over Q, add up to the nullity of the matrix
+        cases = [(z.circulant(24, {1, 3}), s, 0) for s in (4, 8)]
+        cases += [(z.cycle_graph(6), s, lam) for s in (1, 2) for lam in (1, -1, 2)]
+        cases += [(z.circulant(12, {1, 6}), 2, -1)]
+        for g, s, lam in cases:
+            m = z.adjacency_matrix(g, lam)
+            dec = z.equitable_decomposition(
+                m, [(i + s) % g.n for i in range(g.n)], graph=g
+            )
+            assert dec.k == g.n // math.gcd(g.n, s) in (3, 6) and dec.exact
+            assert block_nullity(dec) == m.rank_nullity()[1] > 0
 
     def test_order_36_instance(self):
         g = z.extended_cube(7, 7)
         dec = z.equitable_decomposition(g, [(x + 9) % 36 for x in range(36)])
         assert dec.k == 4 and dec.exact
         union = sorted(v for s in dec.block_spectra() for v in s)
-        full = z.spectrum(z.adjacency_matrix(g))
+        full = z.spectrum(z.adjacency_matrix(g).data)
         assert multisets_close(union, full, 1e-6)
-        assert sum(b.rank_nullity()[1] for b in dec.blocks) == 4
+        assert block_nullity(dec) == 4
 
     def test_non_uniform_rejected(self):
         g = z.path_graph(3)

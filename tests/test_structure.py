@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import zflab as z
-from oracles import induced_subgraph, naive_rational_rank
+from oracles import induced_subgraph, matmul, naive_rational_rank
 from paper import circulant_kappa_deficient
 from zflab import structure
 from zflab.structure import SAP_PRIME
@@ -117,7 +117,7 @@ class TestSap:
             x = rep.sample_violation
             assert any(e for row in x.data for e in row)
             # AX = 0
-            assert all(not e for row in a.matmul(x).data for e in row)
+            assert all(not e for row in matmul(a.data, x.data) for e in row)
             for i in range(g.n):
                 assert x.entry(i, i) == 0
                 for j in range(g.n):
@@ -176,7 +176,18 @@ class TestSap:
         assert rep.violation_dim == _violation_dim(m, g) == 2
         assert not rep.has_sap
         x = rep.sample_violation
-        assert all(not e for row in m.matmul(x).data for e in row)
+        assert all(not e for row in matmul(m.data, x.data) for e in row)
+
+    def test_sample_check_rejects_a_non_violation(self, monkeypatch):
+        # a "kernel" vector that is the first unknown alone: its X does not
+        # satisfy A X = 0, and the independent replay of the sample says so
+        g = z.aztec_diamond(2)
+        monkeypatch.setattr(
+            structure, "_lift_kernel",
+            lambda basis, rows, p: [[Fraction(1)] + [Fraction(0)] * (len(rows[0]) - 1)],
+        )
+        with pytest.raises(ArithmeticError, match="A X = 0"):
+            z.has_sap(z.adjacency_matrix(g), g)
 
     def test_lift_path_matches_rational_path(self, corpus, monkeypatch):
         # the matrices of test_violation_dim_matches_definition
@@ -203,7 +214,7 @@ class TestSap:
         assert not rep.has_sap and rep.violation_dim == 12
         x = rep.sample_violation
         assert any(e for row in x.data for e in row)
-        assert all(not e for row in a.matmul(x).data for e in row)
+        assert all(not e for row in matmul(a.data, x.data) for e in row)
 
     def test_violation_dim_matches_definition(self, corpus):
         rng = random.Random(8)
