@@ -154,8 +154,8 @@ class QuadRational:
         return complex(self.a) + complex(self.b) * w
 
     def __repr__(self):
-        g = "i" if self.kind == "i" else "w"
-        return f"({self.a}+{self.b}{g})"
+        sign = "-" if self.b < 0 else "+"
+        return f"({self.a}{sign}{abs(self.b)}{self.kind})"
 
 
 def root_of_unity(k):
@@ -278,10 +278,7 @@ def _echelon(matrix):
     """
     kind = matrix.domain.kind
     if kind == "Q":
-        rows = []
-        for row in matrix.data:
-            lcm = math.lcm(*(x.denominator for x in row))
-            rows.append([x.numerator * (lcm // x.denominator) for x in row])
+        rows = [_integral(row) for row in matrix.data]
     else:
         rows = [list(row) for row in matrix.data]
     p = matrix.domain.p
@@ -318,6 +315,12 @@ def _echelon(matrix):
         if rank + 1 == n_rows:
             break
     return rows[: len(pivots)], pivots
+
+
+def _integral(vec):
+    """A rational vector scaled by the lcm of its denominators, as ints."""
+    lcm = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (lcm // x.denominator) for x in vec]
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +364,13 @@ def parse_matrix(text):
     if not lines:
         raise ValueError('empty matrix text; expected a header "rows cols domain"')
     head = lines[0].split()
+    bad_header = f'malformed header {lines[0]!r}; expected "rows cols domain"'
     if len(head) != 3:
-        raise ValueError(f'malformed header {lines[0]!r}; expected "rows cols domain"')
-    rows, cols, dom = int(head[0]), int(head[1]), head[2]
+        raise ValueError(bad_header)
+    try:
+        rows, cols, dom = int(head[0]), int(head[1]), head[2]
+    except ValueError:
+        raise ValueError(bad_header) from None
     if dom != "Q":
         raise ValueError(f'domain {dom!r}: the matrix must be rational ("Q")')
     try:

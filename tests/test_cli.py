@@ -74,6 +74,26 @@ class TestCommands:
         code, obj = run(capsys, "sap", "--graph", "cart:cycle:8+path:3")
         assert code == 0 and obj["has_sap"]
 
+    def test_sap_sample_pinned(self, capsys):
+        # the violation whose last nonzero non-edge coordinate comes first
+        assert cli.main(["sap", "--graph", "aztec:2"]) == 0
+        assert capsys.readouterr().out == (
+            '{"has_sap": false, "violation_dim": 2, "sample_violation": ['
+            '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"], '
+            '["0", "0", "0", "0", "0", "1", "0", "0", "-1", "0", "1", "0"], '
+            '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"], '
+            '["0", "0", "0", "0", "0", "-1", "0", "0", "1", "0", "-1", "0"], '
+            '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"], '
+            '["0", "1", "0", "-1", "0", "0", "1", "0", "0", "0", "0", "0"], '
+            '["0", "0", "0", "0", "0", "1", "0", "0", "-1", "0", "1", "0"], '
+            '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"], '
+            '["0", "-1", "0", "1", "0", "0", "-1", "0", "0", "0", "0", "0"], '
+            '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"], '
+            '["0", "1", "0", "-1", "0", "0", "1", "0", "0", "0", "0", "0"], '
+            '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"]'
+            ']}\n'
+        )
+
     def test_equitable_refine(self, capsys):
         code, obj = run(capsys, "equitable", "refine", "--graph", "path:3")
         assert code == 0 and obj["blocks"] == [[0, 2], [1]]
@@ -105,8 +125,8 @@ class TestCommands:
                 '{"orbit_size": 3, "exact": true, "transversals": '
                 '[[0, 1], [2, 3], [4, 5]], "blocks": '
                 '[[["(0+0w)", "(2+0w)"], ["(2+0w)", "(0+0w)"]], '
-                '[["(0+0w)", "(0+-1w)"], ["(1+1w)", "(0+0w)"]], '
-                '[["(0+0w)", "(1+1w)"], ["(0+-1w)", "(0+0w)"]]], "block_spectra": '
+                '[["(0+0w)", "(0-1w)"], ["(1+1w)", "(0+0w)"]], '
+                '[["(0+0w)", "(1+1w)"], ["(0-1w)", "(0+0w)"]]], "block_spectra": '
             ),
         }
         for perm, head in pinned.items():
@@ -118,7 +138,7 @@ class TestCommands:
         assert (
             '[[["(0+0i)", "(1+0i)", "(2+0i)"], ["(1+0i)", "(1+0i)", "(1+0i)"], '
             '["(2+0i)", "(1+0i)", "(0+0i)"]], '
-            '[["(0+0i)", "(1+0i)", "(-1+-1i)"], ["(1+0i)", "(-1+0i)", "(1+0i)"], '
+            '[["(0+0i)", "(1+0i)", "(-1-1i)"], ["(1+0i)", "(-1+0i)", "(1+0i)"], '
             '["(-1+1i)", "(1+0i)", "(0+0i)"]], '
         ) in capsys.readouterr().out
 
@@ -193,6 +213,8 @@ class TestCommands:
              "empty matrix text"),
             (["sap", "--graph", "path:3", "--matrix", "{tmp}/short.txt"],
              "malformed header '3 3'"),
+            (["sap", "--graph", "path:2", "--matrix", "{tmp}/float-header.txt"],
+             "malformed header '2.5 2 Q'; expected \"rows cols domain\""),
             (["sap", "--graph", "path:2", "--matrix", "{tmp}/long.txt"],
              "entry count mismatch"),
             (["sap", "--graph", "path:2", "--matrix", "{tmp}/gf.txt"],
@@ -240,18 +262,19 @@ class TestCommands:
             (["kappa", "--graph", "{tmp}/edge-triple.json"], "malformed JSON graph"),
         ],
         ids=["missing-step", "missing-order", "missing-file", "empty-matrix",
-             "short-header", "extra-rows", "matrix-gf", "matrix-qi",
-             "matrix-zero-den", "transversal-range", "cert-object", "cert-number",
-             "cert-move-shape", "cert-move-value", "cert-float-vertex",
-             "cert-float-count", "cert-bool-k", "cert-count-guard",
-             "cert-missing-v", "partition-list", "partition-blocks",
-             "partition-bool", "kbip-pair", "ecg-pair", "petersen-pair",
-             "non-integer", "json-edges", "json-n-string", "json-n-float",
-             "json-n-bool", "json-edge-triple"],
+             "short-header", "matrix-float-header", "extra-rows", "matrix-gf",
+             "matrix-qi", "matrix-zero-den", "transversal-range", "cert-object",
+             "cert-number", "cert-move-shape", "cert-move-value",
+             "cert-float-vertex", "cert-float-count", "cert-bool-k",
+             "cert-count-guard", "cert-missing-v", "partition-list",
+             "partition-blocks", "partition-bool", "kbip-pair", "ecg-pair",
+             "petersen-pair", "non-integer", "json-edges", "json-n-string",
+             "json-n-float", "json-n-bool", "json-edge-triple"],
     )
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, message):
         (tmp_path / "empty.txt").write_text("\n")
         (tmp_path / "short.txt").write_text("3 3\n0 1 0\n1 0 1\n0 1 0\n")
+        (tmp_path / "float-header.txt").write_text("2.5 2 Q\n0 1\n1 0\n")
         (tmp_path / "long.txt").write_text("2 2 Q\n0 1\n1 0\n1 1\n")
         (tmp_path / "gf.txt").write_text("2 2 GF(7)\n0 1\n1 0\n")
         (tmp_path / "qi.txt").write_text("2 2 QI\n0 1\n1 0\n")

@@ -7,7 +7,6 @@ import zflab as z
 from oracles import induced_subgraph, matmul, naive_rational_rank
 from paper import circulant_kappa_deficient
 from zflab import structure
-from zflab.structure import SAP_PRIME
 
 
 class TestVertexConnectivity:
@@ -143,69 +142,30 @@ class TestSap:
         rep = z.has_sap(a, g)
         assert rep.has_sap
 
-    def test_deficient_only_mod_p(self, monkeypatch):
-        # the one unknown x_02 has coefficients a_i0 and a_i2, each 0 or
-        # SAP_PRIME, so its column vanishes mod p but not over Q
-        p = SAP_PRIME
-        g = z.path_graph(3)
-        a = z.ExactMatrix(z.QQ, [[0, p, 0], [p, 1, p], [0, p, 0]])
-        calls = _spy_nullspace(monkeypatch)
-        rep = z.has_sap(a, g)
-        assert rep.has_sap and rep.violation_dim == 0
-        assert rep.sample_violation is None
-        # the modular kernel vector e_0 lifts to 1 but fails the integer
-        # check, since the column is p over Z, so the rational path runs
-        assert calls == [z.prime_field(p), z.QQ]
-        # full rank mod p settles an ordinary matrix with no rational work
-        calls.clear()
-        assert z.has_sap(z.adjacency_matrix(g), g).has_sap
-        assert calls == [z.prime_field(p)]
-
-    def test_fallback_when_lift_fails(self, monkeypatch):
-        # D A D with D the diagonal of 12 distinct primes above 1000 scales
-        # the kernel entries past the reconstruction bound isqrt(p // 2)
-        g = z.aztec_diamond(2)
-        d = [1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069]
-        assert g.n == len(d)
-        a = z.adjacency_matrix(g)
-        m = z.ExactMatrix(z.QQ, [[d[i] * a.entry(i, j) * d[j] for j in range(g.n)]
-                                 for i in range(g.n)])
-        calls = _spy_nullspace(monkeypatch)
-        rep = z.has_sap(m, g)
-        assert calls == [z.prime_field(SAP_PRIME), z.QQ]
-        assert rep.violation_dim == _violation_dim(m, g) == 2
-        assert not rep.has_sap
-        x = rep.sample_violation
-        assert all(not e for row in matmul(m.data, x.data) for e in row)
-
     def test_sample_check_rejects_a_non_violation(self, monkeypatch):
-        # a "kernel" vector that is the first unknown alone: its X does not
-        # satisfy A X = 0, and the independent replay of the sample says so
+        # an echelon form whose last row is the last non-edge alone: its X
+        # does not satisfy A X = 0, and the independent replay says so
         g = z.aztec_diamond(2)
         monkeypatch.setattr(
-            structure, "_lift_kernel",
-            lambda basis, rows, p: [[Fraction(1)] + [Fraction(0)] * (len(rows[0]) - 1)],
+            structure, "_echelon", lambda m: ([[1] + [0] * (m.cols - 1)], [0])
         )
         with pytest.raises(ArithmeticError, match="A X = 0"):
             z.has_sap(z.adjacency_matrix(g), g)
 
-    def test_lift_path_matches_rational_path(self, corpus, monkeypatch):
-        # the matrices of test_violation_dim_matches_definition
-        rng = random.Random(8)
-        cases = [(m, g) for g in corpus[:25] for m in _sap_matrices(g, rng)]
-        cases += [(z.adjacency_matrix(g), g)
-                  for g in (z.aztec_diamond(2), z.aztec_diamond(3))]
-        lifted = [z.has_sap(m, g) for m, g in cases]
-        monkeypatch.setattr(structure, "_lift_kernel", lambda *args: None)
-        assert [z.has_sap(m, g) for m, g in cases] == lifted
-        assert sum(not rep.has_sap for rep in lifted) > 2
-
-    def test_aztec_3_needs_no_rational_elimination(self, monkeypatch):
-        g = z.aztec_diamond(3)
-        calls = _spy_nullspace(monkeypatch)
+    def test_nonsingular_needs_no_system(self):
+        g = z.cartesian_product(z.cycle_graph(7), z.cycle_graph(7))
         rep = z.has_sap(z.adjacency_matrix(g), g)
-        assert rep.violation_dim == 6
-        assert calls == [z.prime_field(SAP_PRIME)]
+        assert rep == z.SapReport(True, 0, None)
+
+    @pytest.mark.parametrize("order, dim", [(3, 6), (5, 20)])
+    def test_aztec_violation_dim(self, order, dim):
+        g = z.aztec_diamond(order)
+        a = z.adjacency_matrix(g)
+        rep = z.has_sap(a, g)
+        assert not rep.has_sap and rep.violation_dim == dim
+        x = rep.sample_violation
+        assert any(e for row in x.data for e in row)
+        assert all(not e for row in matmul(a.data, x.data) for e in row)
 
     def test_aztec_4(self):
         g = z.aztec_diamond(4)
@@ -218,6 +178,7 @@ class TestSap:
 
     def test_violation_dim_matches_definition(self, corpus):
         rng = random.Random(8)
+        violations = 0
         for g in corpus[:25]:
             dims = []
             for m in _sap_matrices(g, rng):
@@ -225,7 +186,18 @@ class TestSap:
                 assert rep.violation_dim == _violation_dim(m, g)
                 assert rep.has_sap == (rep.violation_dim == 0)
                 dims.append(rep.violation_dim)
+                violations += not rep.has_sap
             assert dims[0] == dims[1]
+        assert violations > 2
+        for m, g, dim in _fixed_sap_matrices():
+            rep = z.has_sap(m, g)
+            assert rep.violation_dim == _violation_dim(m, g) == dim
+            assert rep.has_sap == (dim == 0)
+            if dim:
+                x = rep.sample_violation
+                assert all(not e for row in matmul(m.data, x.data) for e in row)
+            else:
+                assert rep.sample_violation is None
 
 
 def _sap_matrices(g, rng):
@@ -247,17 +219,35 @@ def _sap_matrices(g, rng):
     return a, z.ExactMatrix(z.QQ, scaled), z.ExactMatrix(z.QQ, generic)
 
 
-def _spy_nullspace(monkeypatch):
-    """Record the domain of every nullspace_basis call."""
-    calls = []
-    nullspace_basis = z.ExactMatrix.nullspace_basis
-
-    def spy(m):
-        calls.append(m.domain)
-        return nullspace_basis(m)
-
-    monkeypatch.setattr(z.ExactMatrix, "nullspace_basis", spy)
-    return calls
+def _fixed_sap_matrices():
+    """Matrices, graphs and violation dimensions:
+    - on P3, [[0, p, 0], [p, 1, p], [0, p, 0]] with p = 1,000,003: the one
+      non-edge unknown x_02 has coefficients 0 or p, a column that vanishes
+      mod p but not over Q;
+    - on the order-2 diamond, D A D with D the diagonal of 12 distinct
+      primes above 1000;
+    - the Gram matrix of seven vectors in Q^3 (nullity 4) on its own
+      pattern, whose dimension is right only when the equation of edge ij
+      gives S_st (s < t) both products u_is u_jt and u_it u_js.
+    """
+    p = 1_000_003
+    path = z.path_graph(3)
+    g = z.aztec_diamond(2)
+    d = [1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069]
+    assert g.n == len(d)
+    a = z.adjacency_matrix(g)
+    scaled = [[d[i] * a.entry(i, j) * d[j] for j in range(g.n)] for i in range(g.n)]
+    vs = [(1, 0, 1), (0, 1, -1), (1, 0, 0), (0, -1, 0), (0, 0, 0), (2, 0, -1),
+          (0, 2, 0)]
+    gram = [[sum(x * y for x, y in zip(v, w)) for w in vs] for v in vs]
+    gram_graph = z.Graph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)
+                             if gram[i][j]])
+    return [
+        (z.ExactMatrix(z.QQ, [[0, p, 0], [p, 1, p], [0, p, 0]]), path, 0),
+        (z.adjacency_matrix(path), path, 0),
+        (z.ExactMatrix(z.QQ, scaled), g, 2),
+        (z.ExactMatrix(z.QQ, gram), gram_graph, 4),
+    ]
 
 
 def _violation_dim(a, g):
