@@ -142,6 +142,35 @@ class TestSap:
         rep = z.has_sap(a, g)
         assert rep.has_sap
 
+    def test_deficient_only_mod_p(self):
+        # the one non-edge unknown x_02 has coefficients a_i0 and a_i2, each
+        # 0 or p, so its column vanishes mod p but not over Q
+        p = 1_000_003
+        g = z.path_graph(3)
+        a = z.ExactMatrix(z.QQ, [[0, p, 0], [p, 1, p], [0, p, 0]])
+        rep = z.has_sap(a, g)
+        assert _violation_dim(a, g) == 0
+        assert rep.has_sap and rep.violation_dim == 0
+        assert rep.sample_violation is None
+        assert z.has_sap(z.adjacency_matrix(g), g).has_sap
+
+    def test_fallback_when_lift_fails(self):
+        # D A D with D the diagonal of 12 distinct primes above 1000: the
+        # kernel entries are products of these primes, past isqrt(p // 2)
+        # for p near 10^6, so no small-prime shortcut can stand in for Q
+        g = z.aztec_diamond(2)
+        d = [1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069]
+        assert g.n == len(d)
+        a = z.adjacency_matrix(g)
+        m = z.ExactMatrix(z.QQ, [[d[i] * a.entry(i, j) * d[j] for j in range(g.n)]
+                                 for i in range(g.n)])
+        rep = z.has_sap(m, g)
+        assert rep.violation_dim == _violation_dim(m, g) == 2
+        assert not rep.has_sap
+        x = rep.sample_violation
+        assert any(e for row in x.data for e in row)
+        assert all(not e for row in matmul(m.data, x.data) for e in row)
+
     def test_sample_check_rejects_a_non_violation(self, monkeypatch):
         # an echelon form whose last row is the last non-edge alone: its X
         # does not satisfy A X = 0, and the independent replay says so
@@ -189,15 +218,12 @@ class TestSap:
                 violations += not rep.has_sap
             assert dims[0] == dims[1]
         assert violations > 2
-        for m, g, dim in _fixed_sap_matrices():
-            rep = z.has_sap(m, g)
-            assert rep.violation_dim == _violation_dim(m, g) == dim
-            assert rep.has_sap == (dim == 0)
-            if dim:
-                x = rep.sample_violation
-                assert all(not e for row in matmul(m.data, x.data) for e in row)
-            else:
-                assert rep.sample_violation is None
+        m, g = _gram_sap_matrix()
+        rep = z.has_sap(m, g)
+        assert rep.violation_dim == _violation_dim(m, g) == 4
+        assert not rep.has_sap
+        x = rep.sample_violation
+        assert all(not e for row in matmul(m.data, x.data) for e in row)
 
 
 def _sap_matrices(g, rng):
@@ -219,35 +245,16 @@ def _sap_matrices(g, rng):
     return a, z.ExactMatrix(z.QQ, scaled), z.ExactMatrix(z.QQ, generic)
 
 
-def _fixed_sap_matrices():
-    """Matrices, graphs and violation dimensions:
-    - on P3, [[0, p, 0], [p, 1, p], [0, p, 0]] with p = 1,000,003: the one
-      non-edge unknown x_02 has coefficients 0 or p, a column that vanishes
-      mod p but not over Q;
-    - on the order-2 diamond, D A D with D the diagonal of 12 distinct
-      primes above 1000;
-    - the Gram matrix of seven vectors in Q^3 (nullity 4) on its own
-      pattern, whose dimension is right only when the equation of edge ij
-      gives S_st (s < t) both products u_is u_jt and u_it u_js.
-    """
-    p = 1_000_003
-    path = z.path_graph(3)
-    g = z.aztec_diamond(2)
-    d = [1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069]
-    assert g.n == len(d)
-    a = z.adjacency_matrix(g)
-    scaled = [[d[i] * a.entry(i, j) * d[j] for j in range(g.n)] for i in range(g.n)]
+def _gram_sap_matrix():
+    """The Gram matrix of seven vectors in Q^3 (nullity 4) and its own
+    pattern; its violation dimension, 4, is right only when the equation of
+    edge ij gives S_st (s < t) both products u_is u_jt and u_it u_js."""
     vs = [(1, 0, 1), (0, 1, -1), (1, 0, 0), (0, -1, 0), (0, 0, 0), (2, 0, -1),
           (0, 2, 0)]
     gram = [[sum(x * y for x, y in zip(v, w)) for w in vs] for v in vs]
     gram_graph = z.Graph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)
                              if gram[i][j]])
-    return [
-        (z.ExactMatrix(z.QQ, [[0, p, 0], [p, 1, p], [0, p, 0]]), path, 0),
-        (z.adjacency_matrix(path), path, 0),
-        (z.ExactMatrix(z.QQ, scaled), g, 2),
-        (z.ExactMatrix(z.QQ, gram), gram_graph, 4),
-    ]
+    return z.ExactMatrix(z.QQ, gram), gram_graph
 
 
 def _violation_dim(a, g):
