@@ -1,13 +1,15 @@
 """The field-independence certification pipeline and assembled reports.
 
 The pipeline rests on two facts: the nullity of A(G) - lambda*I over any
-field is at most Z(G), and reducing an integer matrix mod p can only lower
-its rank. So when the rational nullity nu of A - lambda*I admits a zero
-forcing set of size nu, the whole chain collapses: Z = nu, the nullity over
-every GF(p) is nu as well, and A - lambda*I attains the minimum rank over
-every field. The forcing search takes nu as its floor and stops at a forcing
-set of size nu. A disagreement over some prime would contradict the chain;
-computing the modular nullities anyway guards the implementation.
+field is at most M(F,G) <= Z(G), and reducing an integer matrix mod p can
+only lower its rank. `certify`, `report` and `conjecture` are views of one
+sandwich: the nullities of A - lambda*I over Q and each GF(p) at the shifts
+the verb asks for, and one forcing search floored at the largest rational
+nullity nu, which stops at a forcing set of size nu. When one exists the
+whole chain collapses: Z = nu, the nullity over every GF(p) is nu as well,
+and A - lambda*I attains the minimum rank over every field. A nullity above
+Z contradicts the chain; the search is then rerun without a floor, and every
+view reports the contradiction as a chain violation.
 
 For GF(2) the minimum rank over all matrices with the graph's off-diagonal
 pattern is exact: off-diagonal entries are forced (the only nonzero element
@@ -30,7 +32,6 @@ from .structure import has_sap, min_degree, vertex_connectivity
 PRIMES = (2, 3, 5)  # the prime fields certify and the harness check
 REPORT_SHIFTS = (-2, -1, 0, 1, 2)  # the shifts lambda parameter_report tries
 GF2_ORDER_CAP = 24  # largest order the GF(2) minimum rank search accepts
-HARNESS_ORDER_CAP = 120  # conjecture instances beyond this order are skipped
 
 
 @dataclass(frozen=True)
@@ -56,25 +57,35 @@ class CertifyVerdict:
         }
 
 
-def nullity_over(g, lam, domain):
-    return adjacency_matrix(g, lam, domain).rank_nullity()[1]
+def _sandwich(g, shifts, primes=()):
+    """(nullities of A - lambda*I over Q by shift, over GF(p) by shift and
+    prime, Z search floored at the largest rational nullity). A floor the
+    search refutes is a nullity above Z, a contradiction of the chain, so
+    the search runs again unfloored for the views to report it."""
+    def nullity(lam, domain):
+        return adjacency_matrix(g, lam, domain).rank_nullity()[1]
+
+    nulls_q = {lam: nullity(lam, QQ) for lam in shifts}
+    nulls_p = {lam: {p: nullity(lam, prime_field(p)) for p in primes} for lam in shifts}
+    try:
+        zf = zero_forcing_number(g, floor=max(nulls_q.values()))
+    except ValueError:  # the floor is not a lower bound: a nullity exceeds Z
+        zf = zero_forcing_number(g)
+    return nulls_q, nulls_p, zf
 
 
 def certify_universal_optimality(g, lam=0, primes=PRIMES, graph_id="G"):
     """Certified verdict that Z(G) equals the nullity of A - lambda*I over
     the rationals and over each requested prime field.
 
-    The rational nullity nu is a proven lower bound for Z, so the forcing
-    search stops as soon as it finds a forcing set of size nu; failing that,
-    it computes the exact Z and the verdict is negative (which is
+    A rational nullity below Z makes the verdict negative, which is
     inconclusive about field independence in general: only the tested shift
-    and primes are refuted).
+    and primes are refuted. A nullity above Z is a chain violation.
     """
     if not primes:
         raise ValueError("need at least one prime")
-    nu_q = nullity_over(g, lam, QQ)
-    nulls_p = {p: nullity_over(g, lam, prime_field(p)) for p in primes}
-    res = zero_forcing_number(g, floor=nu_q)
+    nulls_q, nulls_p, res = _sandwich(g, (lam,), primes)
+    nu_q, nulls_p = nulls_q[lam], nulls_p[lam]
     if not res.is_exact:
         raise ValueError(
             f"the forcing search used its budget of {forcing.STATE_BUDGET} states; "
@@ -89,11 +100,11 @@ def certify_universal_optimality(g, lam=0, primes=PRIMES, graph_id="G"):
         claims.append(
             f"A(G) - {lam}*I is universally optimal; minimum rank is field independent"
         )
-    elif nu_q != z:
+    elif nu_q < z:
         reason = f"nullity_Q {nu_q} != Z {z} (inconclusive for other shifts/matrices)"
     else:
-        bad = {p: v for p, v in nulls_p.items() if v != z}
-        reason = f"modular nullity disagrees at {bad} (chain violation: check implementation)"
+        bad = {f: v for f, v in (("Q", nu_q), *nulls_p.items()) if v != z}
+        reason = f"nullity disagrees with Z at {bad} (chain violation: check implementation)"
     return CertifyVerdict(
         graph_id, lam, z, nu_q, nulls_p, certified, reason, tuple(claims)
     )
@@ -107,8 +118,6 @@ def certify_universal_optimality(g, lam=0, primes=PRIMES, graph_id="G"):
 class Gf2MinRank:
     min_rank: int
     witness_diagonal: tuple
-    target_rank: int | None = None
-    target_attained: bool | None = None
     nodes_examined: int = 0  # diagonal prefixes whose rank was computed
 
 
@@ -162,13 +171,12 @@ def _gf2_min_rank(base, floor):
     return best, best_diag, nodes
 
 
-def min_rank_gf2_exhaustive(g, target_rank=None):
+def min_rank_gf2_exhaustive(g):
     """Exact minimum rank over the GF(2) matrices with the graph's
     off-diagonal pattern (the 2^n free diagonals), by branch and bound
-    down to the floor n - |greedy zero forcing set| <= n - Z <= mr.
-    Returns the least witness diagonal and, when asked, whether some
-    diagonal attains target_rank, which holds exactly when
-    min <= target_rank <= n. One flipped diagonal bit moves the rank by at
+    down to the floor n - |greedy zero forcing set| <= n - Z <= mr, with
+    the least witness diagonal. Some diagonal attains rank t exactly when
+    min <= t <= n. One flipped diagonal bit moves the rank by at
     most 1 and single flips connect all diagonals, so the attained ranks
     form an interval; it ends at n because det(A + D) is multilinear in the
     diagonal bits with coefficient 1 on their product (only the identity
@@ -185,8 +193,6 @@ def min_rank_gf2_exhaustive(g, target_rank=None):
     return Gf2MinRank(
         best,
         tuple((best_diag >> i) & 1 for i in range(n)),
-        target_rank,
-        None if target_rank is None else best <= target_rank <= n,
         nodes,
     )
 
@@ -208,7 +214,7 @@ class ParameterReport:
     best_lower_source: str
 
     def chain_consistent(self):
-        z = self.zf.zf_number if self.zf.is_exact else self.zf.upper_bound
+        z = self.zf.zf_number  # the upper bound when the search is inexact
         if self.kappa > z:
             return False
         return all(nu <= z for nu in self.nullities_q.values())
@@ -230,12 +236,12 @@ class ParameterReport:
 
 
 def parameter_report(g, graph_id="G"):
-    """Populated parameter table. A contradiction of the recorded chain
-    kappa, nullities <= Z is reported, not raised: chain_consistent() is
-    False and `zflab report` exits 1."""
-    nulls = {lam: nullity_over(g, lam, QQ) for lam in REPORT_SHIFTS}
+    """Populated parameter table, with Z floored at the rational nullities.
+    A contradiction of the recorded chain kappa, nullities <= Z is
+    reported, not raised: chain_consistent() is False and `zflab report`
+    exits 1."""
+    nulls, _, zf = _sandwich(g, REPORT_SHIFTS)
     kw = vertex_connectivity(g)
-    zf = zero_forcing_number(g)
     sap = has_sap(adjacency_matrix(g, 0, QQ), g).has_sap
     best_lam = max(nulls, key=lambda lam: (nulls[lam], -abs(lam)))
     if kw.kappa >= nulls[best_lam]:
@@ -264,11 +270,22 @@ def parameter_report(g, graph_id="G"):
 class HarnessRow:
     instance: str
     n: int
-    nullity_q: int | None
+    nullity_q: int
     z_number: int | None
     nullities_mod_p: dict
     conjectured: int
     status: str  # "pass" | "fail" | "skipped"
+
+    def to_json_obj(self):
+        return {
+            "instance": self.instance,
+            "n": self.n,
+            "nullity_Q": self.nullity_q,
+            "Z": self.z_number,
+            "nullities_mod_p": {str(p): v for p, v in self.nullities_mod_p.items()},
+            "conjectured": self.conjectured,
+            "status": self.status,
+        }
 
 
 def conjecture_harness(family, **ranges):
@@ -277,52 +294,34 @@ def conjecture_harness(family, **ranges):
     family "circ_l": circulants on (l^2 - 1)k vertices with connection set
     {1, l}, conjectured nullity = Z = 2l (ranges: l_values, k_values).
     family "ecg_tr": widened cubes ECG(t, 6r - t - 4), conjectured
-    nullity = Z = 4 (ranges: t_values, r_values). Instances on more than
-    HARNESS_ORDER_CAP vertices, or whose forcing search runs out of its
-    budget, are reported as skipped, never asserted.
+    nullity = Z = 4 (ranges: t_values, r_values). There is no order cap:
+    an instance whose forcing search runs out of its budget is reported as
+    skipped, never asserted, and a nullity above Z fails its row.
     """
     from .graphs import circulant, extended_cube
 
-    rows = []
     if family == "circ_l":
-        for ell in ranges["l_values"]:
-            for k in ranges["k_values"]:
-                n = (ell * ell - 1) * k
-                name = f"Circ[{n},{{1,{ell}}}]"
-                conj = 2 * ell
-                if n > HARNESS_ORDER_CAP:
-                    rows.append(HarnessRow(name, n, None, None, {}, conj, "skipped"))
-                    continue
-                g = circulant(n, {1, ell})
-                rows.append(_harness_row(g, name, conj))
+        instances = [
+            (f"Circ[{n},{{1,{ell}}}]", circulant(n, {1, ell}), 2 * ell)
+            for ell in ranges["l_values"]
+            for n in ((ell * ell - 1) * k for k in ranges["k_values"])
+        ]
     elif family == "ecg_tr":
-        for t in ranges["t_values"]:
-            for r in ranges["r_values"]:
-                k = 6 * r - t - 4
-                if k < t:
-                    continue
-                n = 8 + 2 * (t + k)
-                name = f"ECG({t},{k})"
-                if n > HARNESS_ORDER_CAP:
-                    rows.append(HarnessRow(name, n, None, None, {}, 4, "skipped"))
-                    continue
-                g = extended_cube(t, k)
-                rows.append(_harness_row(g, name, 4))
+        instances = [
+            (f"ECG({t},{k})", extended_cube(t, k), 4)
+            for t in ranges["t_values"]
+            for k in (6 * r - t - 4 for r in ranges["r_values"])
+            if k >= t
+        ]
     else:
         raise ValueError(f"unknown family {family!r}")
-    return rows
+    return [_harness_row(g, name, conj) for name, g, conj in instances]
 
 
 def _harness_row(g, name, conjectured):
-    nu = nullity_over(g, 0, QQ)
-    nulls_p = {p: nullity_over(g, 0, prime_field(p)) for p in PRIMES}
-    try:
-        res = zero_forcing_number(g, floor=nu)
-    except ValueError:
-        # the floor nu exceeds Z, which contradicts nu <= M <= Z
-        return HarnessRow(name, g.n, nu, None, nulls_p, conjectured, "fail")
-    if not res.is_exact:
-        return HarnessRow(name, g.n, nu, None, nulls_p, conjectured, "skipped")
-    z = res.zf_number
-    ok = nu == conjectured == z and all(v == conjectured for v in nulls_p.values())
-    return HarnessRow(name, g.n, nu, z, nulls_p, conjectured, "pass" if ok else "fail")
+    nulls_q, nulls_p, res = _sandwich(g, (0,), PRIMES)
+    nu, nulls_p = nulls_q[0], nulls_p[0]
+    z = res.zf_number if res.is_exact else None
+    ok = nu == conjectured == z and all(v == z for v in nulls_p.values())
+    status = "skipped" if z is None else "pass" if ok else "fail"
+    return HarnessRow(name, g.n, nu, z, nulls_p, conjectured, status)

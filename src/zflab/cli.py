@@ -229,7 +229,12 @@ def _cmd_decompose(args):
 
 def _cmd_certify(args):
     g = parse_graph_spec(args.graph)
-    primes = tuple(int(p) for p in args.primes.split(","))
+    try:
+        primes = tuple(int(p) for p in args.primes.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--primes must be comma-separated primes, got {args.primes!r}"
+        ) from None
     verdict = _certify.certify_universal_optimality(
         g, args.lam, primes, graph_id=args.graph
     )
@@ -252,15 +257,15 @@ def _cmd_certify(args):
 
 def _cmd_mr2(args):
     g = parse_graph_spec(args.graph)
-    res = _certify.min_rank_gf2_exhaustive(g, target_rank=args.target_rank)
+    res = _certify.min_rank_gf2_exhaustive(g)
     out = {"min_rank_gf2": res.min_rank, "witness_diagonal": list(res.witness_diagonal)}
+    attained = True
     if args.target_rank is not None:
-        out["target_rank"] = args.target_rank
-        out["target_attained"] = res.target_attained
+        # the attained ranks form the interval [min, n]
+        attained = res.min_rank <= args.target_rank <= g.n
+        out.update(target_rank=args.target_rank, target_attained=attained)
     _emit(out, args)
-    if args.target_rank is not None and not res.target_attained:
-        return 1
-    return 0
+    return 0 if attained else 1
 
 
 def _cmd_report(args):
@@ -284,35 +289,9 @@ def _cmd_conjecture(args):
         ranges["t_values"] = tuple(range(0, args.tmax + 1))
         ranges["r_values"] = tuple(range(1, args.rmax + 1))
     rows = _certify.conjecture_harness(args.family, **ranges)
-    _emit(
-        [
-            {
-                "instance": r.instance,
-                "n": r.n,
-                "nullity_Q": r.nullity_q,
-                "Z": r.z_number,
-                "nullities_mod_p": {str(p): v for p, v in r.nullities_mod_p.items()},
-                "conjectured": r.conjectured,
-                "status": r.status,
-            }
-            for r in rows
-        ],
-        args,
-    )
-    _emit_table(
-        [
-            {
-                "instance": r.instance,
-                "n": r.n,
-                "null_Q": r.nullity_q,
-                "Z": r.z_number,
-                "conjectured": r.conjectured,
-                "status": r.status,
-            }
-            for r in rows
-        ],
-        args,
-    )
+    objs = [r.to_json_obj() for r in rows]
+    _emit(objs, args)
+    _emit_table([{k: v for k, v in o.items() if k != "nullities_mod_p"} for o in objs], args)
     return 0 if all(r.status != "fail" for r in rows) else 1
 
 

@@ -1,9 +1,11 @@
 import itertools
+import json
 
 import pytest
 
 import zflab as z
-from zflab import certify, forcing
+import zflab.cli as cli
+from zflab import certify, forcing, linalg
 from zflab.forcing import ZfResult
 
 from oracles import brute_min_rank_gf2
@@ -81,9 +83,9 @@ class TestGf2MinRank:
         assert res.min_rank == best == 2
 
     def test_c7_p2_no_rank_10(self):
+        # the attained ranks are [min, n], so a minimum of 11 rules out 10
         g = z.cartesian_product(z.cycle_graph(7), z.path_graph(2))
-        res = z.min_rank_gf2_exhaustive(g, target_rank=10)
-        assert res.target_attained is False
+        res = z.min_rank_gf2_exhaustive(g)
         assert res.min_rank == 11
 
     def test_witness_attains(self, corpus):
@@ -115,12 +117,11 @@ class TestGf2MinRank:
         graphs = corpus[:40] + [g for g in families.values() if g.n <= 12]
         for g in graphs:
             best, diag, ranks = brute_min_rank_gf2(g)
-            for t in range(-1, g.n + 2):
-                res = z.min_rank_gf2_exhaustive(g, target_rank=t)
-                assert (res.min_rank, res.witness_diagonal) == (best, diag)
-                assert res.target_attained is (t in ranks)
+            res = z.min_rank_gf2_exhaustive(g)
+            assert (res.min_rank, res.witness_diagonal) == (best, diag)
             # the attained ranks form the interval [min, n]
-            assert ranks == set(range(best, g.n + 1))
+            for t in range(-1, g.n + 2):
+                assert (res.min_rank <= t <= g.n) is (t in ranks)
 
     def test_floor_ends_search(self):
         # C9xP2: the greedy floor 18 - 4 equals the minimum, so the search
@@ -129,17 +130,6 @@ class TestGf2MinRank:
         res = z.min_rank_gf2_exhaustive(g)
         assert res.min_rank == g.n - len(forcing._greedy_upper_bound(g)) == 14
         assert 0 < res.nodes_examined < 1000
-
-    def test_target_needs_no_search(self):
-        # the attained ranks are [min, n], so a target, below the floor or
-        # not, is decided by the minimum and costs no search node
-        g = z.cartesian_product(z.cycle_graph(7), z.path_graph(2))
-        plain = z.min_rank_gf2_exhaustive(g)
-        floor = g.n - len(forcing._greedy_upper_bound(g))
-        for t in (floor - 1, plain.min_rank, plain.min_rank + 1, g.n, g.n + 1):
-            res = z.min_rank_gf2_exhaustive(g, target_rank=t)
-            assert res.target_attained is (plain.min_rank <= t <= g.n)
-            assert res.nodes_examined == plain.nodes_examined
 
     def test_empty_graph(self):
         res = z.min_rank_gf2_exhaustive(z.Graph(0, []))
@@ -194,18 +184,22 @@ class TestConjectureHarness:
         assert byname["ECG(0,8)"].status == "pass"
         assert all(r.status in ("pass", "skipped") for r in rows)
 
-    def test_skip_beyond_cap(self):
-        rows = z.conjecture_harness("circ_l", l_values=(5,), k_values=(1, 6))
+    def test_circ_144_beyond_old_order_cap(self):
+        rows = z.conjecture_harness("circ_l", l_values=(5,), k_values=(6,))
+        assert rows[0].instance == "Circ[144,{1,5}]"
         assert rows[0].status == "pass"
-        assert rows[1].status == "skipped"  # n = 144 exceeds nullity cap
 
-    def test_floor_above_z_fails(self, monkeypatch):
-        def floor_above_z(*args, **kwargs):
-            raise ValueError("asserted lower bound above Z(G)")
-
-        monkeypatch.setattr(certify, "zero_forcing_number", floor_above_z)
+    def test_floor_above_z_fails(self, monkeypatch, capsys):
+        # every nullity reads n = 8 > Z = 6: each verb reports the violation
+        monkeypatch.setattr(
+            linalg.ExactMatrix, "rank_nullity", lambda self: (0, self.cols)
+        )
         rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1,))
-        assert rows[0].status == "fail"
+        assert (rows[0].nullity_q, rows[0].z_number, rows[0].status) == (8, 6, "fail")
+        assert cli.main(["certify", "--graph", "circulant:8:1,3"]) == 1
+        assert "chain violation" in json.loads(capsys.readouterr().out)["verdict"]
+        assert cli.main(["report", "--graph", "circulant:8:1,3"]) == 1
+        monkeypatch.undo()
 
         def out_of_budget(g, floor=0):
             return ZfResult(8, tuple(range(8)), (), is_exact=False,

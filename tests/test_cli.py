@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -191,6 +192,19 @@ class TestCommands:
         assert obj["kappa"] == 9 and obj["Z"] == 4
         assert obj["sandwich"] == "9 <= M(G) <= Z(G) = 4"
 
+    def test_report_floored_at_nullity(self, capsys):
+        # the nullity 14 at shift 0 floors the search, which stops at Z = 14
+        t0 = time.perf_counter()
+        assert cli.main(["report", "--graph", "circulant:48:1,7"]) == 0
+        assert time.perf_counter() - t0 < 2.0
+        assert capsys.readouterr().out == (
+            '{"graph": "circulant:48:1,7", "n": 48, "min_degree": 4, "kappa": 4, '
+            '"nullities_Q": {"-2": 2, "-1": 0, "0": 14, "1": 0, "2": 2}, "Z": 14, '
+            '"Z_exact": true, "sap_of_adjacency": false, "M_lower_bound": 14, '
+            '"M_lower_source": "nullity of A - (0)I", '
+            '"sandwich": "14 <= M(G) <= Z(G) = 14"}\n'
+        )
+
     def test_conjecture(self, capsys):
         code, rows = run(
             capsys, "conjecture", "--family", "circ_l", "--lmax", "3", "--kmax", "2"
@@ -260,6 +274,10 @@ class TestCommands:
             (["kappa", "--graph", "{tmp}/n-float.json"], "malformed JSON graph"),
             (["kappa", "--graph", "{tmp}/n-bool.json"], "malformed JSON graph"),
             (["kappa", "--graph", "{tmp}/edge-triple.json"], "malformed JSON graph"),
+            (["certify", "--graph", "path:3", "--primes", "2,x"],
+             "--primes must be comma-separated primes, got '2,x'"),
+            (["certify", "--graph", "path:3", "--primes", ""],
+             "--primes must be comma-separated primes, got ''"),
         ],
         ids=["missing-step", "missing-order", "missing-file", "empty-matrix",
              "short-header", "matrix-float-header", "extra-rows", "matrix-gf",
@@ -269,7 +287,8 @@ class TestCommands:
              "cert-count-guard", "cert-missing-v", "partition-list",
              "partition-blocks", "partition-bool", "kbip-pair", "ecg-pair",
              "petersen-pair", "non-integer", "json-edges", "json-n-string",
-             "json-n-float", "json-n-bool", "json-edge-triple"],
+             "json-n-float", "json-n-bool", "json-edge-triple", "primes-not-int",
+             "primes-empty"],
     )
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, message):
         (tmp_path / "empty.txt").write_text("\n")
@@ -316,5 +335,7 @@ class TestCommands:
         assert code == 0
         lines = [ln for ln in out.splitlines() if ln.strip()]
         assert lines[0].startswith("[")  # the JSON payload
-        assert any(ln.startswith("instance") for ln in lines)  # the table header
+        # the table header: the JSON keys but nullities_mod_p
+        assert any(ln.split() == ["instance", "n", "nullity_Q", "Z", "conjectured", "status"]
+                   for ln in lines)
         assert any("pass" in ln for ln in lines[1:])

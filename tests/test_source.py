@@ -18,9 +18,8 @@ def test_no_assert_statements():
 
 
 def _definitions(tree):
-    """Public module-level functions, classes and assigned names, and the
-    public methods of module-level classes, each with whether it is a
-    method."""
+    """Module-level functions, classes and assigned names, and the methods
+    of module-level classes, each with whether it is a method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, False
@@ -48,27 +47,38 @@ def _references(tree):
             yield node.name.rpartition(".")[2], False
 
 
-def test_every_public_name_is_referenced():
-    # a public name that no code in the package or the benchmark reads is
-    # surface only tests reach; docstrings, comments, the package's own
-    # re-exports and the tests do not count as callers. A method counts as
-    # read only when some code reads it as an attribute: a local variable of
-    # the same name is not a caller
-    package = Path(zflab.__file__).parent
-    root = Path(__file__).resolve().parent.parent
-    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
-    callers = sources + sorted((root / "bench").glob("*.py"))
+def _unread(sources, callers, keep):
+    """Names defined in sources that keep selects and no caller reads. A
+    method counts as read only when some code reads it as an attribute: a
+    local variable of the same name is not a caller."""
     used, attributes = set(), set()
     for path in callers:
         for name, is_attribute in _references(ast.parse(path.read_text())):
             used.add(name)
             if is_attribute:
                 attributes.add(name)
-    unread = {
+    return sorted(
         name
         for path in sources
         for name, is_method in _definitions(ast.parse(path.read_text()))
-        if not name.startswith("_")
-        and name not in (attributes if is_method else used)
-    }
-    assert sorted(unread) == []
+        if keep(name) and name not in (attributes if is_method else used)
+    )
+
+
+def test_every_public_name_is_referenced():
+    # a public name that no code in the package or the benchmark reads is
+    # surface only tests reach; docstrings, comments, the package's own
+    # re-exports and the tests do not count as callers
+    package = Path(zflab.__file__).parent
+    root = Path(__file__).resolve().parent.parent
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    callers = sources + sorted((root / "bench").glob("*.py"))
+    assert _unread(sources, callers, lambda name: not name.startswith("_")) == []
+
+
+def test_every_private_name_is_referenced():
+    # a private function, class, method or module constant that nothing in
+    # the package reads is an orphaned helper; dunders are exempt
+    sources = sorted(Path(zflab.__file__).parent.glob("*.py"))
+    private = lambda name: name.startswith("_") and not name.endswith("__")
+    assert _unread(sources, sources, private) == []
