@@ -4,12 +4,13 @@ The pipeline rests on two facts: the nullity of A(G) - lambda*I over any
 field is at most M(F,G) <= Z(G), and reducing an integer matrix mod p can
 only lower its rank. `certify`, `report` and `conjecture` are views of one
 sandwich: the nullities of A - lambda*I over Q and each GF(p) at the shifts
-the verb asks for, and one forcing search floored at the largest rational
-nullity nu, which stops at a forcing set of size nu. When one exists the
-whole chain collapses: Z = nu, the nullity over every GF(p) is nu as well,
-and A - lambda*I attains the minimum rank over every field. A nullity above
-Z contradicts the chain; the search is then rerun without a floor, and every
-view reports the contradiction as a chain violation.
+the verb asks for, and one forcing search floored at the largest of these
+nullities, which stops at a forcing set of that size. Each nullity meeting Z
+makes A - lambda*I attain the minimum rank over its field; when the rational
+one does, the whole chain collapses: the nullity over every GF(p) is Z as
+well, and A - lambda*I attains the minimum rank over every field. A nullity
+above Z contradicts the chain; the search is then rerun without a floor, and
+every view reports the contradiction as a chain violation.
 
 For GF(2) the minimum rank over all matrices with the graph's off-diagonal
 pattern is exact: off-diagonal entries are forced (the only nonzero element
@@ -38,7 +39,7 @@ GF2_ORDER_CAP = 24  # largest order the GF(2) minimum rank search accepts
 class CertifyVerdict:
     graph_id: str
     lam: int
-    z_number: int
+    z_number: int | None  # None when the search spent its budget
     nullity_q: int
     nullities_mod_p: dict
     certified: bool
@@ -59,16 +60,18 @@ class CertifyVerdict:
 
 def _sandwich(g, shifts, primes=()):
     """(nullities of A - lambda*I over Q by shift, over GF(p) by shift and
-    prime, Z search floored at the largest rational nullity). A floor the
-    search refutes is a nullity above Z, a contradiction of the chain, so
-    the search runs again unfloored for the views to report it."""
+    prime, Z search floored at the largest of all these nullities). A floor
+    the search refutes is a nullity above Z, a contradiction of the chain,
+    so the search runs again unfloored for the views to report it."""
     def nullity(lam, domain):
         return adjacency_matrix(g, lam, domain).rank_nullity()[1]
 
     nulls_q = {lam: nullity(lam, QQ) for lam in shifts}
     nulls_p = {lam: {p: nullity(lam, prime_field(p)) for p in primes} for lam in shifts}
+    modular = [v for by_p in nulls_p.values() for v in by_p.values()]
+    floor = max([*nulls_q.values(), *modular])
     try:
-        zf = zero_forcing_number(g, floor=max(nulls_q.values()))
+        zf = zero_forcing_number(g, floor=floor)
     except ValueError:  # the floor is not a lower bound: a nullity exceeds Z
         zf = zero_forcing_number(g)
     return nulls_q, nulls_p, zf
@@ -80,31 +83,35 @@ def certify_universal_optimality(g, lam=0, primes=PRIMES, graph_id="G"):
 
     A rational nullity below Z makes the verdict negative, which is
     inconclusive about field independence in general: only the tested shift
-    and primes are refuted. A nullity above Z is a chain violation.
+    and primes are refuted. A nullity above Z, over Q or over any GF(p), is
+    a chain violation. A search that spends its state budget gives bounds on
+    Z and no verdict on Z itself.
     """
     if not primes:
         raise ValueError("need at least one prime")
     nulls_q, nulls_p, res = _sandwich(g, (lam,), primes)
     nu_q, nulls_p = nulls_q[lam], nulls_p[lam]
     if not res.is_exact:
-        raise ValueError(
-            f"the forcing search used its budget of {forcing.STATE_BUDGET} states; "
+        reason = (
+            f"the Z search used its budget of {forcing.STATE_BUDGET} states: "
             f"{res.lower_bound} <= Z <= {res.upper_bound}"
         )
+        return CertifyVerdict(graph_id, lam, None, nu_q, nulls_p, False, reason, ())
     z = res.zf_number
+    nulls = {"Q": nu_q, **nulls_p}
     claims = []
-    certified = nu_q == z and all(v == z for v in nulls_p.values())
+    certified = all(v == z for v in nulls.values())
     reason = None
     if certified:
         claims.append(f"M(F,G) = Z(G) = {z} for all fields F")
         claims.append(
             f"A(G) - {lam}*I is universally optimal; minimum rank is field independent"
         )
-    elif nu_q < z:
-        reason = f"nullity_Q {nu_q} != Z {z} (inconclusive for other shifts/matrices)"
-    else:
-        bad = {f: v for f, v in (("Q", nu_q), *nulls_p.items()) if v != z}
+    elif max(nulls.values()) > z:
+        bad = {f: v for f, v in nulls.items() if v != z}
         reason = f"nullity disagrees with Z at {bad} (chain violation: check implementation)"
+    else:
+        reason = f"nullity_Q {nu_q} != Z {z} (inconclusive for other shifts/matrices)"
     return CertifyVerdict(
         graph_id, lam, z, nu_q, nulls_p, certified, reason, tuple(claims)
     )
@@ -220,6 +227,8 @@ class ParameterReport:
         return all(nu <= z for nu in self.nullities_q.values())
 
     def to_json_obj(self):
+        zf = self.zf
+        z_end = f"Z(G) = {zf.zf_number}" if zf.is_exact else f"Z(G) <= {zf.upper_bound}"
         return {
             "graph": self.graph_id,
             "n": self.n,
@@ -231,7 +240,7 @@ class ParameterReport:
             "sap_of_adjacency": self.sap_of_adjacency,
             "M_lower_bound": self.best_lower_bound,
             "M_lower_source": self.best_lower_source,
-            "sandwich": f"{self.best_lower_bound} <= M(G) <= Z(G) = {self.zf.zf_number}",
+            "sandwich": f"{self.best_lower_bound} <= M(G) <= {z_end}",
         }
 
 

@@ -245,8 +245,8 @@ def _cmd_certify(args):
                 "graph": verdict.graph_id,
                 "lambda": verdict.lam,
                 "Z": verdict.z_number,
-                "null_Q": verdict.nullity_q,
-                **{f"null_{p}": v for p, v in verdict.nullities_mod_p.items()},
+                "nullity_Q": verdict.nullity_q,
+                **{f"nullity_{p}": v for p, v in verdict.nullities_mod_p.items()},
                 "verdict": "Certified" if verdict.certified else "NotCertified",
             }
         ],

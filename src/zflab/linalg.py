@@ -7,13 +7,12 @@ root-of-unity block decomposition builds its entries with; nothing
 eliminates over it.
 
 One elimination kernel, `_echelon`, serves both domains: forward
-elimination to row echelon form with first-nonzero pivoting. Rank is its
-pivot count and the nullspace basis is back-substituted from it. Only the
-row operation depends on the domain: fraction-free (Bareiss) on integer rows
-over the rationals, a normalized pivot row over GF(p). Floating-point
-spectra of real symmetric / complex Hermitian matrices come from numpy's
-eigvalsh, as descending tuples of floats; callers compare them with their
-own tolerance.
+elimination to row echelon form with first-nonzero pivoting and one row
+operation, whose result is reduced mod p over GF(p) and divided by its gcd
+over the rationals. Rank is the pivot count and the nullspace basis is
+back-substituted from the echelon form. Floating-point spectra of real
+symmetric / complex Hermitian matrices come from numpy's eigvalsh, as
+descending tuples of floats; callers compare them with their own tolerance.
 """
 
 from __future__ import annotations
@@ -257,34 +256,30 @@ class ExactMatrix:
                 for j in range(pc + 1, free + 1):
                     if row[j] and vec[j]:
                         s += row[j] * vec[j]
-                # GF(p) pivot rows are normalized to pivot 1
-                vec[pc] = -s % p if p else -s / row[pc]
+                vec[pc] = -s * pow(row[pc], -1, p) % p if p else -s / row[pc]
             basis.append(vec)
         return basis
 
 
 def _echelon(matrix):
     """Row echelon form of an ExactMatrix and its pivot columns, by forward
-    elimination only.
+    elimination with the first nonzero entry of each column as pivot, so the
+    pivot columns are the lexicographically first column basis.
 
-    The pivot of each column is its first nonzero entry at or below the
-    current row, so the pivot columns are the lexicographically first column
-    basis in both domains. Over Q the rows are cleared to integers (row
-    scaling keeps the rank and the right nullspace) and eliminated
-    fraction-free (Bareiss), which keeps intermediate entries polynomially
-    bounded; every row below the pivot must be updated for the exact
-    divisions to hold. Over GF(p) the pivot row is normalized to pivot 1 and
-    only rows with a nonzero entry in the pivot column are touched.
+    One row operation serves both domains, on the rows with a nonzero entry
+    f in the pivot column only: row <- piv * row - f * pivot_row, reduced
+    mod p or, over Q (rows cleared to integers), divided by its gcd. Each
+    rational row stays proportional to its fraction-free (Bareiss) row, so
+    pivots and the ratios nullspace_basis reads agree; the primitive row
+    divides that row of input minors, so entries stay polynomially bounded.
     """
-    kind = matrix.domain.kind
-    if kind == "Q":
-        rows = [_integral(row) for row in matrix.data]
-    else:
-        rows = [list(row) for row in matrix.data]
     p = matrix.domain.p
+    if p:
+        rows = [list(row) for row in matrix.data]
+    else:
+        rows = [_integral(row) for row in matrix.data]
     n_rows, n_cols = len(rows), matrix.cols
     pivots = []
-    prev = 1
     for col in range(n_cols):
         rank = len(pivots)
         pivot_row = None
@@ -295,22 +290,18 @@ def _echelon(matrix):
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        row_p = rows[rank]
-        piv = row_p[col]
-        if kind == "Q":
-            for r in range(rank + 1, n_rows):
-                row_r = rows[r]
-                factor = row_r[col]
-                for c in range(col, n_cols):
-                    row_r[c] = (row_r[c] * piv - factor * row_p[c]) // prev
-            prev = piv
-        else:
-            inv = pow(piv, -1, p)
-            row_p = rows[rank] = [x * inv % p for x in row_p]
-            for r in range(rank + 1, n_rows):
-                f = rows[r][col]
-                if f:
-                    rows[r] = [(x - f * y) % p for x, y in zip(rows[r], row_p)]
+        piv, tail = rows[rank][col], rows[rank][col:]
+        for r in range(rank + 1, n_rows):
+            row = rows[r]
+            f = row[col]
+            if f:  # both rows are zero left of col
+                new = [piv * x - f * y for x, y in zip(row[col:], tail)]
+                if p:
+                    new = [x % p for x in new]
+                else:
+                    g = math.gcd(*new) or 1  # a row that vanished has gcd 0
+                    new = [x // g for x in new]
+                rows[r] = row[:col] + new
         pivots.append(col)
         if rank + 1 == n_rows:
             break

@@ -18,9 +18,8 @@ splitting the integer coefficients by sign gives the X / Y multisets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
-from .linalg import QQ, adjacency_matrix
+from .linalg import QQ, _integral, adjacency_matrix
 
 COUNT_GUARD = 10**6
 
@@ -187,8 +186,8 @@ def derive_red_certificates(g):
             moves.append(RedMove.make(u, targets[-1]))
         return tuple(moves)
     for u, x in zip(targets, vectors):
-        d = lcm(*(c.denominator for c in x[:u]))
-        weights = [-c.numerator * (d // c.denominator) for c in x[:u]]
+        *scaled, d = _integral(x[: u + 1])  # x[u] = 1, so the last entry is the lcm
+        weights = [-w for w in scaled]
         if not any(weights):
             moves.append(RedMove.make(u, basis[0], None, {basis[0]: 1}, 0))
             continue

@@ -1,7 +1,7 @@
 """Independent reference implementations the test suite checks against.
 
 Everything here deliberately avoids the library's own code paths: ranks by
-naive rational elimination (over Q(i) and Q(w) through the regular
+naive rational or mod-p elimination (over Q(i) and Q(w) through the regular
 representation over Q), zero forcing by trying all subsets with a
 set-based closure, red moves by materializing the edge-count maps of the
 modified general graphs, products by the textbook sum, spectra by numpy and
@@ -44,6 +44,31 @@ def naive_rational_rank(rows):
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def naive_mod_p_rank(rows, p):
+    """Textbook Gaussian elimination over GF(p) of integer or rational rows
+    whose denominators are prime to p: each pivot row is scaled to pivot 1
+    by its inverse mod p and cleared from every other row."""
+    m = [
+        [Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in row]
+        for row in rows
+    ]
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    for col in range(n_cols):
+        piv = next((r for r in range(rank, n_rows) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(n_rows):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
         rank += 1
     return rank
 

@@ -39,6 +39,18 @@ class TestCertify:
         assert v.z_number == 4 and v.nullity_q == 0
         assert "inconclusive" in v.reason
 
+    def test_modular_nullity_above_z_violates(self, monkeypatch, capsys):
+        # only the GF(5) nullity, n = 14, exceeds Z = 4; the Q nullity is 0
+        rank_nullity = linalg.ExactMatrix.rank_nullity
+
+        def gf5_high(self):
+            return (0, self.cols) if self.domain.p == 5 else rank_nullity(self)
+
+        monkeypatch.setattr(linalg.ExactMatrix, "rank_nullity", gf5_high)
+        assert cli.main(["certify", "--graph", "cart:cycle:7+path:2"]) == 1
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert "chain violation" in verdict and "5: 14" in verdict
+
     def test_modular_never_below_rational(self, corpus):
         for g in corpus[:25]:
             v = z.certify_universal_optimality(g, 0, (2, 3, 5))
@@ -211,9 +223,14 @@ class TestConjectureHarness:
 
     def test_budget_exhaustion_skips(self, monkeypatch):
         monkeypatch.setattr(forcing, "STATE_BUDGET", 5)
-        g = z.generalized_petersen(10, 3)  # nullity 0, Z = 8
-        row = certify._harness_row(g, "P(10,3)", 8)
+        # every floor is below Z = 7: nullity 0 over Q, 0, 1, 0 over GF(2, 3, 5)
+        g = z.generalized_petersen(11, 4)
+        row = certify._harness_row(g, "P(11,4)", 8)
         assert row.status == "skipped" and row.z_number is None
+        # the GF(2) nullity 8 = Z floors P(10,3): exact within the budget
+        row = certify._harness_row(z.generalized_petersen(10, 3), "P(10,3)", 8)
+        assert (row.nullity_q, row.nullities_mod_p[2]) == (0, 8)
+        assert (row.z_number, row.status) == (8, "fail")
 
     def test_circ_48_beyond_old_order_cap(self):
         rows = z.conjecture_harness("circ_l", l_values=(7,), k_values=(1,))

@@ -164,11 +164,27 @@ class TestCommands:
         assert code == 1 and obj["verdict"].startswith("NotCertified")
 
     def test_certify_budget_exit(self, capsys, monkeypatch):
+        # a spent budget gives bounds and exit 1, not the bad-input exit 2
         monkeypatch.setattr(forcing, "STATE_BUDGET", 5)
-        code = cli.main(["certify", "--graph", "petersen:10,3"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "budget of 5 states" in err
+        code, obj = run(capsys, "certify", "--graph", "petersen:11,4")
+        assert code == 1 and obj["zero_forcing_number"] is None
+        assert obj["verdict"] == (
+            "NotCertified(the Z search used its budget of 5 states: 3 <= Z <= 7)"
+        )
+
+    def test_report_budget_bounds(self, capsys, monkeypatch):
+        monkeypatch.setattr(forcing, "STATE_BUDGET", 5)
+        code, obj = run(capsys, "report", "--graph", "cart:cycle:6+path:4")
+        assert code == 0 and obj["Z_exact"] is False
+        assert obj["sandwich"] == "3 <= M(G) <= Z(G) <= 6"
+
+    def test_certify_table_header(self, capsys):
+        code = cli.main(["--table", "certify", "--graph", "aztec:2", "--primes", "2,3"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[1].split() == [
+            "graph", "lambda", "Z", "nullity_Q", "nullity_2", "nullity_3", "verdict"
+        ]
 
     def test_mr2(self, capsys):
         code, obj = run(

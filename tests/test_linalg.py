@@ -11,6 +11,7 @@ from oracles import (
     laplace_determinant,
     matvec,
     multisets_close,
+    naive_mod_p_rank,
     naive_rational_rank,
 )
 
@@ -82,7 +83,7 @@ class TestRank:
         m = z.adjacency_matrix(z.circulant(8, {1, 3}))
         assert m.rank_nullity() == (2, 6)
 
-    def test_bareiss_matches_naive_oracle_exhaustive(self):
+    def test_rank_matches_naive_oracle_exhaustive(self):
         # every 0/+-1 matrix up to 2x3
         for shape in ((1, 1), (2, 2), (2, 3)):
             rows, cols = shape
@@ -91,7 +92,7 @@ class TestRank:
                 m = z.ExactMatrix(z.QQ, data)
                 assert m.rank_nullity()[0] == naive_rational_rank(data)
 
-    def test_bareiss_matches_naive_oracle_random(self):
+    def test_rank_matches_naive_oracle_random(self):
         rng = random.Random(11)
         for _ in range(300):
             rows = rng.randint(1, 6)
@@ -171,6 +172,50 @@ class TestNullspace:
         assert len(basis) == m.rank_nullity()[1]
         for v in basis:
             assert not any(matvec(m.data, v, m.domain.p))
+
+
+def kernel_matrix(rng):
+    """A seeded matrix for the elimination kernel: rational or integer
+    entries (denominators prime to 2, 3 and 7), negative and non-unit
+    pivots, some rows scaled by a common factor and some rows combinations
+    of earlier ones, which vanish mid-elimination."""
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    den = (1, 5, 11) if rng.random() < 0.5 else (1,)
+    data = [
+        [
+            Fraction(rng.randint(-9, 9), rng.choice(den)) if rng.random() < 0.7 else 0
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+    for r in range(1, rows):
+        roll = rng.random()
+        if roll < 0.3:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            data[r] = [a * x + b * y for x, y in zip(data[rng.randrange(r)], data[r - 1])]
+        elif roll < 0.5:
+            k = rng.randint(2, 6)
+            data[r] = [k * x for x in data[r]]
+    return data
+
+
+class TestKernelCrossCheck:
+    PRIMES = (None, 2, 3, 7, 1_000_003)  # None: the rationals
+
+    def test_against_textbook_elimination(self):
+        rng = random.Random(13)
+        for _ in range(250):
+            data = kernel_matrix(rng)
+            for p in self.PRIMES:
+                m = z.ExactMatrix(z.QQ if p is None else z.prime_field(p), data)
+                rank = naive_rational_rank(data) if p is None else naive_mod_p_rank(data, p)
+                assert m.rank_nullity() == (rank, m.cols - rank)
+                basis = m.nullspace_basis()
+                assert len(basis) == m.cols - rank
+                for v in basis:
+                    assert not any(matvec(m.data, v, p))
+                last = [max(j for j, x in enumerate(v) if x) for v in basis]
+                assert last == non_pivot_columns(m)
 
 
 class TestSpectrum:
