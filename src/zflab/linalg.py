@@ -68,7 +68,8 @@ class QuadRational:
     """Element a + b*g of a quadratic extension of Q.
 
     kind "i": g*g = -1. kind "w": g is a primitive cube root of unity,
-    g*g = -1 - g. Arithmetic is exact via Fractions.
+    g*g = -1 - g. Arithmetic is exact via Fractions. An element with
+    b == 0 prints as its rational, the way a Fraction prints.
     """
 
     __slots__ = ("a", "b", "kind")
@@ -153,6 +154,8 @@ class QuadRational:
         return complex(self.a) + complex(self.b) * w
 
     def __repr__(self):
+        if not self.b:
+            return str(self.a)
         sign = "-" if self.b < 0 else "+"
         return f"({self.a}{sign}{abs(self.b)}{self.kind})"
 

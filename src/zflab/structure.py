@@ -2,14 +2,18 @@
 verification.
 
 Vertex connectivity runs unit-capacity max-flow on the vertex-split digraph
-(each vertex v becomes v_in -> v_out with capacity 1). Source/target pairs
-follow the standard sound reduction: fix a minimum-degree vertex v0, run
-flows from v0 to each of its non-neighbors, and between each non-adjacent
-pair of neighbors of v0. Any minimum separator either misses v0 (first
-family catches it) or contains it, in which case v0 has neighbors in two
-components of the separated graph and the second family catches it. The
-split digraph is built once; each flow stops as soon as it reaches the best
-cut found so far, since only a smaller flow can change the answer.
+(each vertex v becomes v_in -> v_out with capacity 1), built once. One pass
+grows a set S of vertices that no set of fewer than k vertices separates,
+starting from k = delta with the neighborhood of a minimum-degree vertex v0
+as the separator. Vertices join S in breadth-first order from v0. While
+|S| < k, a vertex joins after a flow to each non-neighbor in S. After that
+it joins after one fan flow to all of S, each member a sink of capacity 1,
+unless k of its neighbors are already in S. A flow below k gives a smaller
+separator and lowers k, which keeps S valid. If fewer than k vertices
+separated the new vertex x from a member of S, they would miss one of its k
+fan paths, so x would reach some s in S, and they would separate s from
+that member, against the invariant. When S is all of V, k is the
+connectivity.
 
 The Strong Arnold Property is decided over Q in kernel coordinates: every
 symmetric X with A X = 0 is U S U^T, with U the nullspace basis of A and S
@@ -69,61 +73,94 @@ def _split_digraph(g):
     return out, head, cap
 
 
-def _split_maxflow(digraph, s, t, limit):
-    """Internally vertex-disjoint s-t paths on the split digraph, up to
-    limit of them, plus a minimum vertex cut when fewer than limit exist.
-    The split arcs of s and t never carry flow (the source is s_out and the
-    sink t_in), so their unit capacity is harmless."""
-    out, head, cap0 = digraph
-    cap = cap0.copy()
+def _split_maxflow(digraph, s, sink, limit):
+    """Internally vertex-disjoint paths on the split digraph from s_out to
+    the nodes flagged in sink, up to limit of them, plus a minimum vertex
+    cut when fewer than limit exist. A path ends at the first sink it
+    reaches. The flow is pushed on cap in place and taken back off before
+    returning, so the digraph is unchanged."""
+    out, head, cap = digraph
     n = len(out) // 2
-    source, sink = 2 * s + 1, 2 * t
+    source = 2 * s + 1
+    pushed = []  # arcs in the order the flow used them
     flow = 0
     while flow < limit:
         # BFS augmenting path; parent[b] is the arc that reached b
         parent = {source: None}
         queue = deque([source])
-        while queue and sink not in parent:
+        end = None
+        while queue and end is None:
             a = queue.popleft()
             for e in out[a]:
                 b = head[e]
                 if b not in parent and cap[e] > 0:
                     parent[b] = e
+                    if sink[b]:
+                        end = b
+                        break
                     queue.append(b)
-        if sink not in parent:
+        if end is None:
             break
-        b = sink
-        while parent[b] is not None:
-            e = parent[b]
+        while parent[end] is not None:
+            e = parent[end]
             cap[e] -= 1
             cap[e ^ 1] += 1
-            b = head[e ^ 1]
+            pushed.append(e)
+            end = head[e ^ 1]
         flow += 1
         if flow > n:
             raise ArithmeticError("flow exceeded vertex count")
-    if flow == limit:
-        return flow, None
-    # min cut: split arcs (v_in -> v_out) crossing the reachable set
-    reach = {source}
-    stack = [source]
-    while stack:
-        a = stack.pop()
-        for e in out[a]:
-            b = head[e]
-            if b not in reach and cap[e] > 0:
-                reach.add(b)
-                stack.append(b)
-    cut = [
-        v
-        for v in range(n)
-        if 2 * v in reach and 2 * v + 1 not in reach
-    ]
+    cut = None
+    if flow < limit:
+        # min cut: split arcs (v_in -> v_out) crossing the reachable set
+        reach = {source}
+        stack = [source]
+        while stack:
+            a = stack.pop()
+            for e in out[a]:
+                b = head[e]
+                if b not in reach and cap[e] > 0:
+                    reach.add(b)
+                    stack.append(b)
+        cut = [v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach]
+    for e in pushed:
+        cap[e] += 1
+        cap[e ^ 1] -= 1
     return flow, cut
+
+
+def _check_separator(g, separator):
+    """Raise unless removing separator leaves g disconnected: one search
+    from a vertex outside it, O(n + m)."""
+    removed = set(separator)
+    start = next(v for v in range(g.n) if v not in removed)
+    seen = removed | {start}
+    stack = [start]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) == g.n:
+        raise ArithmeticError(f"separator {separator} does not disconnect the graph")
 
 
 def vertex_connectivity(g):
     """Exact vertex connectivity with a separator witness (empty separator
-    for complete graphs and for graphs that are already disconnected)."""
+    for complete graphs and for graphs that are already disconnected).
+
+    Even's seed-set pass: k starts at the minimum degree delta with the
+    neighborhood of the first minimum-degree vertex v0 as separator, and S
+    holds vertices that no set of fewer than k vertices separates. Vertices
+    join S in breadth-first order from v0 (neighbors sorted). While |S| < k,
+    x joins after a flow from x to each non-neighbor y in S (sink y_in);
+    then after one fan flow from x to all of S (sinks s_out, so each s
+    carries one path), skipped when k neighbors of x are in S. Each flow
+    stops at k, and one below k replaces the separator by its min cut,
+    which separates x from a member of S. A separator of fewer than k
+    vertices would miss one of x's k fan paths (or one of k neighbors in
+    S) and so separate two members of S; once S = V there is none. At most
+    n - 1 + delta(delta-1)/2 flows run."""
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
@@ -132,26 +169,38 @@ def vertex_connectivity(g):
     if g.is_complete():
         return KappaWitness(n - 1, ())
     # v0 has least degree and the graph is not complete, so v0 has a
-    # non-neighbor and the pairs below are nonempty; every flow is below n
+    # non-neighbor and N(v0) separates them
     v0 = min(range(n), key=g.degree)
-    best, best_cut = n, ()
-    nbrs = sorted(g.neighbors(v0))
-    non_nbrs = [t for t in range(n) if t != v0 and t not in g.neighbors(v0)]
-    pairs = [(v0, t) for t in non_nbrs]
-    pairs += [
-        (x, y)
-        for i, x in enumerate(nbrs)
-        for y in nbrs[i + 1 :]
-        if not g.has_edge(x, y)
-    ]
+    best, best_cut = g.degree(v0), sorted(g.neighbors(v0))
+    order = [v0]
+    seen = {v0}
+    for v in order:
+        for w in sorted(g.neighbors(v)):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
     digraph = _split_digraph(g)
-    for s, t in pairs:
-        # a flow that reaches best cannot lower it, so it stops there
-        flow, cut = _split_maxflow(digraph, s, t, best)
-        if flow < best:
-            best, best_cut = flow, cut
-            if best == 0:
-                break
+    members = []
+    in_s = bytearray(2 * n)  # s_out flagged for each s in S
+    y_in = bytearray(2 * n)
+    for x in order:
+        if len(members) < best:
+            for y in members:
+                if not g.has_edge(x, y):
+                    y_in[2 * y] = 1
+                    flow, cut = _split_maxflow(digraph, x, y_in, best)
+                    y_in[2 * y] = 0
+                    if flow < best:
+                        best, best_cut = flow, cut
+        elif sum(in_s[2 * w + 1] for w in g.neighbors(x)) < best:
+            flow, cut = _split_maxflow(digraph, x, in_s, best)
+            if flow < best:
+                best, best_cut = flow, cut
+        members.append(x)
+        in_s[2 * x + 1] = 1
+    if len(best_cut) != best:
+        raise ArithmeticError(f"separator {best_cut} is not of size {best}")
+    _check_separator(g, best_cut)
     return KappaWitness(best, tuple(sorted(best_cut)))
 
 

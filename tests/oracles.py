@@ -2,13 +2,14 @@
 
 Everything here deliberately avoids the library's own code paths: ranks by
 naive rational or mod-p elimination (over Q(i) and Q(w) through the regular
-representation over Q), zero forcing by trying all subsets with a
-set-based closure, red moves by materializing the edge-count maps of the
-modified general graphs, products by the textbook sum, spectra by numpy and
-compared as multisets within a tolerance. The last sections hold the
-helpers only the tests use: a family dispatch, a backtracking isomorphism
-test, induced subgraphs, and the edge-list and matrix text writers that
-round-trip the library's readers.
+representation over Q), zero forcing by trying all subsets with a set-based
+closure, vertex connectivity by trying vertex sets size by size, red moves
+by materializing the edge-count maps of the modified general graphs,
+products by the textbook sum, spectra by numpy and compared as multisets
+within a tolerance. The last sections hold the helpers only the tests use:
+a family dispatch, a backtracking isomorphism test, induced subgraphs, and
+the edge-list and matrix text writers that round-trip the library's
+readers.
 
 This module imports nothing from the tests, so it also loads on its own
 from its file path.
@@ -149,6 +150,36 @@ def brute_min_rank_gf2(g):
         if r < best:
             best, best_diag = r, diag
     return best, tuple((best_diag >> i) & 1 for i in range(g.n)), ranks
+
+
+def disconnects(g, removed):
+    """Whether deleting the vertices in removed leaves two vertices with no
+    path between them, by a search over the edge list."""
+    rest = [v for v in range(g.n) if v not in removed]
+    if not rest:
+        return False
+    nbrs = {v: set() for v in rest}
+    for u, v in g.edges:
+        if u in nbrs and v in nbrs:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    seen = {rest[0]}
+    stack = [rest[0]]
+    while stack:
+        for w in nbrs[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) < len(rest)
+
+
+def brute_kappa(g):
+    """Vertex connectivity by trying vertex sets size by size: the size of
+    the smallest set whose removal disconnects the graph, n - 1 when none
+    does (K_n)."""
+    for k in range(g.n - 1):
+        if any(disconnects(g, set(c)) for c in itertools.combinations(range(g.n), k)):
+            return k
+    return g.n - 1
 
 
 def matvec(rows, vec, p=None):

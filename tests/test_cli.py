@@ -114,20 +114,20 @@ class TestCommands:
 
     def test_decompose_exact_blocks_pinned(self, capsys):
         # Q(w) blocks of C6 at shift 1 (k = 6) and shift 2 (k = 3), byte for
-        # byte up to the floating-point spectra
+        # byte up to the floating-point spectra; an entry in Q prints as a
+        # rational in every block
         pinned = {
             "1,2,3,4,5,0": (
                 '{"orbit_size": 6, "exact": true, "transversals": '
-                '[[0], [1], [2], [3], [4], [5]], "blocks": [[["(2+0w)"]], '
-                '[["(1+0w)"]], [["(-1+0w)"]], [["(-2+0w)"]], [["(-1+0w)"]], '
-                '[["(1+0w)"]]], "block_spectra": '
+                '[[0], [1], [2], [3], [4], [5]], "blocks": [[["2"]], [["1"]], '
+                '[["-1"]], [["-2"]], [["-1"]], [["1"]]], "block_spectra": '
             ),
             "2,3,4,5,0,1": (
                 '{"orbit_size": 3, "exact": true, "transversals": '
                 '[[0, 1], [2, 3], [4, 5]], "blocks": '
-                '[[["(0+0w)", "(2+0w)"], ["(2+0w)", "(0+0w)"]], '
-                '[["(0+0w)", "(0-1w)"], ["(1+1w)", "(0+0w)"]], '
-                '[["(0+0w)", "(1+1w)"], ["(0-1w)", "(0+0w)"]]], "block_spectra": '
+                '[[["0", "2"], ["2", "0"]], '
+                '[["0", "(0-1w)"], ["(1+1w)", "0"]], '
+                '[["0", "(1+1w)"], ["(0-1w)", "0"]]], "block_spectra": '
             ),
         }
         for perm, head in pinned.items():
@@ -137,10 +137,8 @@ class TestCommands:
         perm = ",".join(str((x + 3) % 12) for x in range(12))
         assert cli.main(["decompose", "--graph", "ecg:1,1", "--perm", perm]) == 0
         assert (
-            '[[["(0+0i)", "(1+0i)", "(2+0i)"], ["(1+0i)", "(1+0i)", "(1+0i)"], '
-            '["(2+0i)", "(1+0i)", "(0+0i)"]], '
-            '[["(0+0i)", "(1+0i)", "(-1-1i)"], ["(1+0i)", "(-1+0i)", "(1+0i)"], '
-            '["(-1+1i)", "(1+0i)", "(0+0i)"]], '
+            '[[["0", "1", "2"], ["1", "1", "1"], ["2", "1", "0"]], '
+            '[["0", "1", "(-1-1i)"], ["1", "-1", "1"], ["(-1+1i)", "1", "0"]], '
         ) in capsys.readouterr().out
 
     def test_decompose_colon_perm(self, capsys):

@@ -4,9 +4,29 @@ from fractions import Fraction
 import pytest
 
 import zflab as z
-from oracles import induced_subgraph, matmul, naive_rational_rank
+from oracles import (
+    brute_kappa,
+    disconnects,
+    induced_subgraph,
+    matmul,
+    naive_rational_rank,
+)
 from paper import circulant_kappa_deficient
 from zflab import structure
+
+
+def _glued_blobs(rng):
+    """Two dense blobs of 5-6 vertices joined only through 1-3 glue
+    vertices, each with 1-2 neighbors in each blob: the glue often holds a
+    minimum-degree vertex, and a glue set cuts below the minimum degree."""
+    a, b, c = rng.randint(5, 6), rng.randint(5, 6), rng.randint(1, 3)
+    p = rng.choice((0.85, 1.0))
+    edges = set()
+    for blob in (range(a), range(a, a + b)):
+        edges |= {(u, v) for u in blob for v in blob if u < v and rng.random() < p}
+        for x in range(a + b, a + b + c):
+            edges |= {(v, x) for v in rng.sample(blob, rng.randint(1, 2))}
+    return z.Graph(a + b + c, edges)
 
 
 class TestVertexConnectivity:
@@ -40,6 +60,38 @@ class TestVertexConnectivity:
         g = z.complete_bipartite_graph(1, 4)
         kw = z.vertex_connectivity(g)
         assert kw.kappa == 1 and kw.separator == (0,)
+
+    def test_matches_oracle(self, corpus):
+        rng = random.Random(14)
+        graphs = [g for g in corpus if g.n <= 11]
+        graphs += [_glued_blobs(rng) for _ in range(200)]
+        below_delta = 0
+        for g in graphs:
+            kw = z.vertex_connectivity(g)
+            assert kw.kappa == brute_kappa(g), g.edges
+            if g.is_connected() and not g.is_complete():
+                assert len(kw.separator) == kw.kappa
+                assert disconnects(g, set(kw.separator)), g.edges
+                below_delta += kw.kappa < z.min_degree(g)
+        assert below_delta >= 20
+
+    def test_flow_count(self, families, monkeypatch):
+        # one flow per vertex after the first, plus the pair flows while
+        # S is smaller than k <= delta
+        calls = []
+        flow = structure._split_maxflow
+        monkeypatch.setattr(
+            structure,
+            "_split_maxflow",
+            lambda *args: calls.append(1) or flow(*args),
+        )
+        graphs = list(families.values())
+        graphs.append(z.cartesian_product(z.cycle_graph(30), z.path_graph(10)))
+        for g in graphs:
+            calls.clear()
+            z.vertex_connectivity(g)
+            delta = z.min_degree(g)
+            assert len(calls) <= g.n - 1 + delta * (delta - 1) // 2, g
 
     def test_kappa_at_most_z(self, corpus):
         for g in corpus[:60]:
