@@ -53,27 +53,28 @@ def parse_graph_spec(spec):
             )
         return vals
 
-    if name == "path":
-        return _graphs.path_graph(*ints(0, 1))
-    if name == "cycle":
-        return _graphs.cycle_graph(*ints(0, 1))
-    if name == "complete":
-        return _graphs.complete_graph(*ints(0, 1))
-    if name == "kbip":
-        return _graphs.complete_bipartite_graph(*ints(0, 2))
-    if name == "circulant":
-        return _graphs.circulant(*ints(0, 1), set(ints(1, None)))
-    if name == "aztec":
-        return _graphs.aztec_diamond(*ints(0, 1))
-    if name == "ecg":
-        return _graphs.extended_cube(*ints(0, 2))
-    if name == "petersen":
-        return _graphs.generalized_petersen(*ints(0, 2))
-    raise ValueError(f"cannot parse graph spec {spec!r}")
+    families = {
+        "path": lambda: _graphs.path_graph(*ints(0, 1)),
+        "cycle": lambda: _graphs.cycle_graph(*ints(0, 1)),
+        "complete": lambda: _graphs.complete_graph(*ints(0, 1)),
+        "kbip": lambda: _graphs.complete_bipartite_graph(*ints(0, 2)),
+        "circulant": lambda: _graphs.circulant(*ints(0, 1), set(ints(1, None))),
+        "aztec": lambda: _graphs.aztec_diamond(*ints(0, 1)),
+        "ecg": lambda: _graphs.extended_cube(*ints(0, 2)),
+        "petersen": lambda: _graphs.generalized_petersen(*ints(0, 2)),
+    }
+    if name not in families:
+        raise ValueError(f"cannot parse graph spec {spec!r}")
+    if len(args) > (2 if name == "circulant" else 1):
+        raise ValueError(f"graph spec {spec!r} has too many arguments")
+    return families[name]()
 
 
-def _parse_vertex_list(text):
-    return [int(tok) for tok in text.replace(",", " ").replace(":", " ").split()]
+def _parse_vertex_list(text, option):
+    try:
+        return [int(tok) for tok in text.replace(",", " ").replace(":", " ").split()]
+    except ValueError:
+        raise ValueError(f"{option} must list integer vertices, got {text!r}") from None
 
 
 def _load_json_arg(arg):
@@ -133,7 +134,7 @@ def _emit_table(rows, args):
 def _cmd_zf(args):
     g = parse_graph_spec(args.graph)
     if args.zf_command == "closure":
-        col = _forcing.zf_closure(g, _parse_vertex_list(args.set))
+        col = _forcing.zf_closure(g, _parse_vertex_list(args.set, "--set"))
         _emit(
             {
                 "colored": sorted(col.colored),
@@ -207,14 +208,15 @@ def _cmd_equitable(args):
         return 0
     blocks = _load_blocks(args.partition)
     dm = _equitable.divisor_matrix(g, blocks)
-    _emit({"divisor": [[int(x) for x in row] for row in dm.data]}, args)
+    _emit({"divisor": dm.data}, args)
     return 0
 
 
 def _cmd_decompose(args):
     g = parse_graph_spec(args.graph)
-    perm = _parse_vertex_list(args.perm)
-    t0 = _parse_vertex_list(args.transversal) if args.transversal else None
+    perm = _parse_vertex_list(args.perm, "--perm")
+    tv = args.transversal
+    t0 = _parse_vertex_list(tv, "--transversal") if tv else None
     dec = _equitable.equitable_decomposition(g, perm, t0)
     out = {
         "orbit_size": dec.k,

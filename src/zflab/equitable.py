@@ -43,6 +43,18 @@ def _check_partition(g, blocks):
         raise ValueError("blocks do not cover the vertex set")
 
 
+def _neighbor_counts(g, blocks):
+    """Each vertex's tuple of neighbor counts in every block."""
+    index = {v: i for i, blk in enumerate(blocks) for v in blk}
+    counts = {}
+    for v in index:
+        c = [0] * len(blocks)
+        for w in g.neighbors(v):
+            c[index[w]] += 1
+        counts[v] = tuple(c)
+    return counts
+
+
 def is_equitable(g, partition):
     """(True, b) when the neighbor counts are block-constant, else
     (False, (v, j)) naming a vertex and block index that break constancy."""
@@ -50,24 +62,14 @@ def is_equitable(g, partition):
         partition.blocks if isinstance(partition, Partition) else partition
     ))
     _check_partition(g, blocks)
-    index = {}
-    for i, blk in enumerate(blocks):
+    counts = _neighbor_counts(g, blocks)
+    for blk in blocks:
+        first = counts[blk[0]]
         for v in blk:
-            index[v] = i
-    b = []
-    for i, blk in enumerate(blocks):
-        counts0 = None
-        for v in blk:
-            counts = [0] * len(blocks)
-            for w in g.neighbors(v):
-                counts[index[w]] += 1
-            if counts0 is None:
-                counts0 = counts
-            elif counts != counts0:
-                j = next(t for t in range(len(blocks)) if counts[t] != counts0[t])
+            if counts[v] != first:
+                j = next(t for t, c in enumerate(counts[v]) if c != first[t])
                 return False, (v, j)
-        b.append(tuple(counts0))
-    return True, tuple(b)
+    return True, tuple(counts[blk[0]] for blk in blocks)
 
 
 def coarsest_equitable(g, initial=None):
@@ -82,23 +84,15 @@ def coarsest_equitable(g, initial=None):
         )]
         _check_partition(g, blocks)
     while True:
-        index = {}
-        for i, blk in enumerate(blocks):
-            for v in blk:
-                index[v] = i
+        counts = _neighbor_counts(g, blocks)
         new_blocks = []
-        changed = False
         for blk in blocks:
             sig = {}
             for v in blk:
-                counts = [0] * len(blocks)
-                for w in g.neighbors(v):
-                    counts[index[w]] += 1
-                sig.setdefault(tuple(counts), []).append(v)
+                sig.setdefault(counts[v], []).append(v)
             groups = sorted(sig.values(), key=min)
-            if len(groups) > 1:
-                changed = True
             new_blocks.extend(tuple(sorted(grp)) for grp in groups)
+        changed = len(new_blocks) > len(blocks)
         blocks = sorted(new_blocks, key=min)
         if not changed:
             break

@@ -6,11 +6,13 @@ basis. QuadRational is the ring arithmetic of Q(i) and Q(w) that the
 root-of-unity block decomposition builds its entries with; nothing
 eliminates over it.
 
-One elimination kernel, `_echelon`, serves both domains: forward
-elimination to row echelon form with first-nonzero pivoting and one row
-operation, whose result is reduced mod p over GF(p) and divided by its gcd
-over the rationals. Rank is the pivot count and the nullspace basis is
-back-substituted from the echelon form. Floating-point spectra of real
+A rational entry is stored as an int when integral, as a Fraction otherwise.
+One elimination kernel, `_echelon`, serves both domains: rational rows are
+cleared to integers, then one row operation eliminates to row echelon form
+with first-nonzero pivoting, its result reduced mod p over GF(p) and divided
+by its gcd over Q. Rank is the pivot count; the nullspace basis is
+back-substituted by the same operation, so over Q it is integral and
+integer input never meets a Fraction. Floating-point spectra of real
 symmetric / complex Hermitian matrices come from numpy's eigvalsh, as
 descending tuples of floats; callers compare them with their own tolerance.
 """
@@ -185,7 +187,10 @@ def _normalize(value, domain):
                 raise ZeroDivisionError("denominator vanishes mod p")
             return value.numerator * pow(value.denominator, -1, domain.p) % domain.p
         return int(value) % domain.p
-    return Fraction(value)
+    if isinstance(value, int):
+        return int(value)  # a bool becomes 0 or 1
+    value = Fraction(value)
+    return value if value.denominator > 1 else value.numerator
 
 
 class ExactMatrix:
@@ -235,32 +240,35 @@ class ExactMatrix:
         return rank, self.cols - rank
 
     def nullspace_basis(self):
-        """Basis of the right nullspace in reduced-echelon parametrization:
-        each free coordinate is set to 1 in turn, pivots back-substituted.
-
-        The vector of free column f is zero past f, so its last nonzero
-        coordinate is f itself; the basis is ordered by free column."""
+        """Basis of the right nullspace, one vector per free (non-pivot)
+        column f, ordered by f: zero past f and at the other free columns,
+        pivots back-substituted. Its entry at f is 1 over GF(p); over Q it is
+        the primitive integer vector with a positive entry at f, which is the
+        reduced-echelon vector with x[f] = 1 scaled by its lcm denominator."""
         rows, pivots = _echelon(self)
         p = self.domain.p
-        zero = _normalize(0, self.domain)
-        one = _normalize(1, self.domain)
-        pivot_rows = list(zip(pivots, rows))[::-1]
-        pivot_cols = set(pivots)
+        # each pivot row as its pivot and its nonzero entries past it
+        pivot_rows = [
+            (pc, row[pc], [(j, x) for j, x in enumerate(row) if x and j > pc])
+            for pc, row in zip(pivots, rows)
+        ][::-1]
         basis = []
-        for free in range(self.cols):
-            if free in pivot_cols:
-                continue
-            vec = [zero] * self.cols
-            vec[free] = one
-            for pc, row in pivot_rows:
-                if pc > free:
-                    continue
-                s = zero
-                for j in range(pc + 1, free + 1):
-                    if row[j] and vec[j]:
-                        s += row[j] * vec[j]
-                vec[pc] = -s * pow(row[pc], -1, p) % p if p else -s / row[pc]
-            basis.append(vec)
+        for free in sorted(set(range(self.cols)) - set(pivots)):
+            vec = [0] * free + [1] + [0] * (self.cols - free - 1)
+            for pc, piv, tail in pivot_rows:
+                if pc < free:
+                    # vec <- piv * vec - s * e_pc (vec[pc] is still 0) makes
+                    # row . vec = 0; g = gcd(piv, s), signed like piv, is
+                    # the gcd the reduction would divide out over Q, and
+                    # piv / g > 0 keeps vec[free] positive
+                    s = sum(x * vec[j] for j, x in tail)
+                    g = math.gcd(piv, s) if piv > 0 else -math.gcd(piv, s)
+                    if g != piv:
+                        vec = [piv // g * x for x in vec]
+                    vec[pc] = -s // g
+                    vec = _reduce(vec, p)
+            scale = pow(vec[free], -1, p) if p else 1
+            basis.append(_reduce([scale * x for x in vec], p))
         return basis
 
 
@@ -269,18 +277,19 @@ def _echelon(matrix):
     elimination with the first nonzero entry of each column as pivot, so the
     pivot columns are the lexicographically first column basis.
 
-    One row operation serves both domains, on the rows with a nonzero entry
-    f in the pivot column only: row <- piv * row - f * pivot_row, reduced
-    mod p or, over Q (rows cleared to integers), divided by its gcd. Each
-    rational row stays proportional to its fraction-free (Bareiss) row, so
-    pivots and the ratios nullspace_basis reads agree; the primitive row
+    Rational rows are first scaled by the lcm of their denominators. One row
+    operation serves both domains, on the rows with a nonzero entry f in the
+    pivot column only: row <- piv * row - f * pivot_row, then `_reduce`d.
+    Each rational row stays proportional to its fraction-free (Bareiss) row,
+    so pivots and the ratios nullspace_basis reads agree; the primitive row
     divides that row of input minors, so entries stay polynomially bounded.
     """
     p = matrix.domain.p
-    if p:
-        rows = [list(row) for row in matrix.data]
-    else:
-        rows = [_integral(row) for row in matrix.data]
+    rows = [list(row) for row in matrix.data]
+    for r, row in enumerate(rows):
+        lcm = 1 if p else math.lcm(*(x.denominator for x in row))
+        if lcm > 1:
+            rows[r] = [x.numerator * (lcm // x.denominator) for x in row]
     n_rows, n_cols = len(rows), matrix.cols
     pivots = []
     for col in range(n_cols):
@@ -299,22 +308,19 @@ def _echelon(matrix):
             f = row[col]
             if f:  # both rows are zero left of col
                 new = [piv * x - f * y for x, y in zip(row[col:], tail)]
-                if p:
-                    new = [x % p for x in new]
-                else:
-                    g = math.gcd(*new) or 1  # a row that vanished has gcd 0
-                    new = [x // g for x in new]
-                rows[r] = row[:col] + new
+                rows[r] = row[:col] + _reduce(new, p)
         pivots.append(col)
         if rank + 1 == n_rows:
             break
     return rows[: len(pivots)], pivots
 
 
-def _integral(vec):
-    """A rational vector scaled by the lcm of its denominators, as ints."""
-    lcm = math.lcm(*(x.denominator for x in vec))
-    return [x.numerator * (lcm // x.denominator) for x in vec]
+def _reduce(vec, p):
+    """An integer vector reduced mod p, or for p None divided by its gcd."""
+    if p:
+        return [x % p for x in vec]
+    g = math.gcd(*vec)  # 0 for a vector that vanished
+    return [x // g for x in vec] if g > 1 else vec
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,16 @@ row equation directly. Certificates are sequences of moves replayed against
 a growing red set; the maximum number of sequentially valid moves equals the
 rational nullity of the adjacency matrix, and the constructive direction is
 implemented here: every move is read off one rational nullspace basis of A.
-Each basis vector writes one non-basis row as a combination of the
-lexicographically first row basis; clearing denominators by the lcm and
-splitting the integer coefficients by sign gives the X / Y multisets.
+Each basis vector is integral and writes a positive multiple of one
+non-basis row as an integer combination of the lexicographically first row
+basis; splitting its coefficients by sign gives the X / Y multisets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import QQ, _integral, adjacency_matrix
+from .linalg import QQ, adjacency_matrix
 
 COUNT_GUARD = 10**6
 
@@ -160,18 +160,18 @@ def derive_red_certificates(g):
     off the rational nullspace basis of A.
 
     A is symmetric, so the pivot columns of its echelon form are the
-    lexicographically first row basis, and the basis vector x of free column
-    u (zero past u, x[u] = 1) writes row(u) over the basis rows b < u with
-    coefficients -x[b]. Multiplying through by the lcm d of the denominators
-    gives integer weights; the smallest-index positively weighted basis
-    vertex becomes the witness v (with weight reduced by one inside X), the
-    other positive weights fill X, the negated negative weights fill Y, and
-    k = d - 1. A zero row (isolated vertex) is handled by the cancelling
-    move (v, {}, {v}, 0) against any basis vertex, which stays white
-    throughout since targets are never basis vertices. An edgeless graph has
-    no basis vertex to lean on: its last vertex is unreachable by any move
-    (every move needs a distinct white witness) and the certificate honestly
-    stops one short of the nullity there.
+    lexicographically first row basis, and the primitive integer basis
+    vector x of free column u (zero past u, d = x[u] > 0) writes d row(u)
+    over the basis rows b < u with integer weights -x[b]. The
+    smallest-index positively weighted basis vertex becomes the witness v
+    (with weight reduced by one inside X), the other positive weights fill
+    X, the negated negative weights fill Y, and k = d - 1. A zero row
+    (isolated vertex) is handled by the cancelling move (v, {}, {v}, 0)
+    against any basis vertex, which stays white throughout since targets
+    are never basis vertices. An edgeless graph has no basis vertex to lean
+    on: its last vertex is unreachable by any move (every move needs a
+    distinct white witness) and the certificate honestly stops one short of
+    the nullity there.
     """
     if g.n == 0:
         return ()
@@ -186,8 +186,8 @@ def derive_red_certificates(g):
             moves.append(RedMove.make(u, targets[-1]))
         return tuple(moves)
     for u, x in zip(targets, vectors):
-        *scaled, d = _integral(x[: u + 1])  # x[u] = 1, so the last entry is the lcm
-        weights = [-w for w in scaled]
+        d = x[u]
+        weights = [-w for w in x[:u]]
         if not any(weights):
             moves.append(RedMove.make(u, basis[0], None, {basis[0]: 1}, 0))
             continue

@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import QQ, ExactMatrix, _echelon, _integral
+from .linalg import QQ, ExactMatrix, _echelon
 
 
 @dataclass(frozen=True)
@@ -257,10 +257,8 @@ def has_sap(a, g):
     if not basis:
         return SapReport(True, 0, None)
     k = len(basis)
-    # row i of U over its nonzero entries; U is cleared to integers column
-    # by column, which keeps its span
-    u = [_integral(vec) for vec in basis]
-    u_rows = [[(s, u[s][i]) for s in range(k) if u[s][i]] for i in range(n)]
+    # row i of U over its nonzero entries; the basis vectors are integral
+    u_rows = [[(s, basis[s][i]) for s in range(k) if basis[s][i]] for i in range(n)]
     # the unknown of S_st = S_ts, numbered by s <= t
     pairs = [(s, r) for s in range(k) for r in range(s, k)]
     var = [[0] * k for _ in range(k)]
@@ -281,8 +279,7 @@ def has_sap(a, g):
         (i, j) for i in range(n) for j in range(i + 1, n) if not g.has_edge(i, j)
     ]
     reversed_violations = []
-    for vec in kernel:
-        sv = _integral(vec)
+    for sv in kernel:
         # the (i, j) entry of U S U^T is u_i . w_j with w_j = S u_j
         w = [
             [sum(sv[var[s][r]] * y for r, y in u_rows[j]) for s in range(k)]
@@ -294,7 +291,7 @@ def has_sap(a, g):
     echelon_rows, pivots = _echelon(ExactMatrix(QQ, reversed_violations))
     last = echelon_rows[-1][::-1]
     pivot = last[len(free) - 1 - pivots[-1]]
-    sample = [[Fraction(0)] * n for _ in range(n)]
+    sample = [[0] * n for _ in range(n)]
     for t, (i, j) in enumerate(free):
         sample[i][j] = sample[j][i] = Fraction(last[t], pivot)
     x = ExactMatrix(QQ, sample)

@@ -2,14 +2,15 @@
 
 Everything here deliberately avoids the library's own code paths: ranks by
 naive rational or mod-p elimination (over Q(i) and Q(w) through the regular
-representation over Q), zero forcing by trying all subsets with a set-based
-closure, vertex connectivity by trying vertex sets size by size, red moves
-by materializing the edge-count maps of the modified general graphs,
-products by the textbook sum, spectra by numpy and compared as multisets
-within a tolerance. The last sections hold the helpers only the tests use:
-a family dispatch, a backtracking isomorphism test, induced subgraphs, and
-the edge-list and matrix text writers that round-trip the library's
-readers.
+representation over Q), rational nullspace bases read off the Fraction
+reduced row echelon form, zero forcing by trying all subsets with a
+set-based closure, vertex connectivity by trying vertex sets size by size,
+red moves by materializing the edge-count maps of the modified general
+graphs, products by the textbook sum, spectra by numpy and compared as
+multisets within a tolerance. The last sections hold the helpers only the
+tests use: a family dispatch, a backtracking isomorphism test, induced
+subgraphs, and the edge-list and matrix text writers that round-trip the
+library's readers.
 
 This module imports nothing from the tests, so it also loads on its own
 from its file path.
@@ -23,19 +24,15 @@ from fractions import Fraction
 import zflab as z
 
 
-def naive_rational_rank(rows):
-    """Textbook Gaussian elimination over the rationals."""
+def _fraction_rref(rows):
+    """Gauss-Jordan elimination over the rationals, each pivot scaled to 1:
+    the reduced rows and the pivot columns."""
     m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
     n_rows, n_cols = len(m), len(m[0])
-    rank = 0
+    pivots = []
     for col in range(n_cols):
-        piv = None
-        for r in range(rank, n_rows):
-            if m[r][col] != 0:
-                piv = r
-                break
+        rank = len(pivots)
+        piv = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
@@ -45,8 +42,29 @@ def naive_rational_rank(rows):
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return m, pivots
+
+
+def naive_rational_rank(rows):
+    """Textbook Gaussian elimination over the rationals."""
+    return len(_fraction_rref(rows)[1]) if rows else 0
+
+
+def fraction_nullspace(rows):
+    """Rational nullspace basis in reduced-echelon parametrization, in plain
+    Fraction arithmetic: for each free column f (in order) the vector with
+    x[f] = 1, zero at the other free columns and x[pc] = -rref[i][f] at the
+    pivot column pc of row i."""
+    m, pivots = _fraction_rref(rows)
+    basis = []
+    for free in (c for c in range(len(m[0])) if c not in pivots):
+        vec = [Fraction(0)] * len(m[0])
+        vec[free] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -m[i][free]
+        basis.append(vec)
+    return basis
 
 
 def naive_mod_p_rank(rows, p):

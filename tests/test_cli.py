@@ -95,6 +95,20 @@ class TestCommands:
             ']}\n'
         )
 
+    def test_red_derive_pinned(self, capsys):
+        # integer nullspace vectors read off as moves, byte for byte
+        assert cli.main(["red", "derive", "--graph", "aztec:4"]) == 0
+        assert capsys.readouterr().out == (
+            '[{"u": 20, "v": 3, "X": {"13": 1}, "Y": {"1": 1, "7": 1}, "k": 0}, '
+            '{"u": 27, "v": 4, "X": {"18": 1}, "Y": {"0": 1, "10": 1}, "k": 0}, '
+            '{"u": 28, "v": 9, "X": {"22": 1}, "Y": {"5": 1, "15": 1}, "k": 0}, '
+            '{"u": 33, "v": 8, "X": {"25": 1}, "Y": {"2": 1, "16": 1}, "k": 0}, '
+            '{"u": 34, "v": 17, "X": {"30": 1}, "Y": {"11": 1, "24": 1}, "k": 0}, '
+            '{"u": 37, "v": 14, "X": {"31": 1}, "Y": {"6": 1, "23": 1}, "k": 0}, '
+            '{"u": 38, "v": 26, "X": {"36": 1}, "Y": {"19": 1, "32": 1}, "k": 0}, '
+            '{"u": 39, "v": 21, "X": {"35": 1}, "Y": {"12": 1, "29": 1}, "k": 0}]\n'
+        )
+
     def test_equitable_refine(self, capsys):
         code, obj = run(capsys, "equitable", "refine", "--graph", "path:3")
         assert code == 0 and obj["blocks"] == [[0, 2], [1]]
@@ -292,6 +306,16 @@ class TestCommands:
              "--primes must be comma-separated primes, got '2,x'"),
             (["certify", "--graph", "path:3", "--primes", ""],
              "--primes must be comma-separated primes, got ''"),
+            (["kappa", "--graph", "path:5:junk"],
+             "graph spec 'path:5:junk' has too many arguments"),
+            (["kappa", "--graph", "circulant:8:1,3:9"],
+             "graph spec 'circulant:8:1,3:9' has too many arguments"),
+            (["zf", "closure", "--graph", "path:4", "--set", "a"],
+             "--set must list integer vertices, got 'a'"),
+            (["decompose", "--graph", "cycle:4", "--perm", "1,2,x,0"],
+             "--perm must list integer vertices, got '1,2,x,0'"),
+            (["decompose", "--graph", "cycle:4", "--perm", "1,2,3,0",
+              "--transversal", "q"], "--transversal must list integer vertices"),
         ],
         ids=["missing-step", "missing-order", "missing-file", "empty-matrix",
              "short-header", "matrix-float-header", "extra-rows", "matrix-gf",
@@ -302,7 +326,8 @@ class TestCommands:
              "partition-blocks", "partition-bool", "kbip-pair", "ecg-pair",
              "petersen-pair", "non-integer", "json-edges", "json-n-string",
              "json-n-float", "json-n-bool", "json-edge-triple", "primes-not-int",
-             "primes-empty"],
+             "primes-empty", "path-extra-arg", "circulant-extra-arg",
+             "set-not-int", "perm-not-int", "transversal-not-int"],
     )
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, message):
         (tmp_path / "empty.txt").write_text("\n")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 import zflab as z
 from oracles import (
     format_matrix,
+    fraction_nullspace,
     laplace_determinant,
     matvec,
     multisets_close,
@@ -68,6 +70,19 @@ class TestDomains:
         m = z.ExactMatrix(z.prime_field(5), [[7, -1], [Fraction(1, 2), 0]])
         assert m.row(0) == (2, 4)
         assert m.row(1) == (3, 0)  # 1/2 = 3 mod 5
+
+    def test_rational_storage(self):
+        # integral values are stored as ints, other rationals as Fractions
+        data = [[Fraction(4, 2), -3, True], [Fraction(-1, 2), 0, 0.25]]
+        m = z.ExactMatrix(z.QQ, data)
+        assert [type(x) for x in m.row(0)] == [int, int, int]
+        assert m.row(0) == (2, -3, 1)
+        assert [type(x) for x in m.row(1)] == [Fraction, int, Fraction]
+        assert m.row(1) == (Fraction(-1, 2), 0, Fraction(1, 4))
+        a, b = z.ExactMatrix(z.QQ, [[Fraction(2)]]), z.ExactMatrix(z.QQ, [[2]])
+        assert a == b and hash(a) == hash(b)
+        adj = z.adjacency_matrix(z.circulant(8, {1, 3}), 2)
+        assert all(type(x) is int for row in adj.data for x in row)
 
 
 class TestRank:
@@ -166,6 +181,26 @@ class TestNullspace:
                 assert last == non_pivot_columns(m)
                 assert len(set(last)) == len(last)
 
+    def test_rational_basis_against_fraction_reference(self, corpus):
+        # each Q vector is the primitive integer multiple of the reduced-echelon
+        # Fraction vector: its lcm scaling, positive at the free column
+        rng = random.Random(17)
+        cases = [kernel_matrix(rng) for _ in range(200)]
+        for s in (0, 1, -2):
+            cases += [z.adjacency_matrix(g, s).data for g in corpus[:40]]
+        for data in cases:
+            basis = z.ExactMatrix(z.QQ, data).nullspace_basis()
+            reference = fraction_nullspace(data)
+            assert len(basis) == len(reference)
+            for v, ref in zip(basis, reference):
+                assert all(type(x) is int for x in v)
+                lcm = math.lcm(*(x.denominator for x in ref))
+                assert v == [x * lcm for x in ref]
+                free = max(j for j, x in enumerate(ref) if x)
+                assert ref[free] == 1 and v[free] > 0
+                assert not any(v[free + 1 :])
+                assert math.gcd(*v) == 1
+
     def test_gf_nullspace(self):
         m = z.adjacency_matrix(z.cycle_graph(4), 0, z.prime_field(2))
         basis = m.nullspace_basis()
@@ -216,6 +251,8 @@ class TestKernelCrossCheck:
                     assert not any(matvec(m.data, v, p))
                 last = [max(j for j, x in enumerate(v) if x) for v in basis]
                 assert last == non_pivot_columns(m)
+                if p is not None:  # the free entry is 1 over GF(p)
+                    assert all(v[f] == 1 for v, f in zip(basis, last))
 
 
 class TestSpectrum:
