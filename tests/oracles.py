@@ -111,9 +111,11 @@ def extension_rank(rows):
     return naive_rational_rank(real) // 2
 
 
-def set_closure(g, blue, order=None):
+def set_closure(g, blue, order=None, log=None):
     """Set-based closure; optional vertex scan order to exercise
-    order-independence."""
+    order-independence. Each step the first blue vertex of the scan with
+    one white neighbor forces it; with a `log` list, each (forcer, forced)
+    is appended, so the default scan logs the lowest-index forcer rule."""
     blue = set(blue)
     scan = list(order) if order is not None else list(range(g.n))
     while True:
@@ -128,6 +130,8 @@ def set_closure(g, blue, order=None):
         if forced is None:
             return blue
         blue.add(forced)
+        if log is not None:
+            log.append((v, forced))
 
 
 def brute_zero_forcing(g):

@@ -53,6 +53,40 @@ class TestClosure:
         with pytest.raises(ValueError):
             z.zf_closure(z.path_graph(3), {5})
 
+    def test_log_matches_lowest_forcer_rule(self, corpus):
+        rng = random.Random(4)
+        for g in corpus[:60]:
+            for q in (0.15, 0.3, 0.5):
+                blue = {v for v in range(g.n) if rng.random() < q}
+                log = []
+                set_closure(g, blue, log=log)
+                assert z.zf_closure(g, blue).log == tuple(log)
+
+    def test_seeded_closure_matches_full(self, corpus):
+        # the wavefront grows a closed set S by N[v] and the witness scan by
+        # one vertex; closing from the seed alone must reach the same set
+        rng = random.Random(5)
+        for g in corpus[:60]:
+            masks = g.adjacency_masks
+            for q in (0.1, 0.25):
+                start = forcing._to_mask(
+                    [v for v in range(g.n) if rng.random() < q], g.n
+                )
+                closed = forcing._close(masks, start, start)
+                moves = [masks[v] | (1 << v) for v in range(g.n)]
+                moves += [1 << w for w in range(g.n)]
+                for move in moves:
+                    added = move & ~closed
+                    if not added:
+                        continue
+                    grown = closed | added
+                    seeded = forcing._close(
+                        masks, grown, forcing._seed(masks, added, grown)
+                    )
+                    assert seeded == forcing._close(masks, grown, grown)
+                    blue = [v for v in range(g.n) if (grown >> v) & 1]
+                    assert seeded == forcing._to_mask(set_closure(g, blue), g.n)
+
     def test_monotone(self, corpus):
         rng = random.Random(1)
         for g in corpus[:60]:
@@ -87,6 +121,11 @@ class TestIsZfs:
         assert all(
             not z.is_zfs(g, s) for s in itertools.combinations(range(8), 5)
         )
+
+    def test_out_of_range(self):
+        for blue in ([5], [-1], [0, 3]):
+            with pytest.raises(ValueError, match=f"vertex {blue[-1]} out of range"):
+                z.is_zfs(z.path_graph(3), blue)
 
     def test_superset_of_zfs_is_zfs(self, corpus):
         rng = random.Random(3)
