@@ -328,9 +328,10 @@ def conjecture_harness(family, **ranges):
 
 
 def _harness_row(g, name, conjectured):
-    nulls_q, nulls_p, res = _sandwich(g, (0,), PRIMES)
-    nu, nulls_p = nulls_q[0], nulls_p[0]
-    z = res.zf_number if res.is_exact else None
-    ok = nu == conjectured == z and all(v == z for v in nulls_p.values())
-    status = "skipped" if z is None else "pass" if ok else "fail"
-    return HarnessRow(name, g.n, nu, z, nulls_p, conjectured, status)
+    """The certify verdict at lambda = 0 over PRIMES, compared with the
+    conjectured nullity: skipped when the search spent its budget."""
+    v = certify_universal_optimality(g, 0, PRIMES, name)
+    ok = v.certified and v.nullity_q == conjectured
+    status = "skipped" if v.z_number is None else "pass" if ok else "fail"
+    nulls_p = v.nullities_mod_p
+    return HarnessRow(name, g.n, v.nullity_q, v.z_number, nulls_p, conjectured, status)

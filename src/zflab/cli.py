@@ -98,7 +98,7 @@ def _load_moves(arg):
         return [_redrule.RedMove.from_json_obj(o) for o in obj]
     except KeyError as exc:
         raise ValueError(f"--cert has a malformed move: missing {exc}") from None
-    except (TypeError, RuntimeError) as exc:  # RuntimeError: a count above COUNT_GUARD
+    except TypeError as exc:
         raise ValueError(f"--cert has a malformed move: {exc}") from None
 
 

@@ -117,26 +117,28 @@ class _SearchStats:
 
 def _witness_of_size(masks, n, size, stats):
     """Lexicographically least size-`size` set whose closure is full, or
-    None; skips any vertex the running prefix closure already colors."""
+    None; skips any vertex the running prefix closure already colors.
+    Depth-first on an explicit stack: closed[i] is the closure of the
+    first i chosen vertices and w the next candidate at the current depth."""
     full = (1 << n) - 1
-    chosen = []
-
-    def rec(start, mask):
-        slots = size - len(chosen)
-        if slots == 0:
-            return mask == full
-        for w in range(start, n - slots + 1):
-            if (mask >> w) & 1:
-                continue
+    chosen, closed, w = [], [0], 0
+    while True:
+        mask, slots = closed[-1], size - len(chosen)
+        while slots and w <= n - slots and (mask >> w) & 1:
+            w += 1
+        if slots and w <= n - slots:
             stats.nodes += 1
             chosen.append(w)
             grown = mask | (1 << w)
-            if rec(w + 1, _close(masks, grown, _seed(masks, 1 << w, grown))):
-                return True
-            chosen.pop()
-        return False
-
-    return chosen if rec(0, 0) else None
+            closed.append(_close(masks, grown, _seed(masks, 1 << w, grown)))
+            w += 1
+        elif slots == 0 and mask == full:
+            return chosen
+        elif not chosen:
+            return None
+        else:
+            w = chosen.pop() + 1
+            closed.pop()
 
 
 def _wavefront(masks, n, incumbent, floor, stats):

@@ -6,10 +6,11 @@ of white vertices (u excluded from all of them) and an integer k >= 0 with
     (k+1) * row(u) = row(v) + sum over X of row(x) - sum over Y of row(y)
 
 over the integer rows of the adjacency matrix. Moves are verified by this
-row equation directly. Certificates are sequences of moves replayed against
-a growing red set; the maximum number of sequentially valid moves equals the
-rational nullity of the adjacency matrix, and the constructive direction is
-implemented here: every move is read off one rational nullspace basis of A.
+row equation, summed exactly over the neighbour sets of the participants.
+Certificates are sequences of moves replayed against a growing red set;
+the maximum number of sequentially valid moves equals the rational nullity
+of the adjacency matrix, and the constructive direction is implemented
+here: every move is read off one rational nullspace basis of A.
 Each basis vector is integral and writes a positive multiple of one
 non-basis row as an integer combination of the lexicographically first row
 basis; splitting its coefficients by sign gives the X / Y multisets.
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 
 from .linalg import QQ, adjacency_matrix
 
-COUNT_GUARD = 10**6
-
 
 def _check_int(x, what):
     # truncating a float would turn a malformed move into a valid one
@@ -31,20 +30,15 @@ def _check_int(x, what):
 
 
 def _as_multiset(m):
+    """Check a dict vertex -> count (or None); return it without zeros."""
     out = {}
-    if m is None:
-        return out
-    if isinstance(m, dict):
-        items = m.items()
-    else:
-        items = ((v, 1) for v in m)
-    for v, c in items:
+    for v, c in (m or {}).items():
         _check_int(v, "a multiset vertex")
         _check_int(c, "a multiset count")
         if c < 0:
             raise ValueError("multiset counts must be nonnegative")
         if c:
-            out[v] = out.get(v, 0) + c
+            out[v] = c
     return out
 
 
@@ -61,19 +55,15 @@ class RedMove:
 
     @classmethod
     def make(cls, u, v, x=None, y=None, k=0):
+        """The move with X and Y given as dicts vertex -> count, or None.
+        Vertices, counts and k must be integers, counts and k nonnegative;
+        zero counts are dropped. Counts have no upper limit."""
         for name, val in (("u", u), ("v", v), ("k", k)):
             _check_int(val, name)
         if k < 0:
             raise ValueError("k must be nonnegative")
         xs = _as_multiset(x)
         ys = _as_multiset(y)
-        if any(c > COUNT_GUARD for c in xs.values()) or any(
-            c > COUNT_GUARD for c in ys.values()
-        ):
-            raise RuntimeError(
-                f"multiset count exceeds the guard {COUNT_GUARD}; "
-                "the clearing denominator blew up"
-            )
         return cls(u, v, tuple(sorted(xs.items())), tuple(sorted(ys.items())), k)
 
     def participants(self):
@@ -110,31 +100,26 @@ class RedCertificateError(ValueError):
 def verify_red_move(g, red_so_far, move):
     """Check the integer row equation for one move.
 
-    Structural violations (a participant already red, or the target inside
-    its own witness data) raise; an equation mismatch returns False.
+    Structural violations (a vertex out of range, a participant already
+    red, or the target inside its own witness data) raise before any
+    arithmetic; an equation mismatch returns False. The equation is checked
+    on the neighbour sets only: `diff` holds (k+1) row(u) - row(v)
+    - sum_X c row(x) + sum_Y c row(y) on every column where some row is
+    nonzero, and the move holds iff all of it is 0.
     """
-    red = set(red_so_far)
     parts = move.participants()
     if move.u in parts:
         raise ValueError("target appears in its own move data")
     for v in parts | {move.u}:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-        if v in red:
+        if v in red_so_far:
             raise ValueError(f"participant {v} is already red")
-    rows = g.adjacency_rows()
-    ku = move.k + 1
-    ru = rows[move.u]
-    rv = rows[move.v]
-    for w in range(g.n):
-        rhs = rv[w]
-        for x, c in move.x:
-            rhs += c * rows[x][w]
-        for y, c in move.y:
-            rhs -= c * rows[y][w]
-        if ku * ru[w] != rhs:
-            return False
-    return True
+    diff = dict.fromkeys(g.neighbors(move.u), move.k + 1)
+    for x, c in ((move.v, -1), *((x, -c) for x, c in move.x), *move.y):
+        for w in g.neighbors(x):
+            diff[w] = diff.get(w, 0) + c
+    return not any(diff.values())
 
 
 def apply_red_sequence(g, certificate):

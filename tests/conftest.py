@@ -36,6 +36,19 @@ def example_graph_21():
     return z.Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
 
 
+def doubling_chain(steps=21):
+    """Nullity 1 with the kernel entry 2^steps: from v_0, each step adds u,
+    v', d, e, c and v_next with the edges d-v, d-u, e-u, e-v', c-v, c-v'
+    and c-v_next, so the kernel value doubles from v to v_next. steps = 21
+    gives 127 vertices."""
+    edges, v, n = [], 0, 1
+    for _ in range(steps):
+        u, v2, d, e, c, nxt = range(n, n + 6)
+        edges += [(d, v), (d, u), (e, u), (e, v2), (c, v), (c, v2), (c, nxt)]
+        v, n = nxt, n + 6
+    return z.Graph(n, edges)
+
+
 def paper_families():
     """Named family instances exercised throughout the suite."""
     fams = {

@@ -4,13 +4,14 @@ Everything here deliberately avoids the library's own code paths: ranks by
 naive rational or mod-p elimination (over Q(i) and Q(w) through the regular
 representation over Q), rational nullspace bases read off the Fraction
 reduced row echelon form, zero forcing by trying all subsets with a
-set-based closure, vertex connectivity by trying vertex sets size by size,
-red moves by materializing the edge-count maps of the modified general
-graphs, products by the textbook sum, spectra by numpy and compared as
-multisets within a tolerance. The last sections hold the helpers only the
-tests use: a family dispatch, a backtracking isomorphism test, induced
-subgraphs, and the edge-list and matrix text writers that round-trip the
-library's readers.
+set-based closure and the witness scan by plain recursion over it, vertex
+connectivity by trying vertex sets size by size, red moves by
+materializing the edge-count maps of the modified general graphs and by
+the dense row equation, products by the textbook sum, spectra by numpy and
+compared as multisets within a tolerance. The last sections hold the
+helpers only the tests use: a family dispatch, a backtracking isomorphism
+test, induced subgraphs, and the edge-list and matrix text writers that
+round-trip the library's readers.
 
 This module imports nothing from the tests, so it also loads on its own
 from its file path.
@@ -142,6 +143,29 @@ def brute_zero_forcing(g):
             if set_closure(g, cand) == full:
                 return s, cand
     raise AssertionError("unreachable: V(G) always forces")
+
+
+def witness_scan(g, size):
+    """Recursive depth-first scan for the lexicographically least zero
+    forcing set of `size` that never chooses a vertex the closure of the
+    earlier choices colors: (the set or None, vertices tried)."""
+    tried = 0
+
+    def rec(chosen, start):
+        nonlocal tried
+        closed = set_closure(g, chosen)
+        slots = size - len(chosen)
+        if slots == 0:
+            return chosen if len(closed) == g.n else None
+        for w in range(start, g.n - slots + 1):
+            if w not in closed:
+                tried += 1
+                found = rec(chosen + [w], w + 1)
+                if found is not None:
+                    return found
+        return None
+
+    return rec([], 0), tried
 
 
 def gf2_rank(rows):
@@ -292,6 +316,18 @@ def red_move_semantics(adj_rows, n, u, v, x_multiset, y_multiset, k):
     final_v = [e1[v][w] - total[w] for w in range(n)]
     target = [(k + 1) * adj_rows[u][w] for w in range(n)]
     return final_v == target
+
+
+def red_row_equation(adj_rows, u, v, x_multiset, y_multiset, k):
+    """The row equation (k+1) row(u) = row(v) + sum_X c row(x) - sum_Y c
+    row(y), checked on every column of the dense adjacency rows."""
+    for w in range(len(adj_rows)):
+        rhs = adj_rows[v][w]
+        rhs += sum(c * adj_rows[x][w] for x, c in x_multiset.items())
+        rhs -= sum(c * adj_rows[y][w] for y, c in y_multiset.items())
+        if (k + 1) * adj_rows[u][w] != rhs:
+            return False
+    return True
 
 
 def all_small_moves(n, max_mult=2, max_k=2):

@@ -221,6 +221,12 @@ class TestConjectureHarness:
         rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1,))
         assert rows[0].status == "skipped"  # bounds only; no Z to test
 
+    def test_certified_row_with_other_conjecture_fails(self):
+        # nullity = Z = 6 is certified, but the conjectured value differs
+        g = z.circulant(8, {1, 3})
+        assert certify._harness_row(g, "Circ[8,{1,3}]", 6).status == "pass"
+        assert certify._harness_row(g, "Circ[8,{1,3}]", 4).status == "fail"
+
     def test_budget_exhaustion_skips(self, monkeypatch):
         monkeypatch.setattr(forcing, "STATE_BUDGET", 5)
         # every floor is below Z = 7: nullity 0 over Q, 0, 1, 0 over GF(2, 3, 5)

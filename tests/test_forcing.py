@@ -5,7 +5,7 @@ import pytest
 
 import zflab as z
 from zflab import forcing
-from oracles import brute_zero_forcing, set_closure
+from oracles import brute_zero_forcing, set_closure, witness_scan
 from paper import (
     aztec_cells,
     aztec_zfs,
@@ -178,6 +178,21 @@ class TestSearch:
             if z.is_zfs(g, c)
         )
         assert res.witness == best
+
+    def test_witness_scan_matches_recursive_oracle(self, corpus):
+        # same set, same order and the same count of vertices tried, also
+        # for the exhaustive failing scan one below Z
+        for g in corpus[:60]:
+            zf = brute_zero_forcing(g)[0]
+            for size in (zf - 1, zf):
+                stats = forcing._SearchStats()
+                got = forcing._witness_of_size(g.adjacency_masks, g.n, size, stats)
+                assert (got, stats.nodes) == witness_scan(g, size), (g.edges, size)
+
+    def test_witness_deeper_than_recursion_limit(self):
+        # Z = 1004 chosen vertices; the scan keeps its own stack
+        res = z.zero_forcing_number(z.complete_graph(1005))
+        assert res.zf_number == 1004 and res.witness == tuple(range(1004))
 
     def test_hint_with_assertion(self):
         g = z.circulant(16, {1, 7})

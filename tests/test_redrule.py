@@ -3,8 +3,8 @@ import random
 import pytest
 
 import zflab as z
-from conftest import example_graph_21
-from oracles import all_small_moves, red_move_semantics
+from conftest import doubling_chain, example_graph_21
+from oracles import all_small_moves, red_move_semantics, red_row_equation
 from paper import (
     aztec_cells,
     aztec_diagonal_certificate,
@@ -52,9 +52,12 @@ class TestVerifyMove:
         with pytest.raises(ValueError):
             z.verify_red_move(g, set(), z.RedMove.make(0, 2, {0: 1}))
 
-    def test_count_guard(self):
-        with pytest.raises(RuntimeError):
-            z.RedMove.make(0, 1, {2: 10**7})
+    def test_large_counts_are_exact(self):
+        # counts have no cap: a huge one fails or holds like any other
+        g = z.path_graph(3)
+        assert not z.verify_red_move(g, set(), z.RedMove.make(0, 1, {2: 10**7}))
+        c = 10**30
+        assert z.verify_red_move(g, set(), z.RedMove.make(0, 2, {1: c}, {1: c}))
 
 
 class TestSemanticsOracle:
@@ -86,6 +89,40 @@ class TestSemanticsOracle:
             self.exhaustive(g)
             done += 1
         assert done > 0
+
+
+class TestRowEquationOracle:
+    """The sparse check agrees with the dense row equation on seeded moves
+    with counts up to 10^12, valid ones included."""
+
+    def test_random_moves_on_corpus(self, corpus):
+        rng = random.Random(29)
+        seen = set()
+        for g in corpus[:60]:
+            rows = g.adjacency_rows()
+            moves = []
+            for m in z.derive_red_certificates(g):
+                # a cancelling pair keeps a valid move valid
+                w = rng.choice([w for w in range(g.n) if w != m.u])
+                c = rng.randint(1, 10**12)
+                x, y = dict(m.x), dict(m.y)
+                x[w], y[w] = x.get(w, 0) + c, y.get(w, 0) + c
+                moves.append((m.u, m.v, x, y, m.k))
+            for _ in range(20):
+                u, v = rng.sample(range(g.n), 2)
+                others = [w for w in range(g.n) if w != u]
+                big = rng.random() < 0.5
+
+                def multiset():
+                    picks = rng.sample(others, rng.randint(0, min(3, len(others))))
+                    return {w: rng.randint(1, 10**12 if big else 2) for w in picks}
+
+                moves.append((u, v, multiset(), multiset(), rng.randint(0, 2)))
+            for u, v, x, y, k in moves:
+                got = z.verify_red_move(g, set(), z.RedMove.make(u, v, x, y, k))
+                assert got == red_row_equation(rows, u, v, x, y, k), (g.edges, u, v, x, y, k)
+                seen.add(got)
+        assert seen == {True, False}
 
 
 class TestSequences:
@@ -170,6 +207,14 @@ class TestDeriveCertificates:
             z.RedMove.make(6, 3, None, {4: 1}, 0),
             z.RedMove.make(9, 1, {1: 1, 4: 1, 5: 2}, {0: 1, 2: 1}, 1),
         )
+
+    def test_doubling_chain(self):
+        # the kernel entry 2^21 becomes k + 1 and counts up to 2^20
+        g = doubling_chain()
+        cert = z.derive_red_certificates(g)
+        assert g.n == 127 and len(cert) == nullity(g) == 1
+        assert cert[0].k == 2**21 - 1 and max(c for _, c in cert[0].x) == 2**20
+        assert z.apply_red_sequence(g, cert) == [126]
 
     def test_matches_nullity_on_corpus(self, corpus):
         for g in corpus:
