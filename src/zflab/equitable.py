@@ -1,12 +1,12 @@
 """Equitable partitions, divisor matrices, automorphism checks, and the
-root-of-unity block decomposition of a compatible matrix.
+root-of-unity block decomposition of A(G).
 
 A partition V_0, ..., V_k of V(G) is equitable when every vertex of V_i has
 the same number b_ij of neighbors in V_j; the matrix [b_ij] is the divisor
 matrix, and its spectrum embeds in the spectrum of A(G). A uniform
-automorphism (all orbits of one size k) refines this: slicing a compatible
-matrix along the powers of the automorphism applied to a transversal and
-combining the slices with k-th root of unity weights block-diagonalizes it.
+automorphism (all orbits of one size k) refines this: slicing A(G) along the
+powers of the automorphism applied to a transversal and combining the slices
+with k-th root of unity weights block-diagonalizes it.
 One loop builds the blocks for every orbit size, as tuples of row tuples:
 exactly, with entries in Q, Q(i) or Q(w), for k in {1, 2, 3, 4, 6}, in
 complex floats otherwise. Spectra are descending tuples of floats.
@@ -16,16 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import QQ, ExactMatrix, adjacency_matrix, root_of_unity, spectrum
+from .linalg import QQ, ExactMatrix, root_of_unity, spectrum
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered disjoint blocks covering 0..n-1; b is the block-to-block
-    neighbor count table once verified."""
+    """Ordered disjoint blocks covering 0..n-1 and b, their verified
+    block-to-block neighbor count table."""
 
     blocks: tuple  # ((v, ...), ...)
-    b: tuple | None = None
+    b: tuple
 
 
 def _check_partition(g, blocks):
@@ -55,12 +55,10 @@ def _neighbor_counts(g, blocks):
     return counts
 
 
-def is_equitable(g, partition):
+def is_equitable(g, blocks):
     """(True, b) when the neighbor counts are block-constant, else
     (False, (v, j)) naming a vertex and block index that break constancy."""
-    blocks = tuple(tuple(blk) for blk in (
-        partition.blocks if isinstance(partition, Partition) else partition
-    ))
+    blocks = tuple(tuple(blk) for blk in blocks)
     _check_partition(g, blocks)
     counts = _neighbor_counts(g, blocks)
     for blk in blocks:
@@ -73,15 +71,13 @@ def is_equitable(g, partition):
 
 
 def coarsest_equitable(g, initial=None):
-    """Refine the initial partition (default: one block) by neighbor-count
+    """Refine the initial vertex lists (default: one block) by neighbor-count
     signatures until stable. The result refines the input, is equitable, and
     is the coarsest such refinement; blocks are ordered by least vertex."""
     if initial is None:
         blocks = [tuple(range(g.n))]
     else:
-        blocks = [tuple(blk) for blk in (
-            initial.blocks if isinstance(initial, Partition) else initial
-        )]
+        blocks = [tuple(blk) for blk in initial]
         _check_partition(g, blocks)
     while True:
         counts = _neighbor_counts(g, blocks)
@@ -102,9 +98,9 @@ def coarsest_equitable(g, initial=None):
     return Partition(tuple(blocks), b)
 
 
-def divisor_matrix(g, partition):
-    """Integer divisor matrix [b_ij] of an equitable partition."""
-    ok, data = is_equitable(g, partition)
+def divisor_matrix(g, blocks):
+    """Integer divisor matrix [b_ij] of an equitable partition's blocks."""
+    ok, data = is_equitable(g, blocks)
     if not ok:
         v, j = data
         raise ValueError(f"partition is not equitable: vertex {v} vs block {j}")
@@ -163,38 +159,23 @@ class Decomposition:
         return [spectrum(b) for b in self.blocks]
 
 
-def equitable_decomposition(g_or_matrix, phi, t0=None, graph=None):
-    """Slice a compatible matrix along a uniform automorphism and combine
-    the slices with k-th root of unity weights.
+def equitable_decomposition(g, phi, t0=None):
+    """Slice A(G) along a uniform automorphism phi and combine the slices
+    with k-th root of unity weights.
 
-    Accepts a Graph (its adjacency matrix is used) or a rational ExactMatrix
-    plus the graph via `graph=`. The transversal t0 defaults to the least
-    vertex of each orbit. Exact block arithmetic for orbit sizes 1, 2, 3, 4
-    and 6; other sizes fall back to complex floats with exact=False.
+    A(G) is compatible with every automorphism, and check_automorphism
+    proves phi is one, so the slices are read straight off the graph. The
+    blocks of A(G) - lam*I are these blocks minus lam*I. The transversal t0
+    defaults to the least vertex of each orbit. Exact block arithmetic for
+    orbit sizes 1, 2, 3, 4 and 6; other sizes fall back to complex floats
+    with exact=False.
     """
-    from .graphs import Graph
-
-    if isinstance(g_or_matrix, Graph):
-        g = g_or_matrix
-        m = adjacency_matrix(g, 0, QQ)
-    else:
-        m = g_or_matrix
-        if graph is None:
-            raise ValueError("pass graph= when supplying a matrix")
-        g = graph
-        if m.domain != QQ or m.rows != g.n or m.cols != g.n:
-            raise ValueError("matrix must be rational and match the graph order")
     perm = check_automorphism(g, phi)
     cycles = sorted(_cycles(perm), key=min)
     sizes = {len(c) for c in cycles}
     if len(sizes) != 1:
         raise ValueError(f"automorphism is not uniform: orbit sizes {sorted(sizes)}")
     k = sizes.pop()
-    # compatibility of the matrix with the permutation
-    for i in range(g.n):
-        for j in range(g.n):
-            if m.entry(perm[i], perm[j]) != m.entry(i, j):
-                raise ValueError(f"matrix is not compatible at ({i},{j})")
     if t0 is None:
         t0 = tuple(min(c) for c in cycles)
     else:
@@ -214,8 +195,10 @@ def equitable_decomposition(g_or_matrix, phi, t0=None, graph=None):
     for _ in range(k - 1):
         cur = tuple(perm[v] for v in cur)
         transversals.append(cur)
-    # slice l is M[T_0, T_l]
-    slices = [[[m.entry(a, c) for c in tl] for a in t0] for tl in transversals]
+    # slice l is A[T_0, T_l], each row as the columns of its 1 entries
+    cols = [{v: c for c, v in enumerate(tl)} for tl in transversals]
+    slices = [[[col[v] for v in g.neighbors(a) if v in col] for a in t0]
+              for col in cols]
     r = len(t0)
     omega = root_of_unity(k)
     zero = 0 * omega  # Fraction(0), a QuadRational zero or 0j
@@ -224,11 +207,9 @@ def equitable_decomposition(g_or_matrix, phi, t0=None, graph=None):
         acc = [[zero] * r for _ in range(r)]
         for ell in range(k):
             w = omega ** (j * ell)
-            for a in range(r):
-                row = slices[ell][a]
-                for c in range(r):
-                    if row[c]:
-                        acc[a][c] = acc[a][c] + w * row[c]
+            for a, cols in enumerate(slices[ell]):
+                for c in cols:
+                    acc[a][c] = acc[a][c] + w
         blocks.append(tuple(map(tuple, acc)))
     exact = not isinstance(omega, complex)
     return Decomposition(k, tuple(transversals), tuple(blocks), exact)

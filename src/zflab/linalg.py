@@ -11,10 +11,12 @@ One elimination kernel, `_echelon`, serves both domains: rational rows are
 cleared to integers, then one row operation eliminates to row echelon form
 with first-nonzero pivoting, its result reduced mod p over GF(p) and divided
 by its gcd over Q. Rank is the pivot count; the nullspace basis is
-back-substituted by the same operation, so over Q it is integral and
-integer input never meets a Fraction. Floating-point spectra of real
-symmetric / complex Hermitian matrices come from numpy's eigvalsh, as
-descending tuples of floats; callers compare them with their own tolerance.
+back-substituted with no reduction pass: each pivot scales the vector by
+the least factor that makes its entry integral over Q (by 1 over GF(p)), so
+over Q it stays primitive and integer input never meets a Fraction.
+Floating-point spectra of real symmetric / complex Hermitian matrices come
+from numpy's eigvalsh, as descending tuples of floats; callers compare them
+with their own tolerance. numpy loads at the first spectrum.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 
 def is_prime(p):
@@ -257,18 +257,13 @@ class ExactMatrix:
             vec = [0] * free + [1] + [0] * (self.cols - free - 1)
             for pc, piv, tail in pivot_rows:
                 if pc < free:
-                    # vec <- piv * vec - s * e_pc (vec[pc] is still 0) makes
-                    # row . vec = 0; g = gcd(piv, s), signed like piv, is
-                    # the gcd the reduction would divide out over Q, and
-                    # piv / g > 0 keeps vec[free] positive
-                    s = sum(x * vec[j] for j, x in tail)
-                    g = math.gcd(piv, s) if piv > 0 else -math.gcd(piv, s)
-                    if g != piv:
-                        vec = [piv // g * x for x in vec]
-                    vec[pc] = -s // g
-                    vec = _reduce(vec, p)
-            scale = pow(vec[free], -1, p) if p else 1
-            basis.append(_reduce([scale * x for x in vec], p))
+                    # vec <- m * vec, vec[pc] = x (was 0): row . vec = piv*x + m*s = 0
+                    s = sum(e * vec[j] for j, e in tail)
+                    m, x = _back_solve(piv, s, p)
+                    if m != 1:
+                        vec = [m * y for y in vec]
+                    vec[pc] = x
+            basis.append(vec)
         return basis
 
 
@@ -323,6 +318,16 @@ def _reduce(vec, p):
     return [x // g for x in vec] if g > 1 else vec
 
 
+def _back_solve(piv, s, p):
+    """(m, x) with piv * x + m * s = 0: m = 1 and x = -s / piv mod p over
+    GF(p); over Q, m = piv / g > 0 and x = -s / g for g = gcd(piv, s) signed
+    like piv, coprime, so a primitive vector scaled by m stays primitive."""
+    if p:
+        return 1, -s * pow(piv, -1, p) % p
+    g = math.gcd(piv, s) if piv > 0 else -math.gcd(piv, s)
+    return piv // g, -s // g
+
+
 # ---------------------------------------------------------------------------
 # adjacency matrices
 
@@ -345,6 +350,8 @@ def spectrum(rows):
     as rows of numbers numpy converts to complex, as a descending tuple of
     floats, by LAPACK's Hermitian eigensolver (numpy.linalg.eigvalsh); its
     error is about machine precision times the matrix norm."""
+    import numpy as np
+
     a = np.asarray(rows, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")

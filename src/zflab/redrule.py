@@ -83,10 +83,19 @@ class RedMove:
         return cls.make(
             obj["u"],
             obj["v"],
-            {int(v): c for v, c in obj.get("X", {}).items()},
-            {int(v): c for v, c in obj.get("Y", {}).items()},
+            _vertex_keyed(obj.get("X", {})),
+            _vertex_keyed(obj.get("Y", {})),
             obj.get("k", 0),
         )
+
+
+def _vertex_keyed(m):
+    """A JSON multiset with its keys as vertices. A key must be an integer
+    written as str() writes it, so no two keys name one vertex."""
+    for key in m:
+        if not key.removeprefix("-").isdecimal() or str(int(key)) != key:
+            raise ValueError(f"multiset key {key!r} is not a canonical integer")
+    return {int(key): c for key, c in m.items()}
 
 
 class RedCertificateError(ValueError):

@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the library's own code paths: ranks by
 naive rational or mod-p elimination (over Q(i) and Q(w) through the regular
-representation over Q), rational nullspace bases read off the Fraction
+representation over Q), rational and mod-p nullspace bases read off the
 reduced row echelon form, zero forcing by trying all subsets with a
 set-based closure and the witness scan by plain recursion over it, vertex
 connectivity by trying vertex sets size by size, red moves by
@@ -68,17 +68,19 @@ def fraction_nullspace(rows):
     return basis
 
 
-def naive_mod_p_rank(rows, p):
-    """Textbook Gaussian elimination over GF(p) of integer or rational rows
-    whose denominators are prime to p: each pivot row is scaled to pivot 1
-    by its inverse mod p and cleared from every other row."""
+def _mod_p_rref(rows, p):
+    """Gauss-Jordan elimination over GF(p) of integer or rational rows whose
+    denominators are prime to p: each pivot row is scaled to pivot 1 by its
+    inverse mod p and cleared from every other row. The reduced rows and
+    the pivot columns."""
     m = [
         [Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in row]
         for row in rows
     ]
     n_rows, n_cols = len(m), len(m[0])
-    rank = 0
+    pivots = []
     for col in range(n_cols):
+        rank = len(pivots)
         piv = next((r for r in range(rank, n_rows) if m[r][col]), None)
         if piv is None:
             continue
@@ -89,8 +91,29 @@ def naive_mod_p_rank(rows, p):
             if r != rank and m[r][col]:
                 f = m[r][col]
                 m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return m, pivots
+
+
+def naive_mod_p_rank(rows, p):
+    """Textbook Gaussian elimination over GF(p)."""
+    return len(_mod_p_rref(rows, p)[1])
+
+
+def mod_p_nullspace(rows, p):
+    """Nullspace basis over GF(p) in reduced-echelon parametrization, entries
+    in 0..p-1: for each free column f (in order) the vector with x[f] = 1,
+    zero at the other free columns and x[pc] = -rref[i][f] mod p at the
+    pivot column pc of row i."""
+    m, pivots = _mod_p_rref(rows, p)
+    basis = []
+    for free in (c for c in range(len(m[0])) if c not in pivots):
+        vec = [0] * len(m[0])
+        vec[free] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = -m[i][free] % p
+        basis.append(vec)
+    return basis
 
 
 def extension_rank(rows):

@@ -258,9 +258,8 @@ def divisor_spectrum(g, partition):
     """Eigenvalues of the divisor matrix via the similarity that symmetrizes
     it: scaling block i by sqrt(|V_i|) turns [b_ij] into the symmetric
     matrix [b_ij * sqrt(|V_i| / |V_j|)] with the same spectrum."""
-    b = z.divisor_matrix(g, partition).data
-    blocks = partition.blocks if isinstance(partition, z.Partition) else partition
-    sizes = [len(blk) for blk in blocks]
+    b = z.divisor_matrix(g, partition.blocks).data
+    sizes = [len(blk) for blk in partition.blocks]
     return z.spectrum(
         [
             [float(b[i][j]) * math.sqrt(sizes[i] / sizes[j]) for j in range(len(sizes))]

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -303,6 +307,12 @@ class TestCommands:
               '[{{"u": 2, "v": 0, "k": true}}]'], "k must be an integer, got True"),
             (["red", "verify", "--graph", "path:3", "--cert", '[{{"u": 0}}]'],
              "--cert has a malformed move: missing 'v'"),
+            (["red", "verify", "--graph", "path:3", "--cert",
+              '[{{"u": 0, "v": 2, "X": {{"1": 5, "01": 0}}, "Y": {{"1": 5}}}}]'],
+             "multiset key '01' is not a canonical integer"),
+            (["red", "verify", "--graph", "path:3", "--cert",
+              '[{{"u": 0, "v": 2, "X": {{" 1": 5}}, "Y": {{"1": 5}}}}]'],
+             "multiset key ' 1' is not a canonical integer"),
             (["equitable", "refine", "--graph", "path:3", "--partition", "[1]"],
              '--partition must be JSON {"blocks"'),
             (["equitable", "divisor", "--graph", "path:3", "--partition",
@@ -338,7 +348,8 @@ class TestCommands:
              "matrix-qi", "matrix-zero-den", "transversal-range", "cert-object",
              "cert-number", "cert-move-shape", "cert-move-value",
              "cert-float-vertex", "cert-float-count", "cert-bool-k",
-             "cert-missing-v", "partition-list",
+             "cert-missing-v", "cert-key-leading-zero", "cert-key-space",
+             "partition-list",
              "partition-blocks", "partition-bool", "kbip-pair", "ecg-pair",
              "petersen-pair", "non-integer", "json-edges", "json-n-string",
              "json-n-float", "json-n-bool", "json-edge-triple", "primes-not-int",
@@ -365,6 +376,30 @@ class TestCommands:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert message in captured.err
+
+    def test_program_fault_is_not_bad_input(self, capsys, monkeypatch):
+        # a KeyError from the library is a fault, not an exit-2 input error;
+        # a move missing a field is still bad input
+        def fault(g):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli._structure, "vertex_connectivity", fault)
+        with pytest.raises(KeyError):
+            cli.main(["kappa", "--graph", "path:3"])
+        code = cli.main(["red", "verify", "--graph", "path:3", "--cert", '[{"v": 0}]'])
+        assert code == 2
+        assert "--cert has a malformed move: missing 'u'" in capsys.readouterr().err
+
+    def test_import_leaves_numpy_unloaded(self):
+        # numpy loads at the first spectrum, not with the command line
+        code = "import zflab.cli, sys; print('numpy' in sys.modules)"
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout
+        assert out == "False\n"
 
     def test_half_step_circulant_same_as_edge_list(self, capsys, tmp_path):
         spec = "circulant:8:1,4"

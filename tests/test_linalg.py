@@ -12,6 +12,7 @@ from oracles import (
     fraction_nullspace,
     laplace_determinant,
     matvec,
+    mod_p_nullspace,
     multisets_close,
     naive_mod_p_rank,
     naive_rational_rank,
@@ -251,8 +252,8 @@ class TestKernelCrossCheck:
                     assert not any(matvec(m.data, v, p))
                 last = [max(j for j, x in enumerate(v) if x) for v in basis]
                 assert last == non_pivot_columns(m)
-                if p is not None:  # the free entry is 1 over GF(p)
-                    assert all(v[f] == 1 for v, f in zip(basis, last))
+                if p is not None:  # the reduced-echelon vectors, entry for entry
+                    assert basis == mod_p_nullspace(data, p)
 
 
 class TestSpectrum:

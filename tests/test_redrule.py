@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 
@@ -151,6 +153,21 @@ class TestSequences:
     def test_json_roundtrip(self):
         move = z.RedMove.make(3, 1, {4: 2}, {0: 1}, 1)
         assert z.RedMove.from_json_obj(move.to_json_obj()) == move
+
+    def test_json_roundtrip_derived(self, corpus, families):
+        for g in corpus + list(families.values()):
+            for move in z.derive_red_certificates(g):
+                text = json.dumps(move.to_json_obj())
+                assert z.RedMove.from_json_obj(json.loads(text)) == move
+
+    @pytest.mark.parametrize(
+        "key", ["01", " 1", "1 ", "+1", "1_0", "1.0", "-0", "a", ""]
+    )
+    def test_json_non_canonical_key_rejected(self, key):
+        # two spellings of one vertex must not collapse into one entry
+        for side in ("X", "Y"):
+            with pytest.raises(ValueError, match=re.escape(f"multiset key {key!r}")):
+                z.RedMove.from_json_obj({"u": 0, "v": 2, side: {key: 1}})
 
 
 class TestGraphNullity:
