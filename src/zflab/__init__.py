@@ -27,7 +27,6 @@ from .equitable import (
 from .forcing import (
     Coloring,
     ZfResult,
-    is_zfs,
     zero_forcing_number,
     zf_closure,
 )

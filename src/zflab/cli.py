@@ -77,11 +77,21 @@ def _parse_vertex_list(text, option):
         raise ValueError(f"{option} must list integer vertices, got {text!r}") from None
 
 
+def _unique_keys(pairs):
+    """JSON object hook: a repeated key is refused, not silently overwritten."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate JSON object key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json_arg(arg):
     if os.path.exists(arg):
         with open(arg) as fh:
-            return json.load(fh)
-    return json.loads(arg)
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    return json.loads(arg, object_pairs_hook=_unique_keys)
 
 
 def _load_moves(arg):

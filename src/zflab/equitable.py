@@ -1,5 +1,5 @@
-"""Equitable partitions, divisor matrices, automorphism checks, and the
-root-of-unity block decomposition of A(G).
+"""Equitable partitions, divisor matrices, automorphism checks, vertex
+orbits, and the root-of-unity block decomposition of A(G).
 
 A partition V_0, ..., V_k of V(G) is equitable when every vertex of V_i has
 the same number b_ij of neighbors in V_j; the matrix [b_ij] is the divisor
@@ -10,6 +10,11 @@ with k-th root of unity weights block-diagonalizes it.
 One loop builds the blocks for every orbit size, as tuples of row tuples:
 exactly, with entries in Q, Q(i) or Q(w), for k in {1, 2, 3, 4, 6}, in
 complex floats otherwise. Spectra are descending tuples of floats.
+
+One refinement, on vertex bitmasks, serves the coarsest equitable partition
+and the vertex-orbit search; it orders cells without reading vertex labels,
+so that partitions reached from two vertices line up when an automorphism
+maps one vertex to the other.
 """
 
 from __future__ import annotations
@@ -75,27 +80,138 @@ def coarsest_equitable(g, initial=None):
     signatures until stable. The result refines the input, is equitable, and
     is the coarsest such refinement; blocks are ordered by least vertex."""
     if initial is None:
-        blocks = [tuple(range(g.n))]
+        initial = [range(g.n)] if g.n else []
     else:
-        blocks = [tuple(blk) for blk in initial]
-        _check_partition(g, blocks)
-    while True:
-        counts = _neighbor_counts(g, blocks)
-        new_blocks = []
-        for blk in blocks:
-            sig = {}
-            for v in blk:
-                sig.setdefault(counts[v], []).append(v)
-            groups = sorted(sig.values(), key=min)
-            new_blocks.extend(tuple(sorted(grp)) for grp in groups)
-        changed = len(new_blocks) > len(blocks)
-        blocks = sorted(new_blocks, key=min)
-        if not changed:
-            break
+        _check_partition(g, initial)
+    part = _Ordered.of(g.n, [_to_mask(blk) for blk in initial])
+    part.refine(g.adjacency_masks, sorted(part.cells))
+    blocks = sorted((_vertices(c) for c in part.cells.values()), key=min)
     ok, b = is_equitable(g, blocks)
     if not ok:
         raise ArithmeticError("the refined partition is not equitable")
     return Partition(tuple(blocks), b)
+
+
+def _to_mask(vertices):
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _vertices(mask):
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return tuple(out)
+
+
+def _count_planes(masks, s):
+    """Bit planes of each vertex's neighbor count in the vertex set s, most
+    significant first: bit i of the count of v is bit v of the plane for 2^i."""
+    planes = []
+    while s:
+        b = s & -s
+        s ^= b
+        carry, i = masks[b.bit_length() - 1], 0
+        while carry:
+            if i == len(planes):
+                planes.append(carry)
+                break
+            p = planes[i]
+            planes[i] = p ^ carry
+            carry &= p
+            i += 1
+    return planes[::-1]
+
+
+class _Ordered:
+    """An ordered partition of 0..n-1: `cells` maps the position of each
+    cell's first vertex to the cell's vertex bitmask, and at[v] is the
+    position of v's cell. Positions never name vertices, so an ordered
+    partition relabelled by a permutation keeps its positions. `trace` is
+    what `refine` returned when the partition was made by individualizing."""
+
+    def __init__(self, cells, at):
+        self.cells, self.at, self.trace = cells, at, ()
+
+    @classmethod
+    def of(cls, n, masks):
+        """The partition whose cells are `masks`, in order."""
+        cells, at, pos = {}, [0] * n, 0
+        for c in masks:
+            cells[pos] = c
+            for v in _vertices(c):
+                at[v] = pos
+            pos += c.bit_count()
+        return cls(cells, at)
+
+    def individualized(self, masks, pos, x):
+        """A refined copy in which x leaves the cell at `pos` for a cell of
+        its own at the end of that cell's span."""
+        cells, at = dict(self.cells), list(self.at)
+        last = pos + cells[pos].bit_count() - 1
+        cells[pos] ^= 1 << x
+        cells[last], at[x] = 1 << x, last
+        child = _Ordered(cells, at)
+        child.trace = child.refine(masks, [last])
+        return child
+
+    def target(self):
+        """Position of the first largest cell, or None if it is a singleton."""
+        size, pos = max((c.bit_count(), -p) for p, c in self.cells.items())
+        return -pos if size > 1 else None
+
+    def refine(self, masks, queue):
+        """Refine to the coarsest equitable partition below, splitting every
+        cell by its vertices' neighbor counts in each queued cell in turn.
+        The partition must already be equitable with respect to every cell
+        not on the queue. A split cell's fragments follow one another in
+        increasing order of count; each joins the queue unless it is the
+        first largest fragment of a cell already used as a splitter.
+        Returns the positions of the new cells in the order they were made,
+        which relabelling does not change either."""
+        cells, at, n = self.cells, self.at, len(self.at)
+        made = []
+        while queue and len(cells) < n:
+            planes = _count_planes(masks, cells[queue.pop(0)])
+            rest, hit = 0, []
+            for p in planes:
+                rest |= p
+            while rest:
+                pos = at[(rest & -rest).bit_length() - 1]
+                c = cells[pos]
+                rest &= ~c
+                if c & (c - 1):
+                    hit.append(pos)
+            hit.sort()
+            for pos in hit:
+                frags = [cells[pos]]
+                for p in planes:
+                    frags = [f for h in frags for f in (h & ~p, h & p) if f]
+                if len(frags) == 1:
+                    continue
+                starts, start, largest = [], pos, 0
+                for f in frags:
+                    size = f.bit_count()
+                    cells[start] = f
+                    if start != pos:
+                        made.append(start)
+                        while f:
+                            b = f & -f
+                            at[b.bit_length() - 1] = start
+                            f ^= b
+                    if size > largest:
+                        largest, first_largest = size, start
+                    starts.append(start)
+                    start += size
+                if pos in queue:
+                    queue += starts[1:]
+                else:
+                    queue += [q for q in starts if q != first_largest]
+        return made
 
 
 def divisor_matrix(g, blocks):
@@ -112,18 +228,124 @@ def divisor_matrix(g, blocks):
 
 
 def check_automorphism(g, perm):
-    """Validate a permutation as a graph automorphism; raises naming a
-    violated pair."""
+    """Validate a permutation as a graph automorphism; raises naming an edge
+    whose image is not an edge. A bijection that maps the edges into the
+    edges maps them onto the edges, so it also keeps every non-edge."""
     perm = tuple(perm)
     if sorted(perm) != list(range(g.n)):
         raise ValueError("not a permutation of 0..n-1")
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v) != g.has_edge(perm[u], perm[v]):
-                raise ValueError(
-                    f"pair ({u},{v}) maps to ({perm[u]},{perm[v]}) and changes adjacency"
-                )
+    for u, v in g.edges:
+        if not g.has_edge(perm[u], perm[v]):
+            raise ValueError(
+                f"edge ({u},{v}) maps to ({perm[u]},{perm[v]}), which is not an edge"
+            )
     return perm
+
+
+# Refinements (individualize one vertex, then refine) that one vertex_orbits
+# call may run; the Shrikhande graph, the hardest graph in the tests, takes 42.
+# Orbits the budget leaves unmerged only cost the Z search extra root moves,
+# never a wrong answer.
+ORBIT_NODE_BUDGET = 64
+
+
+def vertex_orbits(g, vertices):
+    """Split `vertices` into classes, each inside one orbit of Aut(G), ordered
+    by least vertex. Two vertices share a class only when a permutation that
+    check_automorphism accepts links them, so the classes are sound whatever
+    the search misses; on the graphs it resolves they are the orbits.
+
+    The search individualizes and refines (McKay and Piperno, Practical graph
+    isomorphism, II, 2014). For each vertex w of a cell of the coarsest
+    equitable partition, not yet joined to an earlier vertex v, it descends
+    from w looking for a discrete partition that lines up cell by cell with
+    the first one reached from v; the matching gives a candidate permutation
+    and each verified one joins the cycles it moves. At most
+    ORBIT_NODE_BUDGET refinements run."""
+    n, masks = g.n, g.adjacency_masks
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    vertices = sorted(vertices)
+    if len(vertices) < 2:
+        return tuple((v,) for v in vertices)
+    root = _Ordered.of(n, [(1 << n) - 1])
+    root.refine(masks, [0])
+    want = _to_mask(vertices) if len(root.cells) < n else 0
+    search = _OrbitSearch(g)
+    try:
+        for pos, cell in sorted(root.cells.items()):
+            paths = {}  # the path from v of each v that joined no earlier vertex
+            for w in _vertices(cell & want):
+                if find(w) != w:
+                    continue
+                top = search.child(root, pos, w) if paths else None
+                for v, path in paths.items():
+                    if not path:
+                        path.append(search.child(root, pos, v))
+                    perm = search.match(top, path, 0)
+                    if perm is not None:
+                        for a, b in enumerate(perm):  # roots stay least
+                            ra, rb = find(a), find(b)
+                            parent[max(ra, rb)] = min(ra, rb)
+                        break
+                else:
+                    paths[w] = [] if top is None else [top]
+    except _BudgetSpent:
+        pass
+    classes = {}
+    for v in vertices:
+        classes.setdefault(find(v), []).append(v)
+    return tuple(tuple(c) for c in classes.values())
+
+
+class _BudgetSpent(Exception):
+    """ORBIT_NODE_BUDGET refinements have run."""
+
+
+class _OrbitSearch:
+    """The individualization-refinement tree of one graph, at most
+    ORBIT_NODE_BUDGET nodes of it."""
+
+    def __init__(self, g):
+        self.g, self.masks, self.budget = g, g.adjacency_masks, ORBIT_NODE_BUDGET
+
+    def child(self, part, pos, x):
+        if self.budget == 0:
+            raise _BudgetSpent
+        self.budget -= 1
+        return part.individualized(self.masks, pos, x)
+
+    def match(self, part, path, depth):
+        """A verified automorphism taking a discrete partition on `path` to
+        one below `part`, or None. path[0] is the base vertex's node and
+        path[d + 1] the child of path[d] at the least vertex of its target
+        cell; the path is extended as the search needs it."""
+        node = path[depth]
+        if part.trace != node.trace:
+            return None
+        pos = part.target()
+        if pos is None:
+            perm = [0] * len(part.at)
+            for p, b in node.cells.items():
+                perm[b.bit_length() - 1] = part.cells[p].bit_length() - 1
+            try:
+                return check_automorphism(self.g, perm)
+            except ValueError:
+                return None
+        if len(path) == depth + 1:
+            c = node.cells[pos]
+            path.append(self.child(node, pos, (c & -c).bit_length() - 1))
+        for x in _vertices(part.cells[pos]):
+            perm = self.match(self.child(part, pos, x), path, depth + 1)
+            if perm is not None:
+                return perm
+        return None
 
 
 def _cycles(perm):

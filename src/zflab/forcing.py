@@ -9,9 +9,11 @@ only vertices next to a new blue one and pops the lowest first, so its log
 keeps `zf_closure`'s lowest-index-forcer order.
 
 Z(G) comes from the wavefront search of Brimkov, Fast and Hicks (EJOR 2019)
-over closed blue sets. The witness is then the lexicographically least set
-of size Z, by a depth-first scan that never descends into a vertex the
-closure of the earlier ones already colors: a minimum set with such a
+over closed blue sets. Its first move is expanded once per vertex orbit,
+with the orbits found from the graph by `equitable.vertex_orbits`; every
+later state expands every vertex. The witness is then the lexicographically
+least set of size Z, by a depth-first scan that never descends into a vertex
+the closure of the earlier ones already colors: a minimum set with such a
 vertex would contain a smaller zero forcing set.
 """
 
@@ -20,8 +22,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from .equitable import vertex_orbits
+
 # Closed sets the wavefront may expand before it settles for bounds. With no
-# floor, Circ[48,{1,7}] needs 53,335 (about 5 s on a 2-core Xeon guest).
+# floor, Circ[96,{1,7}] needs 22,222 (about 2 s on a 2-core Xeon guest).
 STATE_BUDGET = 60_000
 
 
@@ -63,12 +67,6 @@ def zf_closure(g, blue):
     mask = _close(g.adjacency_masks, mask, mask, log)
     colored = frozenset(v for v in range(n) if (mask >> v) & 1)
     return Coloring(n, colored, tuple(log))
-
-
-def is_zfs(g, blue):
-    """True iff the closure of blue colors every vertex."""
-    mask = _to_mask(blue, g.n)
-    return _close(g.adjacency_masks, mask, mask) == (1 << g.n) - 1
 
 
 def _to_mask(vertices, n):
@@ -141,13 +139,24 @@ def _witness_of_size(masks, n, size, stats):
             closed.pop()
 
 
-def _wavefront(masks, n, incumbent, floor, stats):
+def _wavefront(g, incumbent, floor, stats):
     """Z by a cheapest-first search over closed sets S, each priced at the
     fewest initial vertices reaching it: forcing through v pays for N[v] \\ S
     but one white neighbor of v and closes; finishing pays for the white
     vertices. Returns (Z, True), stopping once `incumbent` (a known forcing
     set size) is at most `floor`, or (lower, False) with Z >= lower once
-    STATE_BUDGET states are expanded."""
+    STATE_BUDGET states are expanded.
+
+    The root expands only the least vertex of each class `vertex_orbits`
+    returns. An automorphism sigma maps closed sets to closed sets and the
+    move at v from S to the move at sigma(v) from sigma(S), at the same
+    price, so it maps any move sequence to one of equal cost. Whatever
+    vertex a cheapest sequence starts at, its image starts at that vertex's
+    class representative: the search still finds Z, and a budget's lower
+    bound stays valid. The classes need only lie inside orbits, so any set
+    of verified automorphisms will do; a vertex joined to nothing stays a
+    root of its own."""
+    n, masks = g.n, g.adjacency_masks
     full = (1 << n) - 1
     best = {0: 0}
     heap = [(0, 0)]
@@ -161,7 +170,7 @@ def _wavefront(masks, n, incumbent, floor, stats):
             return cost, False
         stats.nodes += 1
         incumbent = min(incumbent, cost + n - mask.bit_count())
-        for v in range(n):
+        for v in range(n) if mask else _root_moves(g, incumbent):
             if not masks[v] & ~mask:
                 continue
             added = (masks[v] | (1 << v)) & ~mask
@@ -178,6 +187,13 @@ def _wavefront(masks, n, incumbent, floor, stats):
     return incumbent, True
 
 
+def _root_moves(g, incumbent):
+    """The least vertex of each vertex orbit found among the first moves
+    priced under the incumbent (forcing from v first costs deg(v))."""
+    moves = [v for v in range(g.n) if 0 < g.degree(v) < incumbent]
+    return [orbit[0] for orbit in vertex_orbits(g, moves)]
+
+
 def zero_forcing_number(g, floor=0):
     """Exact Z(G) with the lexicographically least minimum zero forcing set.
 
@@ -189,7 +205,7 @@ def zero_forcing_number(g, floor=0):
     stats = _SearchStats()
     n, masks = g.n, g.adjacency_masks
     greedy = _greedy_upper_bound(g)
-    size, exact = _wavefront(masks, n, len(greedy), floor, stats)
+    size, exact = _wavefront(g, len(greedy), floor, stats)
     if exact:
         witness = None if size < floor else _witness_of_size(masks, n, size, stats)
         if witness is None:
@@ -209,9 +225,14 @@ def zero_forcing_number(g, floor=0):
 
 
 def _greedy_upper_bound(g):
-    blue = list(range(g.n))
-    for v in range(g.n):
-        trial = [w for w in blue if w != v]
-        if is_zfs(g, trial):
-            blue = trial
-    return blue
+    """Drop each vertex in turn while the rest still forces. A trial set's
+    white vertices are the dropped ones and v, so only their blue neighbors
+    can force: they seed the closure's worklist."""
+    n, masks = g.n, g.adjacency_masks
+    full = (1 << n) - 1
+    blue, near = full, 0  # near: the neighbors of the dropped vertices
+    for v in range(n):
+        trial, seen = blue ^ (1 << v), near | masks[v]
+        if _close(masks, trial, seen & trial) == full:
+            blue, near = trial, seen
+    return [v for v in range(n) if (blue >> v) & 1]

@@ -5,7 +5,8 @@ naive rational or mod-p elimination (over Q(i) and Q(w) through the regular
 representation over Q), rational and mod-p nullspace bases read off the
 reduced row echelon form, zero forcing by trying all subsets with a
 set-based closure and the witness scan by plain recursion over it, vertex
-connectivity by trying vertex sets size by size, red moves by
+connectivity by trying vertex sets size by size, vertex orbits by
+trying every extension of a partial vertex map, red moves by
 materializing the edge-count maps of the modified general graphs and by
 the dense row equation, products by the textbook sum, spectra by numpy and
 compared as multisets within a tolerance. The last sections hold the
@@ -219,6 +220,33 @@ def brute_min_rank_gf2(g):
         if r < best:
             best, best_diag = r, diag
     return best, tuple((best_diag >> i) & 1 for i in range(g.n)), ranks
+
+
+def brute_vertex_orbits(g):
+    """The orbits of Aut(G) as sorted tuples, ordered by least vertex: every
+    automorphism is found by extending a map of 0..k-1 to vertex k in every
+    way that keeps adjacency with the vertices already mapped. For small
+    graphs (n <= 8) and sparse ones whose vertex order keeps each vertex
+    next to an earlier one, which prunes the extensions."""
+    n = g.n
+    adj = [[g.has_edge(u, v) for v in range(n)] for u in range(n)]
+    orbit = [{v} for v in range(n)]
+    image = []
+
+    def extend():
+        k = len(image)
+        if k == n:
+            for v in range(n):
+                orbit[v].add(image[v])
+            return
+        for c in range(n):
+            if c not in image and all(adj[k][j] == adj[c][image[j]] for j in range(k)):
+                image.append(c)
+                extend()
+                image.pop()
+
+    extend()
+    return sorted({tuple(sorted(o)) for o in orbit})
 
 
 def disconnects(g, removed):

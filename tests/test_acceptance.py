@@ -50,7 +50,7 @@ def test_criterion_01_aztec_diamonds():
         else:
             # the construction set pins Z from above, the nullity from below
             blue = aztec_zfs(r)
-            assert len(blue) == 2 * r and z.is_zfs(g, blue)
+            assert len(blue) == 2 * r and z.zf_closure(g, blue).all_colored
     _report(1, "diamond grids: nullity = Z = 2r over Q and GF(2,3,5), r <= 4", t0)
 
 
@@ -72,7 +72,7 @@ def test_criterion_03_circulant_one_ell():
             g = z.circulant(n, {1, ell})
             assert z.adjacency_matrix(g).rank_nullity()[1] == 2 * ell
             blue = circulant_zfs({1, ell})
-            assert len(blue) == 2 * ell and z.is_zfs(g, blue)
+            assert len(blue) == 2 * ell and z.zf_closure(g, blue).all_colored
             # nullity <= M <= Z <= |construction| forces equality throughout
     _report(3, "circulants {1, l}: nullity = Z = 2l for l in {3,5}, k in {1,2}", t0)
 

@@ -199,12 +199,14 @@ class TestCommands:
         assert code == 1 and obj["verdict"].startswith("NotCertified")
 
     def test_certify_budget_exit(self, capsys, monkeypatch):
-        # a spent budget gives bounds and exit 1, not the bad-input exit 2
+        # a spent budget gives bounds and exit 1, not the bad-input exit 2;
+        # the root expands one move per vertex orbit (two on P(11,4)), so the
+        # five states reach cost 4 (Z = 7)
         monkeypatch.setattr(forcing, "STATE_BUDGET", 5)
         code, obj = run(capsys, "certify", "--graph", "petersen:11,4")
         assert code == 1 and obj["zero_forcing_number"] is None
         assert obj["verdict"] == (
-            "NotCertified(the Z search used its budget of 5 states: 3 <= Z <= 7)"
+            "NotCertified(the Z search used its budget of 5 states: 4 <= Z <= 7)"
         )
 
     def test_report_budget_bounds(self, capsys, monkeypatch):
@@ -313,6 +315,12 @@ class TestCommands:
             (["red", "verify", "--graph", "path:3", "--cert",
               '[{{"u": 0, "v": 2, "X": {{" 1": 5}}, "Y": {{"1": 5}}}}]'],
              "multiset key ' 1' is not a canonical integer"),
+            (["red", "verify", "--graph", "path:3", "--cert",
+              '[{{"u": 0, "v": 2, "X": {{"1": 5, "1": 0}}, "Y": {{"1": 5}}}}]'],
+             "duplicate JSON object key '1'"),
+            (["equitable", "refine", "--graph", "path:3", "--partition",
+              '{{"blocks": [[0, 1, 2]], "blocks": [[0], [1, 2]]}}'],
+             "duplicate JSON object key 'blocks'"),
             (["equitable", "refine", "--graph", "path:3", "--partition", "[1]"],
              '--partition must be JSON {"blocks"'),
             (["equitable", "divisor", "--graph", "path:3", "--partition",
@@ -349,7 +357,7 @@ class TestCommands:
              "cert-number", "cert-move-shape", "cert-move-value",
              "cert-float-vertex", "cert-float-count", "cert-bool-k",
              "cert-missing-v", "cert-key-leading-zero", "cert-key-space",
-             "partition-list",
+             "cert-duplicate-key", "partition-duplicate-key", "partition-list",
              "partition-blocks", "partition-bool", "kbip-pair", "ecg-pair",
              "petersen-pair", "non-integer", "json-edges", "json-n-string",
              "json-n-float", "json-n-bool", "json-edge-triple", "primes-not-int",

@@ -6,7 +6,13 @@ import pytest
 
 import zflab as z
 from zflab import equitable
-from oracles import extension_rank, matmul, multiset_contained, multisets_close
+from oracles import (
+    brute_vertex_orbits,
+    extension_rank,
+    matmul,
+    multiset_contained,
+    multisets_close,
+)
 from paper import divisor_spectrum, orbit_partition, verify_ecg_nullvectors
 
 
@@ -171,8 +177,68 @@ class TestOrbitPartition:
 
     def test_non_automorphism_rejected(self):
         g = z.path_graph(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"edge \(1,2\) maps to \(0,2\), which is not"):
             orbit_partition(g, [1, 0, 2, 3])
+        with pytest.raises(ValueError, match="not a permutation"):
+            orbit_partition(g, [1, 1, 2, 3])
+        # only the last edge breaks: every edge is checked
+        with pytest.raises(ValueError, match=r"edge \(1,2\) maps to \(1,3\)"):
+            equitable.check_automorphism(z.Graph(4, [(0, 1), (1, 2)]), [0, 1, 3, 2])
+
+
+class TestVertexOrbits:
+    def test_classes_inside_true_orbits(self, corpus, families):
+        graphs = [g for g in corpus if g.n <= 8]
+        graphs += [g for g in families.values() if g.n <= 8]
+        for g in graphs:
+            truth = brute_vertex_orbits(g)
+            found = equitable.vertex_orbits(g, range(g.n))
+            assert sorted(v for c in found for v in c) == list(range(g.n))
+            for cls in found:
+                assert any(set(cls) <= set(orbit) for orbit in truth), (g.edges, cls)
+
+    def test_exact_on_vertex_transitive_families(self):
+        graphs = [z.cycle_graph(n) for n in (3, 5, 8)]
+        graphs += [z.complete_graph(6), z.complete_bipartite_graph(4, 4)]
+        graphs += [z.circulant(8, {1, 3}), z.circulant(7, {1, 2}), z.circulant(8, {1, 2})]
+        graphs += [z.extended_cube(0, 0), z.generalized_petersen(4, 1)]
+        for g in graphs:
+            assert brute_vertex_orbits(g) == [tuple(range(g.n))]
+            assert equitable.vertex_orbits(g, range(g.n)) == (tuple(range(g.n)),)
+
+    def test_candidates_are_checked(self, monkeypatch):
+        # with every trace blanked, leaves that do not line up become
+        # candidates too (most of them on these ladders, whose five orbits
+        # share one equitable cell); only check_automorphism keeps the
+        # classes inside orbits
+        individualized = equitable._Ordered.individualized
+
+        def blank_trace(self, masks, pos, x):
+            child = individualized(self, masks, pos, x)
+            child.trace = ()
+            return child
+
+        monkeypatch.setattr(equitable._Ordered, "individualized", blank_trace)
+        for g in (z.extended_cube(1, 3), z.extended_cube(2, 4)):
+            truth = brute_vertex_orbits(g)
+            found = equitable.vertex_orbits(g, range(g.n))
+            assert sorted(found) == truth
+
+    def test_restricted_to_given_vertices(self):
+        g = z.path_graph(6)  # orbits {0,5}, {1,4}, {2,3}
+        assert equitable.vertex_orbits(g, [5, 1, 0, 4]) == ((0, 5), (1, 4))
+        assert equitable.vertex_orbits(g, [3]) == ((3,),)
+        assert equitable.vertex_orbits(g, []) == ()
+
+    def test_spent_budget_stays_sound(self, corpus, monkeypatch):
+        graphs = [g for g in corpus[:60] if g.n <= 8] + [z.cycle_graph(8)]
+        for budget in (0, 1, 2, 3):
+            monkeypatch.setattr(equitable, "ORBIT_NODE_BUDGET", budget)
+            for g in graphs:
+                truth = brute_vertex_orbits(g)
+                for cls in equitable.vertex_orbits(g, range(g.n)):
+                    assert any(set(cls) <= set(orbit) for orbit in truth)
+
 
 
 def shift_block(block, lam):

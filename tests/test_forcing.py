@@ -4,8 +4,9 @@ import random
 import pytest
 
 import zflab as z
-from zflab import forcing
-from oracles import brute_zero_forcing, set_closure, witness_scan
+from zflab import equitable, forcing
+from zflab.cli import parse_graph_spec
+from oracles import brute_vertex_orbits, brute_zero_forcing, set_closure, witness_scan
 from paper import (
     aztec_cells,
     aztec_zfs,
@@ -108,24 +109,26 @@ class TestClosure:
 
 
 class TestIsZfs:
+    """A set forces when its closure colors every vertex."""
+
     def test_full_set(self, families):
         for g in families.values():
-            assert z.is_zfs(g, range(g.n))
+            assert z.zf_closure(g, range(g.n)).all_colored
 
     def test_circulant_16_half_set(self):
         g = z.circulant(16, {1, 7})
-        assert z.is_zfs(g, set(range(9)) | {15})
+        assert z.zf_closure(g, set(range(9)) | {15}).all_colored
 
     def test_k44_no_five_subset(self):
         g = z.complete_bipartite_graph(4, 4)
-        assert all(
-            not z.is_zfs(g, s) for s in itertools.combinations(range(8), 5)
+        assert not any(
+            z.zf_closure(g, s).all_colored for s in itertools.combinations(range(8), 5)
         )
 
     def test_out_of_range(self):
         for blue in ([5], [-1], [0, 3]):
             with pytest.raises(ValueError, match=f"vertex {blue[-1]} out of range"):
-                z.is_zfs(z.path_graph(3), blue)
+                z.zf_closure(z.path_graph(3), blue)
 
     def test_superset_of_zfs_is_zfs(self, corpus):
         rng = random.Random(3)
@@ -134,7 +137,7 @@ class TestIsZfs:
             sup = set(res.witness)
             while len(sup) < min(g.n, len(sup) + 2):
                 sup.add(rng.randrange(g.n))
-            assert z.is_zfs(g, sup)
+            assert z.zf_closure(g, sup).all_colored
 
 
 class TestSearch:
@@ -161,7 +164,7 @@ class TestSearch:
     def test_aztec_3(self):
         res = z.zero_forcing_number(z.aztec_diamond(3))
         assert res.zf_number == 6
-        assert z.is_zfs(z.aztec_diamond(3), res.witness)
+        assert z.zf_closure(z.aztec_diamond(3), res.witness).all_colored
 
     def test_ecg_values(self):
         assert z.zero_forcing_number(z.extended_cube(1, 1)).zf_number == 4
@@ -175,7 +178,7 @@ class TestSearch:
             c
             for s in range(1, 6)
             for c in itertools.combinations(range(5), s)
-            if z.is_zfs(g, c)
+            if z.zf_closure(g, c).all_colored
         )
         assert res.witness == best
 
@@ -199,7 +202,7 @@ class TestSearch:
         nu = z.adjacency_matrix(g).rank_nullity()[1]
         res = z.zero_forcing_number(g, floor=nu)
         assert res.zf_number == 10
-        assert z.is_zfs(g, res.witness)
+        assert z.zf_closure(g, res.witness).all_colored
 
     def test_floor_below_z_leaves_z_exact(self):
         g = z.cycle_graph(6)
@@ -211,21 +214,21 @@ class TestSearch:
         g = z.circulant(40, {1, 3})
         res = z.zero_forcing_number(g)
         assert res.is_exact and res.zf_number == 6
-        assert z.is_zfs(g, res.witness)
+        assert z.zf_closure(g, res.witness).all_colored
 
     def test_floor_ends_search_early(self):
         g = z.circulant(32, {1, 15})
         res = z.zero_forcing_number(g, floor=18)
         assert res.is_exact and res.zf_number == 18
         assert res.subsets_examined <= 2 * res.zf_number
-        assert z.is_zfs(g, res.witness)
+        assert z.zf_closure(g, res.witness).all_colored
 
     def test_aztec_4_without_floor(self):
         # the paper's M = Z = 2r at r = 4, beyond the old order cap
         g = z.aztec_diamond(4)
         res = z.zero_forcing_number(g)
         assert res.is_exact and res.zf_number == 8
-        assert z.is_zfs(g, res.witness)
+        assert z.zf_closure(g, res.witness).all_colored
 
     def test_floor_above_a_forcing_set_raises(self):
         with pytest.raises(ValueError):
@@ -238,7 +241,18 @@ class TestSearch:
         assert not res.is_exact
         assert 1 <= res.lower_bound <= res.upper_bound == res.zf_number
         assert len(res.witness) == res.upper_bound
-        assert z.is_zfs(g, res.witness)
+        assert z.zf_closure(g, res.witness).all_colored
+
+    def test_greedy_matches_plain_trials(self, corpus):
+        # the greedy drops each vertex in turn while the rest still forces;
+        # its seeded closures must decide every trial as a full closure does
+        for g in corpus:
+            blue = list(range(g.n))
+            for v in range(g.n):
+                trial = [w for w in blue if w != v]
+                if len(set_closure(g, trial)) == g.n:
+                    blue = trial
+            assert forcing._greedy_upper_bound(g) == blue
 
     def test_disconnected(self):
         g = z.Graph(5, [(0, 1), (2, 3)])
@@ -257,6 +271,100 @@ class TestSearch:
                 assert nu <= zres.zf_number, f"null(A-{lam}I) > Z on {g!r}"
 
 
+ZF_SPECS = (
+    "circulant:20:1,4", "circulant:22:1,5", "circulant:24:1,5",
+    "petersen:10,3", "petersen:11,4", "petersen:12,5",
+    "cart:cycle:6+path:4", "cart:cycle:7+path:3", "cart:cycle:8+path:3",
+    "aztec:3", "ecg:1,3", "ecg:2,4",
+)
+
+
+def shrikhande():
+    """The Shrikhande graph: Z4 x Z4, each vertex adjacent to its shifts by
+    +-(1,0), +-(0,1) and +-(1,1). Strongly regular like K4 x K4, so
+    individualizing one vertex leaves both with the same three cells."""
+    steps = ((1, 0), (0, 1), (1, 1))
+    edges = {
+        tuple(sorted((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)))
+        for a in range(4) for b in range(4) for da, db in steps
+    }
+    return z.Graph(16, edges)
+
+
+def every_vertex_a_root(g, vertices):
+    return tuple((v,) for v in sorted(vertices))
+
+
+class TestRootOrbits:
+    def test_answers_match_every_root_search(self, corpus, families, monkeypatch):
+        graphs = list(corpus) + list(families.values())
+        graphs += [parse_graph_spec(spec) for spec in ZF_SPECS]
+        reduced = [z.zero_forcing_number(g) for g in graphs]
+        monkeypatch.setattr(forcing, "vertex_orbits", every_vertex_a_root)
+        for g, got in zip(graphs, reduced):
+            want = z.zero_forcing_number(g)
+            assert (got.zf_number, got.witness, got.forces) == (
+                want.zf_number, want.witness, want.forces
+            ), g.edges
+            assert got.is_exact and got.subsets_examined <= want.subsets_examined
+
+    def test_root_moves_meet_every_orbit(self, corpus):
+        # a first move is left out only for a vertex of its own orbit
+        for g in [g for g in corpus if g.n <= 8]:
+            truth = brute_vertex_orbits(g)
+            for incumbent in (3, g.n):
+                moves = {v for v in range(g.n) if 0 < g.degree(v) < incumbent}
+                roots = forcing._root_moves(g, incumbent)
+                assert set(roots) <= moves and len(roots) == len(set(roots))
+                for orbit in truth:
+                    assert bool(set(orbit) & moves) == bool(set(orbit) & set(roots))
+
+    def test_large_symmetric_graphs(self):
+        # Z, witness and force count of the search that expands every root
+        cases = {
+            "circulant:48:1,7": (14, tuple(range(14)), 34),
+            "aztec:5": (10, (0, 1, 2, 5, 6, 11, 12, 19, 20, 29), 50),
+            "cart:cycle:10+path:5": (10, tuple(range(10)), 40),
+        }
+        for spec, (zf, witness, forces) in cases.items():
+            g = parse_graph_spec(spec)
+            res = z.zero_forcing_number(g)
+            assert (res.zf_number, res.witness, len(res.forces)) == (zf, witness, forces)
+            assert res.is_exact and res.forces == z.zf_closure(g, witness).log
+
+    def test_spent_orbit_budget_keeps_z(self, monkeypatch):
+        # refinement splits these vertex-transitive strongly regular graphs
+        # slowly, so the finder needs dozens of nodes to join all 16
+        # vertices; with fewer, some vertices stay roots of their own
+        graphs = (shrikhande(), z.cartesian_product(z.complete_graph(4), z.complete_graph(4)))
+        full = [z.zero_forcing_number(g) for g in graphs]
+        for g in graphs:
+            assert equitable.vertex_orbits(g, range(16)) == (tuple(range(16)),)
+        for budget in (0, 1, 3, 10):
+            monkeypatch.setattr(equitable, "ORBIT_NODE_BUDGET", budget)
+            for g, want in zip(graphs, full):
+                assert len(equitable.vertex_orbits(g, range(16))) > 1
+                got = z.zero_forcing_number(g)
+                assert got.is_exact and got.zf_number == want.zf_number == 10
+                assert got.witness == want.witness
+
+    def test_spent_state_budget_bounds_stay_valid(self, monkeypatch):
+        exact = {spec: z.zero_forcing_number(parse_graph_spec(spec)).zf_number
+                 for spec in ZF_SPECS}
+        for budget in (3, 10, 30):
+            monkeypatch.setattr(forcing, "STATE_BUDGET", budget)
+            for spec, zf in exact.items():
+                res = z.zero_forcing_number(parse_graph_spec(spec))
+                assert res.lower_bound <= zf <= res.upper_bound
+
+    def test_no_orbit_work_without_cheap_root_moves(self, monkeypatch):
+        # every first move of K_n costs n - 1, the greedy set's size
+        calls = []
+        monkeypatch.setattr(forcing, "vertex_orbits", lambda g, vs: calls.append(vs) or ())
+        assert z.zero_forcing_number(z.complete_graph(30)).zf_number == 29
+        assert calls == [[]]
+
+
 class TestConstructions:
     def test_all_constructions_force(self):
         cases = [
@@ -272,7 +380,7 @@ class TestConstructions:
             (z.circulant(11, {1, 2, 3, 5}), circulant_consec_minus_zfs(11)),
         ]
         for g, blue in cases:
-            assert z.is_zfs(g, blue), f"construction fails on {g!r}"
+            assert z.zf_closure(g, blue).all_colored, f"construction fails on {g!r}"
 
     def test_ecg_12_set(self):
         assert ecg_zfs(1, 2) == frozenset({0, 10, 11, 13})
