@@ -77,21 +77,11 @@ def _parse_vertex_list(text, option):
         raise ValueError(f"{option} must list integer vertices, got {text!r}") from None
 
 
-def _unique_keys(pairs):
-    """JSON object hook: a repeated key is refused, not silently overwritten."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate JSON object key {key!r}")
-        obj[key] = value
-    return obj
-
-
 def _load_json_arg(arg):
     if os.path.exists(arg):
         with open(arg) as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-    return json.loads(arg, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=_graphs._unique_keys)
+    return json.loads(arg, object_pairs_hook=_graphs._unique_keys)
 
 
 def _load_moves(arg):
@@ -157,7 +147,7 @@ def _cmd_zf(args):
     res = _forcing.zero_forcing_number(g)
     out = {
         "zf_number": res.zf_number,
-        "witness": list(res.witness or ()),
+        "witness": list(res.witness),
         "forces": [list(f) for f in res.forces],
         "exact": res.is_exact,
     }

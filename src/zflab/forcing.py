@@ -11,10 +11,10 @@ keeps `zf_closure`'s lowest-index-forcer order.
 Z(G) comes from the wavefront search of Brimkov, Fast and Hicks (EJOR 2019)
 over closed blue sets. Its first move is expanded once per vertex orbit,
 with the orbits found from the graph by `equitable.vertex_orbits`; every
-later state expands every vertex. The witness is then the lexicographically
-least set of size Z, by a depth-first scan that never descends into a vertex
-the closure of the earlier ones already colors: a minimum set with such a
-vertex would contain a smaller zero forcing set.
+later state expands every vertex. Each state carries a set of initial
+vertices that reaches it, so the witness is the set the search found: a
+minimum zero forcing set, though not in general the lexicographically
+least one.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class Coloring:
 @dataclass(frozen=True)
 class ZfResult:
     zf_number: int
-    witness: tuple | None
+    witness: tuple
     forces: tuple
     subsets_examined: int = 0
     is_exact: bool = True
@@ -108,44 +108,20 @@ def _seed(masks, added, mask):
     return todo & mask
 
 
-@dataclass
-class _SearchStats:
-    nodes: int = 0
+def _wavefront(g, found, floor):
+    """Z by a cheapest-first search over closed sets S. start[S] is a set
+    of initial vertices that reaches S, priced at its size: a move through
+    v adds N[v] \\ S but w, the least white neighbor of v, which v then
+    forces, and closes; finishing adds the white vertices. `found` is the
+    incumbent forcing set's mask, first the greedy one. Returns (found,
+    lower, states expanded): lower = |found| once that is Z or at most
+    `floor`, a lower bound below it once STATE_BUDGET states are expanded.
 
-
-def _witness_of_size(masks, n, size, stats):
-    """Lexicographically least size-`size` set whose closure is full, or
-    None; skips any vertex the running prefix closure already colors.
-    Depth-first on an explicit stack: closed[i] is the closure of the
-    first i chosen vertices and w the next candidate at the current depth."""
-    full = (1 << n) - 1
-    chosen, closed, w = [], [0], 0
-    while True:
-        mask, slots = closed[-1], size - len(chosen)
-        while slots and w <= n - slots and (mask >> w) & 1:
-            w += 1
-        if slots and w <= n - slots:
-            stats.nodes += 1
-            chosen.append(w)
-            grown = mask | (1 << w)
-            closed.append(_close(masks, grown, _seed(masks, 1 << w, grown)))
-            w += 1
-        elif slots == 0 and mask == full:
-            return chosen
-        elif not chosen:
-            return None
-        else:
-            w = chosen.pop() + 1
-            closed.pop()
-
-
-def _wavefront(g, incumbent, floor, stats):
-    """Z by a cheapest-first search over closed sets S, each priced at the
-    fewest initial vertices reaching it: forcing through v pays for N[v] \\ S
-    but one white neighbor of v and closes; finishing pays for the white
-    vertices. Returns (Z, True), stopping once `incumbent` (a known forcing
-    set size) is at most `floor`, or (lower, False) with Z >= lower once
-    STATE_BUDGET states are expanded.
+    Each move's initial vertices are white at the state it leaves, so along
+    a path they are disjoint and their union U has the path's price. And
+    cl(U) contains every state on the path: by induction (closure is
+    monotone) it holds the last state and the new initial vertices, where v
+    has only w white, so it holds their closure, the next state.
 
     The root expands only the least vertex of each class `vertex_orbits`
     returns. An automorphism sigma maps closed sets to closed sets and the
@@ -158,33 +134,39 @@ def _wavefront(g, incumbent, floor, stats):
     root of its own."""
     n, masks = g.n, g.adjacency_masks
     full = (1 << n) - 1
-    best = {0: 0}
+    incumbent, states = found.bit_count(), 0
+    start = {0: 0}
     heap = [(0, 0)]
     while heap and incumbent > floor:
         cost, mask = heapq.heappop(heap)
         if cost >= incumbent:
             break
-        if cost > best[mask]:
+        seeds = start[mask]
+        if cost > seeds.bit_count():
             continue
-        if stats.nodes >= STATE_BUDGET:
-            return cost, False
-        stats.nodes += 1
-        incumbent = min(incumbent, cost + n - mask.bit_count())
+        if states >= STATE_BUDGET:
+            return found, cost, states
+        states += 1
+        if cost + n - mask.bit_count() < incumbent:
+            found = seeds | full ^ mask
+            incumbent = found.bit_count()
         for v in range(n) if mask else _root_moves(g, incumbent):
-            if not masks[v] & ~mask:
+            white = masks[v] & ~mask
+            if not white:
                 continue
-            added = (masks[v] | (1 << v)) & ~mask
+            added = (white | (1 << v)) & ~mask
             price = cost + added.bit_count() - 1
             if price >= incumbent:
                 continue
             grown = mask | added
             closed = _close(masks, grown, _seed(masks, added, grown))
+            initial = seeds | added ^ (white & -white)
             if closed == full:
-                incumbent = price
-            elif best.get(closed, incumbent) > price:
-                best[closed] = price
+                found, incumbent = initial, price
+            elif start.get(closed, found).bit_count() > price:
+                start[closed] = initial
                 heapq.heappush(heap, (price, closed))
-    return incumbent, True
+    return found, incumbent, states
 
 
 def _root_moves(g, incumbent):
@@ -195,32 +177,26 @@ def _root_moves(g, incumbent):
 
 
 def zero_forcing_number(g, floor=0):
-    """Exact Z(G) with the lexicographically least minimum zero forcing set.
+    """Exact Z(G) with the minimum zero forcing set the search found.
 
     floor must be a proven lower bound for Z(G), such as a nullity; a
     forcing set that small ends the search, one below it raises ValueError.
     Past STATE_BUDGET the result is bounds only (is_exact=False), with the
-    greedy zero forcing set as witness and upper bound.
+    best forcing set found, at most the greedy one, as witness and upper
+    bound. The witness is replayed through `zf_closure`; a set that does
+    not force raises ArithmeticError.
     """
-    stats = _SearchStats()
-    n, masks = g.n, g.adjacency_masks
-    greedy = _greedy_upper_bound(g)
-    size, exact = _wavefront(g, len(greedy), floor, stats)
-    if exact:
-        witness = None if size < floor else _witness_of_size(masks, n, size, stats)
-        if witness is None:
-            raise ValueError(f"the floor {floor} is not a lower bound: Z(G) is below it")
-        forces, lower, upper = zf_closure(g, witness).log, size, size
-    else:
-        witness, forces, lower, upper = greedy, (), max(floor, size), len(greedy)
+    found, lower, states = _wavefront(g, _to_mask(_greedy_upper_bound(g), g.n), floor)
+    witness = tuple(v for v in range(g.n) if (found >> v) & 1)
+    if len(witness) < floor:
+        raise ValueError(f"the floor {floor} is not a lower bound: Z(G) is below it")
+    coloring = zf_closure(g, witness)
+    if not coloring.all_colored:
+        raise ArithmeticError(f"the search's set {witness} does not force")
     return ZfResult(
-        upper,
-        tuple(witness),
-        forces,
-        subsets_examined=stats.nodes,
-        is_exact=exact,
-        lower_bound=lower,
-        upper_bound=upper,
+        len(witness), witness, coloring.log, subsets_examined=states,
+        is_exact=lower == len(witness), lower_bound=max(floor, lower),
+        upper_bound=len(witness),
     )
 
 

@@ -234,12 +234,22 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _unique_keys(pairs):
+    """JSON object hook: a repeated key is refused, not silently overwritten."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate JSON object key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_edge_list(text):
     """Parse the edge-list text format; a JSON object form is also accepted
-    (other keys than "n" and "edges" are ignored)."""
+    (other keys than "n" and "edges" are ignored, a repeated key is refused)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
         n, edges = obj.get("n"), obj.get("edges")
         if not _is_int(n) or not isinstance(edges, list) or not all(
             isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))

@@ -4,9 +4,9 @@ Everything here deliberately avoids the library's own code paths: ranks by
 naive rational or mod-p elimination (over Q(i) and Q(w) through the regular
 representation over Q), rational and mod-p nullspace bases read off the
 reduced row echelon form, zero forcing by trying all subsets with a
-set-based closure and the witness scan by plain recursion over it, vertex
-connectivity by trying vertex sets size by size, vertex orbits by
-trying every extension of a partial vertex map, red moves by
+set-based closure, vertex connectivity by trying vertex sets size by
+size, vertex orbits by trying every extension of a partial vertex map,
+red moves by
 materializing the edge-count maps of the modified general graphs and by
 the dense row equation, products by the textbook sum, spectra by numpy and
 compared as multisets within a tolerance. The last sections hold the
@@ -167,29 +167,6 @@ def brute_zero_forcing(g):
             if set_closure(g, cand) == full:
                 return s, cand
     raise AssertionError("unreachable: V(G) always forces")
-
-
-def witness_scan(g, size):
-    """Recursive depth-first scan for the lexicographically least zero
-    forcing set of `size` that never chooses a vertex the closure of the
-    earlier choices colors: (the set or None, vertices tried)."""
-    tried = 0
-
-    def rec(chosen, start):
-        nonlocal tried
-        closed = set_closure(g, chosen)
-        slots = size - len(chosen)
-        if slots == 0:
-            return chosen if len(closed) == g.n else None
-        for w in range(start, g.n - slots + 1):
-            if w not in closed:
-                tried += 1
-                found = rec(chosen + [w], w + 1)
-                if found is not None:
-                    return found
-        return None
-
-    return rec([], 0), tried
 
 
 def gf2_rank(rows):

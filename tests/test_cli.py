@@ -336,6 +336,8 @@ class TestCommands:
             (["kappa", "--graph", "{tmp}/n-float.json"], "malformed JSON graph"),
             (["kappa", "--graph", "{tmp}/n-bool.json"], "malformed JSON graph"),
             (["kappa", "--graph", "{tmp}/edge-triple.json"], "malformed JSON graph"),
+            (["zf", "closure", "--graph", "{tmp}/edges-twice.json", "--set", "0"],
+             "duplicate JSON object key 'edges'"),
             (["certify", "--graph", "path:3", "--primes", "2,x"],
              "--primes must be comma-separated primes, got '2,x'"),
             (["certify", "--graph", "path:3", "--primes", ""],
@@ -360,7 +362,8 @@ class TestCommands:
              "cert-duplicate-key", "partition-duplicate-key", "partition-list",
              "partition-blocks", "partition-bool", "kbip-pair", "ecg-pair",
              "petersen-pair", "non-integer", "json-edges", "json-n-string",
-             "json-n-float", "json-n-bool", "json-edge-triple", "primes-not-int",
+             "json-n-float", "json-n-bool", "json-edge-triple",
+             "json-duplicate-key", "primes-not-int",
              "primes-empty", "path-extra-arg", "circulant-extra-arg",
              "set-not-int", "perm-not-int", "transversal-not-int"],
     )
@@ -378,6 +381,7 @@ class TestCommands:
             ("n-float", '{"n": 2.5, "edges": []}'),
             ("n-bool", '{"n": true, "edges": []}'),
             ("edge-triple", '{"n": 3, "edges": [[0, 1, 2]]}'),
+            ("edges-twice", '{"n": 4, "edges": [[0, 1]], "edges": [[2, 3]]}'),
         ):
             (tmp_path / f"{name}.json").write_text(text)
         code = cli.main([a.format(tmp=tmp_path) for a in argv])

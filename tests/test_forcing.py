@@ -6,7 +6,7 @@ import pytest
 import zflab as z
 from zflab import equitable, forcing
 from zflab.cli import parse_graph_spec
-from oracles import brute_vertex_orbits, brute_zero_forcing, set_closure, witness_scan
+from oracles import brute_vertex_orbits, brute_zero_forcing, set_closure
 from paper import (
     aztec_cells,
     aztec_zfs,
@@ -64,8 +64,8 @@ class TestClosure:
                 assert z.zf_closure(g, blue).log == tuple(log)
 
     def test_seeded_closure_matches_full(self, corpus):
-        # the wavefront grows a closed set S by N[v] and the witness scan by
-        # one vertex; closing from the seed alone must reach the same set
+        # the wavefront grows a closed set S by N[v] (here also by a single
+        # vertex); closing from the seed alone must reach the same set
         rng = random.Random(5)
         for g in corpus[:60]:
             masks = g.adjacency_masks
@@ -140,6 +140,14 @@ class TestIsZfs:
             assert z.zf_closure(g, sup).all_colored
 
 
+def check_witness(g, res):
+    """The witness has Z vertices and forces; the result's force log is
+    its closure's, n - Z forces."""
+    col = z.zf_closure(g, res.witness)
+    assert len(res.witness) == res.zf_number and col.all_colored
+    assert res.forces == col.log and len(res.forces) == g.n - res.zf_number
+
+
 class TestSearch:
     def test_matches_brute_oracle_on_corpus(self, corpus):
         for g in corpus:
@@ -170,32 +178,39 @@ class TestSearch:
         assert z.zero_forcing_number(z.extended_cube(1, 1)).zf_number == 4
         assert z.zero_forcing_number(z.circulant(8, {1, 3})).zf_number == 6
 
-    def test_witness_is_lex_least_at_minimum(self):
-        g = z.cycle_graph(5)
-        res = z.zero_forcing_number(g)
-        assert res.zf_number == 2
-        best = next(
-            c
-            for s in range(1, 6)
-            for c in itertools.combinations(range(5), s)
-            if z.zf_closure(g, c).all_colored
-        )
-        assert res.witness == best
-
-    def test_witness_scan_matches_recursive_oracle(self, corpus):
-        # same set, same order and the same count of vertices tried, also
-        # for the exhaustive failing scan one below Z
-        for g in corpus[:60]:
-            zf = brute_zero_forcing(g)[0]
-            for size in (zf - 1, zf):
-                stats = forcing._SearchStats()
-                got = forcing._witness_of_size(g.adjacency_masks, g.n, size, stats)
-                assert (got, stats.nodes) == witness_scan(g, size), (g.edges, size)
-
     def test_witness_deeper_than_recursion_limit(self):
-        # Z = 1004 chosen vertices; the scan keeps its own stack
-        res = z.zero_forcing_number(z.complete_graph(1005))
-        assert res.zf_number == 1004 and res.witness == tuple(range(1004))
+        # Z = 1004 initial vertices, replayed by the worklist closure
+        g = z.complete_graph(1005)
+        res = z.zero_forcing_number(g)
+        assert res.is_exact and res.zf_number == 1004
+        check_witness(g, res)
+
+    def test_star_needs_no_search_beyond_the_wavefront(self):
+        # the wavefront settles Z = 119 in 121 states, and its own initial
+        # set is the witness: no second search over the sets of size Z
+        g = z.complete_bipartite_graph(1, 120)
+        res = z.zero_forcing_number(g)
+        assert res.is_exact and res.zf_number == 119
+        assert res.subsets_examined <= 121
+        check_witness(g, res)
+
+    def test_witness_is_a_minimum_forcing_set_on_corpus(self, corpus):
+        # on some graphs the greedy set is above Z, so the witness is the
+        # initial set of a cheapest path of moves, not the greedy seed
+        beaten = 0
+        for g in corpus:
+            res = z.zero_forcing_number(g)
+            assert res.is_exact and res.zf_number == brute_zero_forcing(g)[0]
+            check_witness(g, res)
+            beaten += len(forcing._greedy_upper_bound(g)) > res.zf_number
+        assert beaten
+
+    def test_witness_that_does_not_force_raises(self, monkeypatch):
+        # the witness is replayed, so a search that returned a set that
+        # does not force would be caught, not reported
+        monkeypatch.setattr(forcing, "_wavefront", lambda g, found, floor: (0b101, 2, 1))
+        with pytest.raises(ArithmeticError):
+            z.zero_forcing_number(z.cycle_graph(5))
 
     def test_hint_with_assertion(self):
         g = z.circulant(16, {1, 7})
@@ -303,10 +318,10 @@ class TestRootOrbits:
         monkeypatch.setattr(forcing, "vertex_orbits", every_vertex_a_root)
         for g, got in zip(graphs, reduced):
             want = z.zero_forcing_number(g)
-            assert (got.zf_number, got.witness, got.forces) == (
-                want.zf_number, want.witness, want.forces
-            ), g.edges
-            assert got.is_exact and got.subsets_examined <= want.subsets_examined
+            assert got.zf_number == want.zf_number, g.edges
+            assert got.is_exact and want.is_exact
+            assert got.subsets_examined <= want.subsets_examined
+            check_witness(g, got)
 
     def test_root_moves_meet_every_orbit(self, corpus):
         # a first move is left out only for a vertex of its own orbit
@@ -320,17 +335,13 @@ class TestRootOrbits:
                     assert bool(set(orbit) & moves) == bool(set(orbit) & set(roots))
 
     def test_large_symmetric_graphs(self):
-        # Z, witness and force count of the search that expands every root
-        cases = {
-            "circulant:48:1,7": (14, tuple(range(14)), 34),
-            "aztec:5": (10, (0, 1, 2, 5, 6, 11, 12, 19, 20, 29), 50),
-            "cart:cycle:10+path:5": (10, tuple(range(10)), 40),
-        }
-        for spec, (zf, witness, forces) in cases.items():
+        # Z of the search that expands every root
+        cases = {"circulant:48:1,7": 14, "aztec:5": 10, "cart:cycle:10+path:5": 10}
+        for spec, zf in cases.items():
             g = parse_graph_spec(spec)
             res = z.zero_forcing_number(g)
-            assert (res.zf_number, res.witness, len(res.forces)) == (zf, witness, forces)
-            assert res.is_exact and res.forces == z.zf_closure(g, witness).log
+            assert res.is_exact and res.zf_number == zf
+            check_witness(g, res)
 
     def test_spent_orbit_budget_keeps_z(self, monkeypatch):
         # refinement splits these vertex-transitive strongly regular graphs
