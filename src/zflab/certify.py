@@ -8,9 +8,11 @@ the verb asks for, and one forcing search floored at the largest of these
 nullities, which stops at a forcing set of that size. Each nullity meeting Z
 makes A - lambda*I attain the minimum rank over its field; when the rational
 one does, the whole chain collapses: the nullity over every GF(p) is Z as
-well, and A - lambda*I attains the minimum rank over every field. A nullity
-above Z contradicts the chain; the search is then rerun without a floor, and
-every view reports the contradiction as a chain violation.
+well, and A - lambda*I attains the minimum rank over every field. A lower
+bound above the search's best set contradicts the chain, budget or not; the
+search is then rerun without a floor, and every view reports a chain
+violation. Only a spent budget with no violation gives bounds alone
+("skipped" in the harness).
 
 For GF(2) the minimum rank over all matrices with the graph's off-diagonal
 pattern is exact: off-diagonal entries are forced (the only nonzero element
@@ -39,9 +41,8 @@ GF2_ORDER_CAP = 24  # largest order the GF(2) minimum rank search accepts
 class CertifyVerdict:
     graph_id: str
     lam: int
-    z_number: int | None  # None when the search spent its budget
-    nullity_q: int
-    nullities_mod_p: dict
+    nullities: dict  # field ("Q" or a prime p) -> nullity of A - lam*I
+    zf: ZfResult
     certified: bool
     reason: str | None
     claims: tuple
@@ -50,31 +51,35 @@ class CertifyVerdict:
         return {
             "graph": self.graph_id,
             "lambda": self.lam,
-            "zero_forcing_number": self.z_number,
-            "nullity_Q": self.nullity_q,
-            "nullities_mod_p": {str(p): v for p, v in self.nullities_mod_p.items()},
+            "zero_forcing_number": self.zf.zf_number if self.zf.is_exact else None,
+            "nullity_Q": self.nullities["Q"],
+            "nullities_mod_p": {str(f): v for f, v in self.nullities.items() if f != "Q"},
             "verdict": "Certified" if self.certified else f"NotCertified({self.reason})",
             "claims": list(self.claims),
         }
 
 
 def _sandwich(g, shifts, primes=()):
-    """(nullities of A - lambda*I over Q by shift, over GF(p) by shift and
-    prime, Z search floored at the largest of all these nullities). A floor
-    the search refutes is a nullity above Z, a contradiction of the chain,
-    so the search runs again unfloored for the views to report it."""
-    def nullity(lam, domain):
-        return adjacency_matrix(g, lam, domain).rank_nullity()[1]
-
-    nulls_q = {lam: nullity(lam, QQ) for lam in shifts}
-    nulls_p = {lam: {p: nullity(lam, prime_field(p)) for p in primes} for lam in shifts}
-    modular = [v for by_p in nulls_p.values() for v in by_p.values()]
-    floor = max([*nulls_q.values(), *modular])
+    """({field: {lambda: nullity of A - lambda*I}} for field "Q" and each
+    prime p, Z search floored at the largest nullity). A floor the search
+    refutes is a nullity above Z, so the search runs again unfloored and
+    the views report the violation, also when that search spends its budget."""
+    fields = {"Q": QQ, **{p: prime_field(p) for p in primes}}
+    nulls = {f: {lam: adjacency_matrix(g, lam, dom).rank_nullity()[1] for lam in shifts}
+             for f, dom in fields.items()}
+    floor = max(v for by_lam in nulls.values() for v in by_lam.values())
     try:
         zf = zero_forcing_number(g, floor=floor)
     except ValueError:  # the floor is not a lower bound: a nullity exceeds Z
         zf = zero_forcing_number(g)
-    return nulls_q, nulls_p, zf
+    return nulls, zf
+
+
+def _violates_chain(lower_bounds, zf):
+    """Whether a lower bound on M(G) exceeds the search's best set. That set
+    forces, so its size bounds Z from above whether or not the search is
+    exact, and such a bound contradicts lower <= M(G) <= Z(G)."""
+    return max(lower_bounds) > zf.zf_number
 
 
 def certify_universal_optimality(g, lam=0, primes=PRIMES, graph_id="G"):
@@ -83,38 +88,32 @@ def certify_universal_optimality(g, lam=0, primes=PRIMES, graph_id="G"):
 
     A rational nullity below Z makes the verdict negative, which is
     inconclusive about field independence in general: only the tested shift
-    and primes are refuted. A nullity above Z, over Q or over any GF(p), is
-    a chain violation. A search that spends its state budget gives bounds on
-    Z and no verdict on Z itself.
+    and primes are refuted. A nullity above the search's best set, over Q or
+    any GF(p), is a chain violation, budget or not. Otherwise a search that
+    spends its state budget gives bounds on Z and no verdict on Z itself.
     """
-    if not primes:
-        raise ValueError("need at least one prime")
-    nulls_q, nulls_p, res = _sandwich(g, (lam,), primes)
-    nu_q, nulls_p = nulls_q[lam], nulls_p[lam]
-    if not res.is_exact:
-        reason = (
-            f"the Z search used its budget of {forcing.STATE_BUDGET} states: "
-            f"{res.lower_bound} <= Z <= {res.upper_bound}"
-        )
-        return CertifyVerdict(graph_id, lam, None, nu_q, nulls_p, False, reason, ())
-    z = res.zf_number
-    nulls = {"Q": nu_q, **nulls_p}
-    claims = []
-    certified = all(v == z for v in nulls.values())
-    reason = None
-    if certified:
-        claims.append(f"M(F,G) = Z(G) = {z} for all fields F")
-        claims.append(
-            f"A(G) - {lam}*I is universally optimal; minimum rank is field independent"
-        )
-    elif max(nulls.values()) > z:
+    if not primes or len(set(primes)) < len(primes):
+        raise ValueError(f"need one or more distinct primes, got {tuple(primes)}")
+    by_field, zf = _sandwich(g, (lam,), primes)
+    nulls = {f: by_lam[lam] for f, by_lam in by_field.items()}
+    z = zf.zf_number
+    claims, reason = (), None
+    if _violates_chain(nulls.values(), zf):
         bad = {f: v for f, v in nulls.items() if v != z}
         reason = f"nullity disagrees with Z at {bad} (chain violation: check implementation)"
+    elif not zf.is_exact:
+        reason = (
+            f"the Z search used its budget of {forcing.STATE_BUDGET} states: "
+            f"{zf.lower_bound} <= Z <= {z}"
+        )
+    elif all(v == z for v in nulls.values()):
+        claims = (
+            f"M(F,G) = Z(G) = {z} for all fields F",
+            f"A(G) - {lam}*I is universally optimal; minimum rank is field independent",
+        )
     else:
-        reason = f"nullity_Q {nu_q} != Z {z} (inconclusive for other shifts/matrices)"
-    return CertifyVerdict(
-        graph_id, lam, z, nu_q, nulls_p, certified, reason, tuple(claims)
-    )
+        reason = f"nullity_Q {nulls['Q']} != Z {z} (inconclusive for other shifts/matrices)"
+    return CertifyVerdict(graph_id, lam, nulls, zf, bool(claims), reason, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +220,10 @@ class ParameterReport:
     best_lower_source: str
 
     def chain_consistent(self):
-        z = self.zf.zf_number  # the upper bound when the search is inexact
-        if self.kappa > z:
-            return False
-        return all(nu <= z for nu in self.nullities_q.values())
+        return not _violates_chain([self.kappa, *self.nullities_q.values()], self.zf)
 
     def to_json_obj(self):
-        zf = self.zf
-        z_end = f"Z(G) = {zf.zf_number}" if zf.is_exact else f"Z(G) <= {zf.upper_bound}"
+        z_end = f"Z(G) {'=' if self.zf.is_exact else '<='} {self.zf.zf_number}"
         return {
             "graph": self.graph_id,
             "n": self.n,
@@ -249,7 +244,8 @@ def parameter_report(g, graph_id="G"):
     A contradiction of the recorded chain kappa, nullities <= Z is
     reported, not raised: chain_consistent() is False and `zflab report`
     exits 1."""
-    nulls, _, zf = _sandwich(g, REPORT_SHIFTS)
+    by_field, zf = _sandwich(g, REPORT_SHIFTS)
+    nulls = by_field["Q"]
     kw = vertex_connectivity(g)
     sap = has_sap(adjacency_matrix(g, 0, QQ), g).has_sap
     best_lam = max(nulls, key=lambda lam: (nulls[lam], -abs(lam)))
@@ -277,21 +273,19 @@ def parameter_report(g, graph_id="G"):
 
 @dataclass(frozen=True)
 class HarnessRow:
-    instance: str
     n: int
-    nullity_q: int
-    z_number: int | None
-    nullities_mod_p: dict
+    verdict: CertifyVerdict  # its graph_id names the instance
     conjectured: int
     status: str  # "pass" | "fail" | "skipped"
 
     def to_json_obj(self):
+        v = self.verdict.to_json_obj()
         return {
-            "instance": self.instance,
+            "instance": v["graph"],
             "n": self.n,
-            "nullity_Q": self.nullity_q,
-            "Z": self.z_number,
-            "nullities_mod_p": {str(p): v for p, v in self.nullities_mod_p.items()},
+            "nullity_Q": v["nullity_Q"],
+            "Z": v["zero_forcing_number"],
+            "nullities_mod_p": v["nullities_mod_p"],
             "conjectured": self.conjectured,
             "status": self.status,
         }
@@ -305,7 +299,8 @@ def conjecture_harness(family, **ranges):
     family "ecg_tr": widened cubes ECG(t, 6r - t - 4), conjectured
     nullity = Z = 4 (ranges: t_values, r_values). There is no order cap:
     an instance whose forcing search runs out of its budget is reported as
-    skipped, never asserted, and a nullity above Z fails its row.
+    skipped, never asserted, unless a nullity exceeds the search's best set:
+    that chain violation fails its row, budget or not.
     """
     from .graphs import circulant, extended_cube
 
@@ -329,9 +324,11 @@ def conjecture_harness(family, **ranges):
 
 def _harness_row(g, name, conjectured):
     """The certify verdict at lambda = 0 over PRIMES, compared with the
-    conjectured nullity: skipped when the search spent its budget."""
+    conjectured nullity. A chain violation fails the row, also when the
+    search spent its budget; "skipped" means only a spent budget with no
+    violation."""
     v = certify_universal_optimality(g, 0, PRIMES, name)
-    ok = v.certified and v.nullity_q == conjectured
-    status = "skipped" if v.z_number is None else "pass" if ok else "fail"
-    nulls_p = v.nullities_mod_p
-    return HarnessRow(name, g.n, v.nullity_q, v.z_number, nulls_p, conjectured, status)
+    skipped = not v.zf.is_exact and not _violates_chain(v.nullities.values(), v.zf)
+    ok = v.certified and v.nullities["Q"] == conjectured
+    status = "skipped" if skipped else "pass" if ok else "fail"
+    return HarnessRow(g.n, v, conjectured, status)

@@ -153,7 +153,7 @@ def _cmd_zf(args):
     }
     if not res.is_exact:
         out["lower_bound"] = res.lower_bound
-        out["upper_bound"] = res.upper_bound
+        out["upper_bound"] = res.zf_number
     _emit(out, args)
     return 0
 
@@ -240,20 +240,13 @@ def _cmd_certify(args):
     verdict = _certify.certify_universal_optimality(
         g, args.lam, primes, graph_id=args.graph
     )
-    _emit(verdict.to_json_obj(), args)
-    _emit_table(
-        [
-            {
-                "graph": verdict.graph_id,
-                "lambda": verdict.lam,
-                "Z": verdict.z_number,
-                "nullity_Q": verdict.nullity_q,
-                **{f"nullity_{p}": v for p, v in verdict.nullities_mod_p.items()},
-                "verdict": "Certified" if verdict.certified else "NotCertified",
-            }
-        ],
-        args,
-    )
+    obj = verdict.to_json_obj()
+    _emit(obj, args)
+    row = {k: obj[k] for k in ("graph", "lambda")}
+    row.update(Z=obj["zero_forcing_number"], nullity_Q=obj["nullity_Q"])
+    row.update((f"nullity_{p}", v) for p, v in obj["nullities_mod_p"].items())
+    row["verdict"] = obj["verdict"].partition("(")[0]
+    _emit_table([row], args)
     return 0 if verdict.certified else 1
 
 

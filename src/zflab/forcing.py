@@ -50,7 +50,6 @@ class ZfResult:
     subsets_examined: int = 0
     is_exact: bool = True
     lower_bound: int | None = None
-    upper_bound: int | None = None
 
 
 def zf_closure(g, blue):
@@ -196,7 +195,6 @@ def zero_forcing_number(g, floor=0):
     return ZfResult(
         len(witness), witness, coloring.log, subsets_examined=states,
         is_exact=lower == len(witness), lower_bound=max(floor, lower),
-        upper_bound=len(witness),
     )
 
 

@@ -60,7 +60,7 @@ def test_criterion_02_circulants_mod_8():
         g = z.circulant(n, {1, n // 2 - 1})
         verdict = z.certify_universal_optimality(g, 0, PRIMES)
         assert verdict.certified
-        assert verdict.z_number == n // 2 + 2
+        assert verdict.zf.zf_number == n // 2 + 2
     _report(2, "circulants {1, n/2-1}, 8 | n: certified value n/2 + 2", t0)
 
 

@@ -14,29 +14,28 @@ from oracles import brute_min_rank_gf2
 class TestCertify:
     def test_aztec_2(self):
         v = z.certify_universal_optimality(z.aztec_diamond(2), 0, (2, 3, 5, 7))
-        assert v.certified and v.z_number == 4
-        assert v.nullity_q == 4
-        assert all(val == 4 for val in v.nullities_mod_p.values())
+        assert v.certified and v.zf.zf_number == 4
+        assert v.nullities == {"Q": 4, 2: 4, 3: 4, 5: 4, 7: 4}
 
     def test_circ_16(self):
         v = z.certify_universal_optimality(z.circulant(16, {1, 7}), 0, (2, 3, 5))
-        assert v.certified and v.z_number == 10
+        assert v.certified and v.zf.zf_number == 10
 
     def test_circ_8_13(self):
         v = z.certify_universal_optimality(z.circulant(8, {1, 3}), 0, (2, 3))
-        assert v.certified and v.z_number == 6
+        assert v.certified and v.zf.zf_number == 6
 
     def test_petersen_at_shift(self):
         v = z.certify_universal_optimality(
             z.generalized_petersen(15, 2), -2, (2, 3, 5)
         )
-        assert v.certified and v.z_number == 6
+        assert v.certified and v.zf.zf_number == 6
 
     def test_negative_when_nullity_low(self):
         g = z.cartesian_product(z.cycle_graph(7), z.path_graph(2))
         v = z.certify_universal_optimality(g, 0, (2,))
         assert not v.certified
-        assert v.z_number == 4 and v.nullity_q == 0
+        assert v.zf.zf_number == 4 and v.nullities["Q"] == 0
         assert "inconclusive" in v.reason
 
     def test_modular_nullity_above_z_violates(self, monkeypatch, capsys):
@@ -54,8 +53,8 @@ class TestCertify:
     def test_modular_never_below_rational(self, corpus):
         for g in corpus[:25]:
             v = z.certify_universal_optimality(g, 0, (2, 3, 5))
-            for val in v.nullities_mod_p.values():
-                assert val >= v.nullity_q
+            for p in (2, 3, 5):
+                assert v.nullities[p] >= v.nullities["Q"]
 
     def test_requires_primes(self):
         with pytest.raises(ValueError):
@@ -187,18 +186,18 @@ class TestConjectureHarness:
         rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1, 2, 3))
         assert len(rows) == 3
         assert all(r.status == "pass" for r in rows)
-        assert all(r.nullity_q == 6 for r in rows)
+        assert all(r.verdict.nullities["Q"] == 6 for r in rows)
 
     def test_ecg_family(self):
         rows = z.conjecture_harness("ecg_tr", t_values=(0, 1), r_values=(1, 2))
-        byname = {r.instance: r for r in rows}
+        byname = {r.verdict.graph_id: r for r in rows}
         assert byname["ECG(1,1)"].status == "pass"
         assert byname["ECG(0,8)"].status == "pass"
         assert all(r.status in ("pass", "skipped") for r in rows)
 
     def test_circ_144_beyond_old_order_cap(self):
         rows = z.conjecture_harness("circ_l", l_values=(5,), k_values=(6,))
-        assert rows[0].instance == "Circ[144,{1,5}]"
+        assert rows[0].verdict.graph_id == "Circ[144,{1,5}]"
         assert rows[0].status == "pass"
 
     def test_floor_above_z_fails(self, monkeypatch, capsys):
@@ -207,15 +206,15 @@ class TestConjectureHarness:
             linalg.ExactMatrix, "rank_nullity", lambda self: (0, self.cols)
         )
         rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1,))
-        assert (rows[0].nullity_q, rows[0].z_number, rows[0].status) == (8, 6, "fail")
+        v = rows[0].verdict
+        assert (v.nullities["Q"], v.zf.zf_number, rows[0].status) == (8, 6, "fail")
         assert cli.main(["certify", "--graph", "circulant:8:1,3"]) == 1
         assert "chain violation" in json.loads(capsys.readouterr().out)["verdict"]
         assert cli.main(["report", "--graph", "circulant:8:1,3"]) == 1
         monkeypatch.undo()
 
         def out_of_budget(g, floor=0):
-            return ZfResult(8, tuple(range(8)), (), is_exact=False,
-                            lower_bound=floor, upper_bound=8)
+            return ZfResult(8, tuple(range(8)), (), is_exact=False, lower_bound=floor)
 
         monkeypatch.setattr(certify, "zero_forcing_number", out_of_budget)
         rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1,))
@@ -232,15 +231,31 @@ class TestConjectureHarness:
         # every floor is below Z = 7: nullity 0 over Q, 0, 1, 0 over GF(2, 3, 5)
         g = z.generalized_petersen(11, 4)
         row = certify._harness_row(g, "P(11,4)", 8)
-        assert row.status == "skipped" and row.z_number is None
+        assert row.status == "skipped" and not row.verdict.zf.is_exact
         # the GF(2) nullity 8 = Z floors P(10,3): exact within the budget
         row = certify._harness_row(z.generalized_petersen(10, 3), "P(10,3)", 8)
-        assert (row.nullity_q, row.nullities_mod_p[2]) == (0, 8)
-        assert (row.z_number, row.status) == (8, "fail")
+        assert (row.verdict.nullities["Q"], row.verdict.nullities[2]) == (0, 8)
+        assert (row.verdict.zf.zf_number, row.status) == (8, "fail")
+
+    def test_violation_with_spent_budget_is_never_skipped(self, monkeypatch, capsys):
+        # every nullity reads n = 22 above the spent search's best set of 7
+        monkeypatch.setattr(
+            linalg.ExactMatrix, "rank_nullity", lambda self: (0, self.cols)
+        )
+        monkeypatch.setattr(forcing, "STATE_BUDGET", 3)
+        g = z.generalized_petersen(11, 4)
+        v = z.certify_universal_optimality(g)
+        assert not v.zf.is_exact and v.zf.zf_number == 7
+        assert "chain violation" in v.reason
+        assert cli.main(["certify", "--graph", "petersen:11,4"]) == 1
+        assert "chain violation" in json.loads(capsys.readouterr().out)["verdict"]
+        assert certify._harness_row(g, "P(11,4)", 8).status == "fail"
+        assert cli.main(["report", "--graph", "petersen:11,4"]) == 1
+        assert "22 <= M(G) <= Z(G) <= 7" in capsys.readouterr().out
 
     def test_circ_48_beyond_old_order_cap(self):
         rows = z.conjecture_harness("circ_l", l_values=(7,), k_values=(1,))
-        assert rows[0].instance == "Circ[48,{1,7}]"
+        assert rows[0].verdict.graph_id == "Circ[48,{1,7}]"
         assert rows[0].status == "pass"
 
     def test_unknown_family(self):

@@ -258,6 +258,32 @@ class TestCommands:
             '"sandwich": "14 <= M(G) <= Z(G) = 14"}\n'
         )
 
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["certify", "--graph", "aztec:3"],
+             '{"graph": "aztec:3", "lambda": 0, "zero_forcing_number": 6, '
+             '"nullity_Q": 6, "nullities_mod_p": {"2": 6, "3": 6, "5": 6}, '
+             '"verdict": "Certified", "claims": ["M(F,G) = Z(G) = 6 for all fields F", '
+             '"A(G) - 0*I is universally optimal; minimum rank is field independent"]}\n'),
+            (["--table", "certify", "--graph", "aztec:2", "--primes", "2,3"],
+             '{"graph": "aztec:2", "lambda": 0, "zero_forcing_number": 4, '
+             '"nullity_Q": 4, "nullities_mod_p": {"2": 4, "3": 4}, '
+             '"verdict": "Certified", "claims": ["M(F,G) = Z(G) = 4 for all fields F", '
+             '"A(G) - 0*I is universally optimal; minimum rank is field independent"]}\n'
+             'graph    lambda  Z  nullity_Q  nullity_2  nullity_3  verdict  \n'
+             'aztec:2  0       4  4          4          4          Certified\n'),
+            (["conjecture", "--family", "circ_l", "--lmax", "3", "--kmax", "1"],
+             '[{"instance": "Circ[8,{1,3}]", "n": 8, "nullity_Q": 6, "Z": 6, '
+             '"nullities_mod_p": {"2": 6, "3": 6, "5": 6}, "conjectured": 6, '
+             '"status": "pass"}]\n'),
+        ],
+        ids=["certify", "certify-table", "conjecture"],
+    )
+    def test_sandwich_output_pinned(self, capsys, argv, out):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
+
     def test_conjecture(self, capsys):
         code, rows = run(
             capsys, "conjecture", "--family", "circ_l", "--lmax", "3", "--kmax", "2"
@@ -342,6 +368,8 @@ class TestCommands:
              "--primes must be comma-separated primes, got '2,x'"),
             (["certify", "--graph", "path:3", "--primes", ""],
              "--primes must be comma-separated primes, got ''"),
+            (["certify", "--graph", "kbip:1,1", "--primes", "2,2"],
+             "need one or more distinct primes, got (2, 2)"),
             (["kappa", "--graph", "path:5:junk"],
              "graph spec 'path:5:junk' has too many arguments"),
             (["kappa", "--graph", "circulant:8:1,3:9"],
@@ -364,7 +392,7 @@ class TestCommands:
              "petersen-pair", "non-integer", "json-edges", "json-n-string",
              "json-n-float", "json-n-bool", "json-edge-triple",
              "json-duplicate-key", "primes-not-int",
-             "primes-empty", "path-extra-arg", "circulant-extra-arg",
+             "primes-empty", "primes-repeated", "path-extra-arg", "circulant-extra-arg",
              "set-not-int", "perm-not-int", "transversal-not-int"],
     )
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, message):
