@@ -43,7 +43,6 @@ class CertifyVerdict:
     lam: int
     nullities: dict  # field ("Q" or a prime p) -> nullity of A - lam*I
     zf: ZfResult
-    certified: bool
     reason: str | None
     claims: tuple
 
@@ -54,7 +53,7 @@ class CertifyVerdict:
             "zero_forcing_number": self.zf.zf_number if self.zf.is_exact else None,
             "nullity_Q": self.nullities["Q"],
             "nullities_mod_p": {str(f): v for f, v in self.nullities.items() if f != "Q"},
-            "verdict": "Certified" if self.certified else f"NotCertified({self.reason})",
+            "verdict": "Certified" if self.claims else f"NotCertified({self.reason})",
             "claims": list(self.claims),
         }
 
@@ -97,15 +96,15 @@ def certify_universal_optimality(g, lam=0, primes=PRIMES, graph_id="G"):
     by_field, zf = _sandwich(g, (lam,), primes)
     nulls = {f: by_lam[lam] for f, by_lam in by_field.items()}
     z = zf.zf_number
+    z_known = f"Z = {z}" if zf.is_exact else f"{zf.lower_bound} <= Z <= {z}"
     claims, reason = (), None
     if _violates_chain(nulls.values(), zf):
-        bad = {f: v for f, v in nulls.items() if v != z}
-        reason = f"nullity disagrees with Z at {bad} (chain violation: check implementation)"
-    elif not zf.is_exact:
+        above = {f: v for f, v in nulls.items() if v > z}
         reason = (
-            f"the Z search used its budget of {forcing.STATE_BUDGET} states: "
-            f"{zf.lower_bound} <= Z <= {z}"
+            f"nullity above Z at {above}, {z_known} (chain violation: check implementation)"
         )
+    elif not zf.is_exact:
+        reason = f"the Z search used its budget of {forcing.STATE_BUDGET} states: {z_known}"
     elif all(v == z for v in nulls.values()):
         claims = (
             f"M(F,G) = Z(G) = {z} for all fields F",
@@ -113,7 +112,7 @@ def certify_universal_optimality(g, lam=0, primes=PRIMES, graph_id="G"):
         )
     else:
         reason = f"nullity_Q {nulls['Q']} != Z {z} (inconclusive for other shifts/matrices)"
-    return CertifyVerdict(graph_id, lam, nulls, zf, bool(claims), reason, claims)
+    return CertifyVerdict(graph_id, lam, nulls, zf, reason, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +328,6 @@ def _harness_row(g, name, conjectured):
     violation."""
     v = certify_universal_optimality(g, 0, PRIMES, name)
     skipped = not v.zf.is_exact and not _violates_chain(v.nullities.values(), v.zf)
-    ok = v.certified and v.nullities["Q"] == conjectured
+    ok = v.claims and v.nullities["Q"] == conjectured
     status = "skipped" if skipped else "pass" if ok else "fail"
     return HarnessRow(g.n, v, conjectured, status)

@@ -131,19 +131,20 @@ def _emit_table(rows, args):
         print("  ".join(v.ljust(w) for v, w in zip(c, widths)))
 
 
-def _cmd_zf(args):
-    g = parse_graph_spec(args.graph)
-    if args.zf_command == "closure":
-        col = _forcing.zf_closure(g, _parse_vertex_list(args.set, "--set"))
-        _emit(
-            {
-                "colored": sorted(col.colored),
-                "all_colored": col.all_colored,
-                "forces": [list(f) for f in col.log],
-            },
-            args,
-        )
-        return 0
+def _cmd_zf_closure(g, args):
+    col = _forcing.zf_closure(g, _parse_vertex_list(args.set, "--set"))
+    _emit(
+        {
+            "colored": sorted(col.colored),
+            "all_colored": col.all_colored,
+            "forces": [list(f) for f in col.log],
+        },
+        args,
+    )
+    return 0
+
+
+def _cmd_zf_number(g, args):
     res = _forcing.zero_forcing_number(g)
     out = {
         "zf_number": res.zf_number,
@@ -158,12 +159,13 @@ def _cmd_zf(args):
     return 0
 
 
-def _cmd_red(args):
-    g = parse_graph_spec(args.graph)
-    if args.red_command == "derive":
-        cert = _redrule.derive_red_certificates(g)
-        _emit([m.to_json_obj() for m in cert], args)
-        return 0
+def _cmd_red_derive(g, args):
+    cert = _redrule.derive_red_certificates(g)
+    _emit([m.to_json_obj() for m in cert], args)
+    return 0
+
+
+def _cmd_red_verify(g, args):
     moves = _load_moves(args.cert)
     try:
         red = _redrule.apply_red_sequence(g, moves)
@@ -174,15 +176,13 @@ def _cmd_red(args):
     return 0
 
 
-def _cmd_kappa(args):
-    g = parse_graph_spec(args.graph)
+def _cmd_kappa(g, args):
     kw = _structure.vertex_connectivity(g)
     _emit({"kappa": kw.kappa, "separator": list(kw.separator)}, args)
     return 0
 
 
-def _cmd_sap(args):
-    g = parse_graph_spec(args.graph)
+def _cmd_sap(g, args):
     if args.matrix:
         with open(args.matrix) as fh:
             a = parse_matrix(fh.read())
@@ -198,22 +198,21 @@ def _cmd_sap(args):
     return 0
 
 
-def _cmd_equitable(args):
-    g = parse_graph_spec(args.graph)
-    if args.eq_command == "refine":
-        initial = _load_blocks(args.partition) if args.partition else None
-        part = _equitable.coarsest_equitable(g, initial)
-        _emit({"blocks": [list(b) for b in part.blocks],
-               "divisor": [list(r) for r in part.b]}, args)
-        return 0
-    blocks = _load_blocks(args.partition)
-    dm = _equitable.divisor_matrix(g, blocks)
+def _cmd_equitable_refine(g, args):
+    initial = _load_blocks(args.partition) if args.partition else None
+    part = _equitable.coarsest_equitable(g, initial)
+    _emit({"blocks": [list(b) for b in part.blocks],
+           "divisor": [list(r) for r in part.b]}, args)
+    return 0
+
+
+def _cmd_equitable_divisor(g, args):
+    dm = _equitable.divisor_matrix(g, _load_blocks(args.partition))
     _emit({"divisor": dm.data}, args)
     return 0
 
 
-def _cmd_decompose(args):
-    g = parse_graph_spec(args.graph)
+def _cmd_decompose(g, args):
     perm = _parse_vertex_list(args.perm, "--perm")
     tv = args.transversal
     t0 = _parse_vertex_list(tv, "--transversal") if tv else None
@@ -229,8 +228,7 @@ def _cmd_decompose(args):
     return 0
 
 
-def _cmd_certify(args):
-    g = parse_graph_spec(args.graph)
+def _cmd_certify(g, args):
     try:
         primes = tuple(int(p) for p in args.primes.split(","))
     except ValueError:
@@ -247,11 +245,10 @@ def _cmd_certify(args):
     row.update((f"nullity_{p}", v) for p, v in obj["nullities_mod_p"].items())
     row["verdict"] = obj["verdict"].partition("(")[0]
     _emit_table([row], args)
-    return 0 if verdict.certified else 1
+    return 0 if verdict.claims else 1
 
 
-def _cmd_mr2(args):
-    g = parse_graph_spec(args.graph)
+def _cmd_mr2(g, args):
     res = _certify.min_rank_gf2_exhaustive(g)
     out = {"min_rank_gf2": res.min_rank, "witness_diagonal": list(res.witness_diagonal)}
     attained = True
@@ -263,8 +260,7 @@ def _cmd_mr2(args):
     return 0 if attained else 1
 
 
-def _cmd_report(args):
-    g = parse_graph_spec(args.graph)
+def _cmd_report(g, args):
     rep = _certify.parameter_report(g, graph_id=args.graph)
     obj = rep.to_json_obj()
     _emit(obj, args)
@@ -275,7 +271,7 @@ def _cmd_report(args):
     return 0 if rep.chain_consistent() else 1
 
 
-def _cmd_conjecture(args):
+def _cmd_conjecture(g, args):
     ranges = {}
     if args.family == "circ_l":
         ranges["l_values"] = tuple(range(3, args.lmax + 1, 2))
@@ -300,68 +296,53 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def verb(subparsers, name, func, **kwargs):
+        """The parser of a command on one graph: --graph first, then its
+        own options; main parses the graph and calls func(g, args)."""
+        p = subparsers.add_parser(name, **kwargs)
+        p.add_argument("--graph", required=True)
+        p.set_defaults(func=func)
+        return p
+
     zf = sub.add_parser("zf", help="zero forcing")
     zf_sub = zf.add_subparsers(dest="zf_command", required=True)
-    zc = zf_sub.add_parser("closure")
-    zc.add_argument("--graph", required=True)
-    zc.add_argument("--set", required=True)
-    zn = zf_sub.add_parser("number")
-    zn.add_argument("--graph", required=True)
-    zf.set_defaults(func=_cmd_zf)
+    verb(zf_sub, "closure", _cmd_zf_closure).add_argument("--set", required=True)
+    verb(zf_sub, "number", _cmd_zf_number)
 
     red = sub.add_parser("red", help="red color-change certificates")
     red_sub = red.add_subparsers(dest="red_command", required=True)
-    rv = red_sub.add_parser("verify")
-    rv.add_argument("--graph", required=True)
+    rv = verb(red_sub, "verify", _cmd_red_verify)
     rv.add_argument("--cert", required=True, help="JSON list of moves (inline or file)")
-    rd = red_sub.add_parser("derive")
-    rd.add_argument("--graph", required=True)
-    red.set_defaults(func=_cmd_red)
+    verb(red_sub, "derive", _cmd_red_derive)
 
-    ka = sub.add_parser("kappa", help="vertex connectivity")
-    ka.add_argument("--graph", required=True)
-    ka.set_defaults(func=_cmd_kappa)
+    verb(sub, "kappa", _cmd_kappa, help="vertex connectivity")
 
-    sp = sub.add_parser("sap", help="Strong Arnold Property of a matrix in S(G)")
-    sp.add_argument("--graph", required=True)
+    sp = verb(sub, "sap", _cmd_sap, help="Strong Arnold Property of a matrix in S(G)")
     sp.add_argument(
         "--matrix", default=None,
         help='rational matrix text file, header "rows cols Q"; default A(G)',
     )
-    sp.set_defaults(func=_cmd_sap)
 
     eq = sub.add_parser("equitable", help="equitable partitions")
     eq_sub = eq.add_subparsers(dest="eq_command", required=True)
-    er = eq_sub.add_parser("refine")
-    er.add_argument("--graph", required=True)
+    er = verb(eq_sub, "refine", _cmd_equitable_refine)
     er.add_argument("--partition", default=None, help='JSON {"blocks": [[...], ...]}')
-    ed = eq_sub.add_parser("divisor")
-    ed.add_argument("--graph", required=True)
+    ed = verb(eq_sub, "divisor", _cmd_equitable_divisor)
     ed.add_argument("--partition", required=True)
-    eq.set_defaults(func=_cmd_equitable)
 
-    de = sub.add_parser("decompose", help="root-of-unity block decomposition")
-    de.add_argument("--graph", required=True)
+    de = verb(sub, "decompose", _cmd_decompose, help="root-of-unity block decomposition")
     de.add_argument("--perm", required=True, help="image list, e.g. '3,4,...,2'")
     de.add_argument("--transversal", default=None)
-    de.set_defaults(func=_cmd_decompose)
 
-    ce = sub.add_parser("certify", help="field-independence certification")
-    ce.add_argument("--graph", required=True)
+    ce = verb(sub, "certify", _cmd_certify, help="field-independence certification")
     ce.add_argument("--lambda", dest="lam", type=int, default=0)
     ce.add_argument("--primes", default=",".join(map(str, _certify.PRIMES)))
-    ce.set_defaults(func=_cmd_certify)
 
-    mr = sub.add_parser(
-        "mr2", help="GF(2) minimum rank by branch and bound to the greedy floor"
-    )
-    mr.add_argument("--graph", required=True)
+    mr = verb(sub, "mr2", _cmd_mr2,
+              help="GF(2) minimum rank by branch and bound to the greedy floor")
     mr.add_argument("--target-rank", type=int, default=None)
-    mr.set_defaults(func=_cmd_mr2)
 
-    rp = sub.add_parser("report", help="assembled parameter report")
-    rp.add_argument("--graph", required=True)
-    rp.set_defaults(func=_cmd_report)
+    verb(sub, "report", _cmd_report, help="assembled parameter report")
 
     co = sub.add_parser("conjecture", help="conjecture instance tables")
     co.add_argument("--family", choices=("circ_l", "ecg_tr"), required=True)
@@ -377,7 +358,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        g = parse_graph_spec(args.graph) if "graph" in args else None
+        return args.func(g, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,17 +19,17 @@ The Strong Arnold Property is decided over Q in kernel coordinates: every
 symmetric X with A X = 0 is U S U^T, with U the nullspace basis of A and S
 symmetric, so the conditions on X become a small system in the k(k+1)/2
 entries of S, where k is the nullity of A. Its nullity is the violation
-dimension; a nonsingular A needs no system at all. A sample violation is
-expanded back to X and checked by A X = 0.
+dimension; a nonsingular A needs no system at all. The sample violation is
+U S U^T for the first kernel vector S, replayed in full: symmetric, zero on
+the diagonal and the edges, nonzero, and A X = 0.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import QQ, ExactMatrix, _echelon
+from .linalg import QQ, ExactMatrix
 
 
 @dataclass(frozen=True)
@@ -244,12 +244,10 @@ def has_sap(a, g):
     k(k+1)/2 entries of S, and the violation dimension is the nullity of
     that system. A nonsingular A (k = 0) has the property with no system.
 
-    The sample is the violation X whose last nonzero non-edge coordinate
-    (non-edges in lexicographic order) comes earliest, scaled to 1 there;
-    it is unique up to scale. Each kernel S is expanded to the non-edge
-    coordinates of U S U^T, and the last row of the echelon form of these
-    vectors with their coordinates reversed is that violation. It is
-    checked by A X = 0.
+    The sample is X = U S U^T for the first kernel vector S. It is
+    replayed against every condition: X is symmetric, zero on the diagonal
+    and on every edge, nonzero, and A X = 0; a failure raises
+    ArithmeticError.
     """
     _check_pattern(a, g)
     n = g.n
@@ -275,32 +273,26 @@ def has_sap(a, g):
     kernel = ExactMatrix(QQ, rows).nullspace_basis()
     if not kernel:
         return SapReport(True, 0, None)
-    free = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if not g.has_edge(i, j)
+    # the (i, j) entry of U S U^T is u_i . w_j with w_j = S u_j
+    sv = kernel[0]
+    w = [
+        [sum(sv[var[s][r]] * y for r, y in u_rows[j]) for s in range(k)]
+        for j in range(n)
     ]
-    reversed_violations = []
-    for sv in kernel:
-        # the (i, j) entry of U S U^T is u_i . w_j with w_j = S u_j
-        w = [
-            [sum(sv[var[s][r]] * y for r, y in u_rows[j]) for s in range(k)]
-            for j in range(n)
-        ]
-        reversed_violations.append(
-            [sum(x * w[j][s] for s, x in u_rows[i]) for i, j in reversed(free)]
+    sample = [
+        [sum(x * w[j][s] for s, x in u_rows[i]) for j in range(n)] for i in range(n)
+    ]
+    if any(sample[i][j] != sample[j][i] for i in range(n) for j in range(i)):
+        raise ArithmeticError("the sample SAP violation is not symmetric")
+    if any(sample[i][i] for i in range(n)) or any(sample[i][j] for i, j in g.edges):
+        raise ArithmeticError(
+            "the sample SAP violation is nonzero on the diagonal or an edge"
         )
-    echelon_rows, pivots = _echelon(ExactMatrix(QQ, reversed_violations))
-    last = echelon_rows[-1][::-1]
-    pivot = last[len(free) - 1 - pivots[-1]]
-    sample = [[0] * n for _ in range(n)]
-    for t, (i, j) in enumerate(free):
-        sample[i][j] = sample[j][i] = Fraction(last[t], pivot)
-    x = ExactMatrix(QQ, sample)
-    # the sample really is a violation: A X = 0 summed over the nonzero a_ik
-    if not any(any(row) for row in x.data):
+    if not any(any(row) for row in sample):
         raise ArithmeticError("the sample SAP violation is the zero matrix")
+    # A X = 0 summed over the nonzero a_ik
     for i in range(n):
         a_i = [(c, e) for c, e in enumerate(a.row(i)) if e]
-        if any(sum(e * x.data[c][j] for c, e in a_i) for j in range(n)):
+        if any(sum(e * sample[c][j] for c, e in a_i) for j in range(n)):
             raise ArithmeticError("the sample SAP violation does not satisfy A X = 0")
-    return SapReport(False, len(kernel), x)
-
+    return SapReport(False, len(kernel), ExactMatrix(QQ, sample))

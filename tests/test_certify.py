@@ -14,27 +14,27 @@ from oracles import brute_min_rank_gf2
 class TestCertify:
     def test_aztec_2(self):
         v = z.certify_universal_optimality(z.aztec_diamond(2), 0, (2, 3, 5, 7))
-        assert v.certified and v.zf.zf_number == 4
+        assert v.claims and v.zf.zf_number == 4
         assert v.nullities == {"Q": 4, 2: 4, 3: 4, 5: 4, 7: 4}
 
     def test_circ_16(self):
         v = z.certify_universal_optimality(z.circulant(16, {1, 7}), 0, (2, 3, 5))
-        assert v.certified and v.zf.zf_number == 10
+        assert v.claims and v.zf.zf_number == 10
 
     def test_circ_8_13(self):
         v = z.certify_universal_optimality(z.circulant(8, {1, 3}), 0, (2, 3))
-        assert v.certified and v.zf.zf_number == 6
+        assert v.claims and v.zf.zf_number == 6
 
     def test_petersen_at_shift(self):
         v = z.certify_universal_optimality(
             z.generalized_petersen(15, 2), -2, (2, 3, 5)
         )
-        assert v.certified and v.zf.zf_number == 6
+        assert v.claims and v.zf.zf_number == 6
 
     def test_negative_when_nullity_low(self):
         g = z.cartesian_product(z.cycle_graph(7), z.path_graph(2))
         v = z.certify_universal_optimality(g, 0, (2,))
-        assert not v.certified
+        assert not v.claims
         assert v.zf.zf_number == 4 and v.nullities["Q"] == 0
         assert "inconclusive" in v.reason
 
@@ -49,6 +49,30 @@ class TestCertify:
         assert cli.main(["certify", "--graph", "cart:cycle:7+path:2"]) == 1
         verdict = json.loads(capsys.readouterr().out)["verdict"]
         assert "chain violation" in verdict and "5: 14" in verdict
+
+    def test_violation_reason_names_the_broken_bound(self, monkeypatch):
+        # a spent search bounds Z, and the reason gives those bounds
+        rank_nullity = linalg.ExactMatrix.rank_nullity
+        monkeypatch.setattr(
+            linalg.ExactMatrix, "rank_nullity", lambda self: (0, self.cols)
+        )
+        monkeypatch.setattr(forcing, "STATE_BUDGET", 3)
+        v = z.certify_universal_optimality(z.generalized_petersen(11, 4))
+        assert not v.zf.is_exact and "chain violation" in v.reason
+        assert f"{v.zf.lower_bound} <= Z <= {v.zf.zf_number}" in v.reason
+        monkeypatch.undo()
+
+        # only the GF(2) nullity, n = 14, exceeds the exact Z = 4; the Q
+        # nullity 0 lies below Z and breaks no bound
+        def gf2_high(self):
+            return (0, self.cols) if self.domain.p == 2 else rank_nullity(self)
+
+        monkeypatch.setattr(linalg.ExactMatrix, "rank_nullity", gf2_high)
+        g = z.cartesian_product(z.cycle_graph(7), z.path_graph(2))
+        v = z.certify_universal_optimality(g)
+        assert v.zf.is_exact and "chain violation" in v.reason
+        assert "{2: 14}" in v.reason and "Z = 4" in v.reason
+        assert "Q" not in v.reason
 
     def test_modular_never_below_rational(self, corpus):
         for g in corpus[:25]:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +12,9 @@ import zflab.cli as cli
 from conftest import doubling_chain
 from oracles import write_edge_list
 from zflab import KappaWitness, certify, forcing
+from zflab.redrule import RedMove, apply_red_sequence
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run(capsys, *argv):
@@ -89,6 +93,15 @@ class TestCommands:
             capsys, "red", "verify", "--graph", str(graph), "--cert", json.dumps(cert)
         )
         assert code == 0 and obj == {"ok": True, "red_set": [126]}
+
+    def test_red_derive_edgeless_stops_one_short(self, capsys, tmp_path):
+        # no basis vertex to lean on: two moves for the nullity 3, replayed
+        graph = tmp_path / "edgeless.txt"
+        graph.write_text("3 0\n")
+        code, cert = run(capsys, "red", "derive", "--graph", str(graph))
+        assert code == 0 and len(cert) == 2
+        moves = [RedMove.from_json_obj(m) for m in cert]
+        assert len(apply_red_sequence(cli.parse_graph_spec(str(graph)), moves)) == 2
 
     def test_kappa(self, capsys):
         code, obj = run(capsys, "kappa", "--graph", "circulant:9:1,2")
@@ -291,6 +304,13 @@ class TestCommands:
         assert code == 0
         assert all(r["status"] == "pass" for r in rows)
 
+    def test_conjecture_ecg_tr(self, capsys):
+        code, rows = run(
+            capsys, "conjecture", "--family", "ecg_tr", "--tmax", "0", "--rmax", "1"
+        )
+        assert code == 0 and rows
+        assert all(r["status"] == "pass" for r in rows)
+
     def test_error_exit_code(self, capsys):
         code = cli.main(["kappa", "--graph", "nonsense:9"])
         assert code == 2
@@ -380,6 +400,17 @@ class TestCommands:
              "--perm must list integer vertices, got '1,2,x,0'"),
             (["decompose", "--graph", "cycle:4", "--perm", "1,2,3,0",
               "--transversal", "q"], "--transversal must list integer vertices"),
+            (["sap", "--graph", "path:3", "--matrix", "{tmp}/square-2.txt"],
+             "matrix size does not match the graph"),
+            (["equitable", "refine", "--graph", "path:3", "--partition",
+              '{{"blocks": [[0, 1], [2, 3]]}}'], "vertex 3 out of range"),
+            (["equitable", "refine", "--graph", "path:3", "--partition",
+              '{{"blocks": [[0, 1], [], [2]]}}'], "empty block"),
+            (["kappa", "--graph", "cart:cycle:4"], "cart needs two specs joined by '+'"),
+            (["kappa", "--graph", "{tmp}/empty-edges.txt"], "empty input"),
+            (["kappa", "--graph", "{tmp}/header-x.txt"], "malformed header '3 x'"),
+            (["kappa", "--graph", "{tmp}/edge-triple.txt"],
+             "malformed edge line '0 1 2'"),
         ],
         ids=["missing-step", "missing-order", "missing-file", "empty-matrix",
              "short-header", "matrix-float-header", "extra-rows", "matrix-gf",
@@ -393,7 +424,9 @@ class TestCommands:
              "json-n-float", "json-n-bool", "json-edge-triple",
              "json-duplicate-key", "primes-not-int",
              "primes-empty", "primes-repeated", "path-extra-arg", "circulant-extra-arg",
-             "set-not-int", "perm-not-int", "transversal-not-int"],
+             "set-not-int", "perm-not-int", "transversal-not-int",
+             "matrix-size", "partition-range", "partition-empty-block",
+             "cart-no-plus", "edges-empty", "edges-header", "edges-triple"],
     )
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, message):
         (tmp_path / "empty.txt").write_text("\n")
@@ -403,6 +436,10 @@ class TestCommands:
         (tmp_path / "gf.txt").write_text("2 2 GF(7)\n0 1\n1 0\n")
         (tmp_path / "qi.txt").write_text("2 2 QI\n0 1\n1 0\n")
         (tmp_path / "zero-denominator.txt").write_text("2 2 Q\n0 1/0\n1 0\n")
+        (tmp_path / "square-2.txt").write_text("2 2 Q\n0 1\n1 0\n")
+        (tmp_path / "empty-edges.txt").write_text("")
+        (tmp_path / "header-x.txt").write_text("3 x\n")
+        (tmp_path / "edge-triple.txt").write_text("3 1\n0 1 2\n")
         for name, text in (
             ("edges-not-pairs", '{"n": 3, "edges": [1]}'),
             ("n-string", '{"n": "3", "edges": []}'),
@@ -469,3 +506,22 @@ class TestCommands:
         assert any(ln.split() == ["instance", "n", "nullity_Q", "Z", "conjectured", "status"]
                    for ln in lines)
         assert any("pass" in ln for ln in lines[1:])
+
+
+def test_benchmark_command_lines(capsys, monkeypatch, tmp_path):
+    # every job of the benchmark's workloads, certify_sweep's random graphs
+    # drawn at seed 0, exits as bench/expected.json records and writes
+    # nothing to stderr
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    expected = json.loads((BENCH / "expected.json").read_text())
+    for name in workloads.WORKLOADS:
+        for job in workloads.jobs_for(name, 0, tmp_path):
+            code = cli.main(list(job.argv))
+            assert capsys.readouterr().err == "", job.id
+            if job.id.startswith("certify --graph random-"):
+                assert code in (0, 1), job.id
+            else:
+                assert code == expected[job.id]["exit"], job.id

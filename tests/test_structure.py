@@ -12,7 +12,7 @@ from oracles import (
     naive_rational_rank,
 )
 from paper import circulant_kappa_deficient
-from zflab import structure
+from zflab import linalg, structure
 
 
 def _glued_blobs(rng):
@@ -224,13 +224,18 @@ class TestSap:
         assert all(not e for row in matmul(m.data, x.data) for e in row)
 
     def test_sample_check_rejects_a_non_violation(self, monkeypatch):
-        # an echelon form whose last row is the last non-edge alone: its X
-        # does not satisfy A X = 0, and the independent replay says so
+        # S = e_0 lies outside the S-system's kernel: X = U S U^T has the
+        # squares of U's first column on its diagonal, and the replay says so
         g = z.aztec_diamond(2)
-        monkeypatch.setattr(
-            structure, "_echelon", lambda m: ([[1] + [0] * (m.cols - 1)], [0])
-        )
-        with pytest.raises(ArithmeticError, match="A X = 0"):
+        nullspace_basis = linalg.ExactMatrix.nullspace_basis
+
+        def s_system_off_kernel(m):
+            if m.cols == g.n:  # the nullspace of A itself
+                return nullspace_basis(m)
+            return [[1] + [0] * (m.cols - 1)]
+
+        monkeypatch.setattr(linalg.ExactMatrix, "nullspace_basis", s_system_off_kernel)
+        with pytest.raises(ArithmeticError, match="diagonal"):
             z.has_sap(z.adjacency_matrix(g), g)
 
     def test_nonsingular_needs_no_system(self):
