@@ -19,6 +19,7 @@ from .certify import (
 from .equitable import (
     Decomposition,
     Partition,
+    QuadRational,
     coarsest_equitable,
     divisor_matrix,
     equitable_decomposition,
@@ -47,11 +48,9 @@ from .linalg import (
     QQ,
     CoeffDomain,
     ExactMatrix,
-    QuadRational,
     adjacency_matrix,
     parse_matrix,
     prime_field,
-    root_of_unity,
     spectrum,
 )
 from .redrule import (

@@ -296,10 +296,12 @@ def conjecture_harness(family, **ranges):
     family "circ_l": circulants on (l^2 - 1)k vertices with connection set
     {1, l}, conjectured nullity = Z = 2l (ranges: l_values, k_values).
     family "ecg_tr": widened cubes ECG(t, 6r - t - 4), conjectured
-    nullity = Z = 4 (ranges: t_values, r_values). There is no order cap:
-    an instance whose forcing search runs out of its budget is reported as
-    skipped, never asserted, unless a nullity exceeds the search's best set:
-    that chain violation fails its row, budget or not.
+    nullity = Z = 4 (ranges: t_values, r_values). Ranges that select no
+    instance raise ValueError: an empty table would claim a check it never
+    made. There is no order cap: an instance whose forcing search runs out
+    of its budget is reported as skipped, never asserted, unless a nullity
+    exceeds the search's best set: that chain violation fails its row,
+    budget or not.
     """
     from .graphs import circulant, extended_cube
 
@@ -318,6 +320,8 @@ def conjecture_harness(family, **ranges):
         ]
     else:
         raise ValueError(f"unknown family {family!r}")
+    if not instances:
+        raise ValueError(f"the ranges select no instance of family {family!r}")
     return [_harness_row(g, name, conj) for name, g, conj in instances]
 
 

@@ -7,9 +7,11 @@ matrix, and its spectrum embeds in the spectrum of A(G). A uniform
 automorphism (all orbits of one size k) refines this: slicing A(G) along the
 powers of the automorphism applied to a transversal and combining the slices
 with k-th root of unity weights block-diagonalizes it.
-One loop builds the blocks for every orbit size, as tuples of row tuples:
-exactly, with entries in Q, Q(i) or Q(w), for k in {1, 2, 3, 4, 6}, in
-complex floats otherwise. Spectra are descending tuples of floats.
+One loop builds the blocks for every orbit size, as tuples of row tuples,
+from one table of the powers of omega: exactly for k in {1, 2, 3, 4, 6},
+with ints for entries in Q and QuadRationals for entries in Q(i) or Q(w)
+off Q, in complex floats otherwise. Spectra are descending tuples of
+floats.
 
 One refinement, on vertex bitmasks, serves the coarsest equitable partition
 and the vertex-orbit search; it orders cells without reading vertex labels,
@@ -19,9 +21,11 @@ maps one vertex to the other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .linalg import QQ, ExactMatrix, root_of_unity, spectrum
+from .graphs import mask_vertices, vertex_mask
+from .linalg import QQ, ExactMatrix, spectrum
 
 
 @dataclass(frozen=True)
@@ -83,29 +87,13 @@ def coarsest_equitable(g, initial=None):
         initial = [range(g.n)] if g.n else []
     else:
         _check_partition(g, initial)
-    part = _Ordered.of(g.n, [_to_mask(blk) for blk in initial])
+    part = _Ordered.of(g.n, [vertex_mask(blk, g.n) for blk in initial])
     part.refine(g.adjacency_masks, sorted(part.cells))
-    blocks = sorted((_vertices(c) for c in part.cells.values()), key=min)
+    blocks = sorted((mask_vertices(c) for c in part.cells.values()), key=min)
     ok, b = is_equitable(g, blocks)
     if not ok:
         raise ArithmeticError("the refined partition is not equitable")
     return Partition(tuple(blocks), b)
-
-
-def _to_mask(vertices):
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-def _vertices(mask):
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return tuple(out)
 
 
 def _count_planes(masks, s):
@@ -143,7 +131,7 @@ class _Ordered:
         cells, at, pos = {}, [0] * n, 0
         for c in masks:
             cells[pos] = c
-            for v in _vertices(c):
+            for v in mask_vertices(c):
                 at[v] = pos
             pos += c.bit_count()
         return cls(cells, at)
@@ -276,12 +264,12 @@ def vertex_orbits(g, vertices):
         return tuple((v,) for v in vertices)
     root = _Ordered.of(n, [(1 << n) - 1])
     root.refine(masks, [0])
-    want = _to_mask(vertices) if len(root.cells) < n else 0
+    want = vertex_mask(vertices, n) if len(root.cells) < n else 0
     search = _OrbitSearch(g)
     try:
         for pos, cell in sorted(root.cells.items()):
             paths = {}  # the path from v of each v that joined no earlier vertex
-            for w in _vertices(cell & want):
+            for w in mask_vertices(cell & want):
                 if find(w) != w:
                     continue
                 top = search.child(root, pos, w) if paths else None
@@ -341,7 +329,7 @@ class _OrbitSearch:
         if len(path) == depth + 1:
             c = node.cells[pos]
             path.append(self.child(node, pos, (c & -c).bit_length() - 1))
-        for x in _vertices(part.cells[pos]):
+        for x in mask_vertices(part.cells[pos]):
             perm = self.match(self.child(part, pos, x), path, depth + 1)
             if perm is not None:
                 return perm
@@ -371,26 +359,60 @@ def _cycles(perm):
 
 
 @dataclass(frozen=True)
+class QuadRational:
+    """A block entry a + b*g outside Q, with integers a and b != 0: g = i
+    for kind "i", g = w = exp(2 pi i / 3) for kind "w". It is a value to
+    print and to convert to complex, with no arithmetic."""
+
+    a: int
+    b: int
+    kind: str
+
+    def __complex__(self):
+        g = 1j if self.kind == "i" else complex(-0.5, math.sqrt(3) / 2)
+        return complex(self.a) + complex(self.b) * g
+
+    def __repr__(self):
+        sign = "-" if self.b < 0 else "+"
+        return f"({self.a}{sign}{abs(self.b)}{self.kind})"
+
+
+@dataclass(frozen=True)
 class Decomposition:
     k: int
     transversals: tuple  # (T_0, ..., T_{k-1}), each a tuple of vertices
-    blocks: tuple  # row tuples: Fractions or QuadRationals when exact, else complex
+    blocks: tuple  # row tuples: ints and QuadRationals when exact, else complex
     exact: bool
 
     def block_spectra(self):
         return [spectrum(b) for b in self.blocks]
 
 
+def _powers(k):
+    """The powers omega^m, m = 0..k-1, of omega = exp(2 pi i / k), and the
+    kind of g: integer coordinates (a, b) on the basis (1, g) for k in
+    {1, 2, 4} (g = i) and {3, 6} (g = w, omega_6 = 1 + w), complex floats
+    and kind None for any other k."""
+    if k in (1, 2, 4):
+        return [(1, 0), (0, 1), (-1, 0), (0, -1)][:: 4 // k], "i"
+    if k in (3, 6):
+        return [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)][:: 6 // k], "w"
+    return [complex(math.cos(2 * math.pi * m / k), math.sin(2 * math.pi * m / k))
+            for m in range(k)], None
+
+
 def equitable_decomposition(g, phi, t0=None):
     """Slice A(G) along a uniform automorphism phi and combine the slices
-    with k-th root of unity weights.
+    with k-th root of unity weights: entry (a, c) of block j is the sum of
+    omega^(j*l) over the slices l with a 1 at (a, c).
 
     A(G) is compatible with every automorphism, and check_automorphism
     proves phi is one, so the slices are read straight off the graph. The
     blocks of A(G) - lam*I are these blocks minus lam*I. The transversal t0
-    defaults to the least vertex of each orbit. Exact block arithmetic for
-    orbit sizes 1, 2, 3, 4 and 6; other sizes fall back to complex floats
-    with exact=False.
+    defaults to the least vertex of each orbit. The powers of omega come
+    from one table, indexed by j*l mod k: exact for orbit sizes 1, 2, 3, 4
+    and 6, where an entry in Q is an int and any other a QuadRational;
+    complex floats with exact=False for other sizes.
     """
     perm = check_automorphism(g, phi)
     cycles = sorted(_cycles(perm), key=min)
@@ -417,21 +439,28 @@ def equitable_decomposition(g, phi, t0=None):
     for _ in range(k - 1):
         cur = tuple(perm[v] for v in cur)
         transversals.append(cur)
-    # slice l is A[T_0, T_l], each row as the columns of its 1 entries
-    cols = [{v: c for c, v in enumerate(tl)} for tl in transversals]
-    slices = [[[col[v] for v in g.neighbors(a) if v in col] for a in t0]
-              for col in cols]
-    r = len(t0)
-    omega = root_of_unity(k)
-    zero = 0 * omega  # Fraction(0), a QuadRational zero or 0j
+    # hits[a][c]: the slices l with a 1 at (a, c) of A[T_0, T_l], ascending
+    where = {v: (ell, c) for ell, tl in enumerate(transversals)
+             for c, v in enumerate(tl)}
+    hits = []
+    for u in t0:
+        row = {}
+        for ell, c in sorted(where[v] for v in g.neighbors(u)):
+            row.setdefault(c, []).append(ell)
+        hits.append(row)
+    powers, kind = _powers(k)
     blocks = []
     for j in range(k):
-        acc = [[zero] * r for _ in range(r)]
-        for ell in range(k):
-            w = omega ** (j * ell)
-            for a, cols in enumerate(slices[ell]):
-                for c in cols:
-                    acc[a][c] = acc[a][c] + w
-        blocks.append(tuple(map(tuple, acc)))
-    exact = not isinstance(omega, complex)
-    return Decomposition(k, tuple(transversals), tuple(blocks), exact)
+        block = []
+        for row in hits:
+            out = [0 if kind else 0j] * len(t0)
+            for c, ells in row.items():
+                terms = [powers[j * ell % k] for ell in ells]
+                if kind is None:
+                    out[c] = sum(terms, 0j)
+                else:
+                    a, b = map(sum, zip(*terms))
+                    out[c] = QuadRational(a, b, kind) if b else a
+            block.append(tuple(out))
+        blocks.append(tuple(block))
+    return Decomposition(k, tuple(transversals), tuple(blocks), kind is not None)

@@ -23,6 +23,7 @@ import heapq
 from dataclasses import dataclass
 
 from .equitable import vertex_orbits
+from .graphs import mask_vertices, vertex_mask
 
 # Closed sets the wavefront may expand before it settles for bounds. With no
 # floor, Circ[96,{1,7}] needs 22,222 (about 2 s on a 2-core Xeon guest).
@@ -60,21 +61,10 @@ def zf_closure(g, blue):
     vertex that can force is on the engine's worklist, which pops the lowest
     first. The fixed point itself does not depend on that order.
     """
-    n = g.n
-    mask = _to_mask(blue, n)
+    mask = vertex_mask(blue, g.n)
     log = []
     mask = _close(g.adjacency_masks, mask, mask, log)
-    colored = frozenset(v for v in range(n) if (mask >> v) & 1)
-    return Coloring(n, colored, tuple(log))
-
-
-def _to_mask(vertices, n):
-    mask = 0
-    for v in vertices:
-        if not (0 <= v < n):
-            raise ValueError(f"vertex {v} out of range")
-        mask |= 1 << v
-    return mask
+    return Coloring(g.n, frozenset(mask_vertices(mask)), tuple(log))
 
 
 def _close(masks, mask, todo, log=None):
@@ -185,8 +175,8 @@ def zero_forcing_number(g, floor=0):
     bound. The witness is replayed through `zf_closure`; a set that does
     not force raises ArithmeticError.
     """
-    found, lower, states = _wavefront(g, _to_mask(_greedy_upper_bound(g), g.n), floor)
-    witness = tuple(v for v in range(g.n) if (found >> v) & 1)
+    found, lower, states = _wavefront(g, vertex_mask(_greedy_upper_bound(g), g.n), floor)
+    witness = mask_vertices(found)
     if len(witness) < floor:
         raise ValueError(f"the floor {floor} is not a lower bound: Z(G) is below it")
     coloring = zf_closure(g, witness)
@@ -209,4 +199,4 @@ def _greedy_upper_bound(g):
         trial, seen = blue ^ (1 << v), near | masks[v]
         if _close(masks, trial, seen & trial) == full:
             blue, near = trial, seen
-    return [v for v in range(n) if (blue >> v) & 1]
+    return list(mask_vertices(blue))

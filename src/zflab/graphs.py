@@ -1,4 +1,5 @@
-"""Simple undirected graphs: representation, family generators, edge-list input.
+"""Simple undirected graphs: representation, vertex bitmasks, family
+generators, edge-list input.
 
 Vertices are always 0..n-1. Edges are unordered pairs stored as (u, v) with
 u < v. A graph is its order and its edges, nothing more; it is immutable
@@ -100,6 +101,30 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+# ---------------------------------------------------------------------------
+# vertex bitmasks: bit v set iff v is in the set
+
+
+def vertex_mask(vertices, n):
+    """The bitmask of a set of vertices of 0..n-1."""
+    mask = 0
+    for v in vertices:
+        if not (0 <= v < n):
+            raise ValueError(f"vertex {v} out of range")
+        mask |= 1 << v
+    return mask
+
+
+def mask_vertices(mask):
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

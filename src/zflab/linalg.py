@@ -2,9 +2,8 @@
 
 These are the two domains zflab eliminates over. An ExactMatrix offers only
 what zflab uses: entry and row access, rank and nullity, and a nullspace
-basis. QuadRational is the ring arithmetic of Q(i) and Q(w) that the
-root-of-unity block decomposition builds its entries with; nothing
-eliminates over it.
+basis. The decomposition blocks of `equitable`, in Q(i) and Q(w), are
+plain rows that nothing eliminates over.
 
 A rational entry is stored as an int when integral, as a Fraction otherwise.
 One elimination kernel, `_echelon`, serves both domains: rational rows are
@@ -64,118 +63,6 @@ QQ = CoeffDomain("Q")
 
 def prime_field(p):
     return CoeffDomain("GF", p)
-
-
-class QuadRational:
-    """Element a + b*g of a quadratic extension of Q.
-
-    kind "i": g*g = -1. kind "w": g is a primitive cube root of unity,
-    g*g = -1 - g. Arithmetic is exact via Fractions. An element with
-    b == 0 prints as its rational, the way a Fraction prints.
-    """
-
-    __slots__ = ("a", "b", "kind")
-
-    def __init__(self, a, b=0, kind="i"):
-        if kind not in ("i", "w"):
-            raise ValueError("kind must be 'i' or 'w'")
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.kind = kind
-
-    def _coerce(self, other):
-        if isinstance(other, QuadRational):
-            if other.kind != self.kind:
-                raise TypeError("mixed extension kinds")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadRational(other, 0, self.kind)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadRational(self.a + o.a, self.b + o.b, self.kind)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadRational(-self.a, -self.b, self.kind)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadRational(self.a - o.a, self.b - o.b, self.kind)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if self.kind == "i":
-            return QuadRational(
-                self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a, "i"
-            )
-        # (a + bw)(c + dw) = ac + (ad + bc)w + bd(-1 - w)
-        return QuadRational(
-            self.a * o.a - self.b * o.b,
-            self.a * o.b + self.b * o.a - self.b * o.b,
-            "w",
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        out = QuadRational(1, 0, self.kind)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.kind))
-
-    def __complex__(self):
-        if self.kind == "i":
-            return complex(self.a) + 1j * complex(self.b)
-        w = complex(-0.5, math.sqrt(3) / 2)
-        return complex(self.a) + complex(self.b) * w
-
-    def __repr__(self):
-        if not self.b:
-            return str(self.a)
-        sign = "-" if self.b < 0 else "+"
-        return f"({self.a}{sign}{abs(self.b)}{self.kind})"
-
-
-def root_of_unity(k):
-    """Primitive k-th root of unity: exact for k in {1, 2, 3, 4, 6},
-    complex float otherwise."""
-    if k == 1:
-        return Fraction(1)
-    if k == 2:
-        return Fraction(-1)
-    if k == 4:
-        return QuadRational(0, 1, "i")
-    if k == 3:
-        return QuadRational(0, 1, "w")
-    if k == 6:
-        return QuadRational(1, 1, "w")
-    return complex(math.cos(2 * math.pi / k), math.sin(2 * math.pi / k))
 
 
 def _normalize(value, domain):

@@ -117,13 +117,15 @@ def mod_p_nullspace(rows, p):
     return basis
 
 
-def extension_rank(rows):
-    """Rank over Q(i) or Q(w) of rows of QuadRationals and rationals.
+def regular_representation(rows):
+    """A matrix over Q(i) or Q(w), of ints and QuadRationals, as a matrix
+    over Q of twice the size.
 
-    Each entry a + b*g becomes its regular representation over Q on the
+    Each entry a + b*g becomes the matrix of multiplication by it on the
     basis (1, g): [[a, -b], [b, a]] for g = i, [[a, -b], [b, a - b]] for
-    g = w, since w*w = -1 - w. The rank over Q of the resulting matrix is
-    twice the rank over the extension field."""
+    g = w, since w*w = -1 - w. This is a ring homomorphism, so the rank
+    doubles, and the image of a vector, given by its coordinates
+    (a_0, b_0, a_1, b_1, ...), is the coordinates of the original image."""
     def rep(x):
         if isinstance(x, z.QuadRational):
             return ((x.a, -x.b), (x.b, x.a - x.b if x.kind == "w" else x.a))
@@ -133,7 +135,7 @@ def extension_rank(rows):
     for row in rows:
         reps = [rep(x) for x in row]
         real += [[e for r in reps for e in r[t]] for t in (0, 1)]
-    return naive_rational_rank(real) // 2
+    return real
 
 
 def set_closure(g, blue, order=None, log=None):

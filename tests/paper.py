@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 import zflab as z
-from oracles import matvec
+from oracles import matvec, regular_representation
 from zflab.equitable import check_automorphism
 
 
@@ -185,24 +185,23 @@ def verify_ecg_nullvectors(q):
         return False
     b0, b1, b2, b3 = dec.blocks
 
-    def qi(a, b=0):
-        return z.QuadRational(a, b, "i")
-
-    tile0 = [qi(1), qi(-2), qi(1)]
-    tile1 = [qi(0, 1), qi(1, 1), qi(1)]
-    hat1 = [qi(-1), qi(-1, -1), qi(0, -1)]
-    tile2 = [qi(1), qi(0), qi(-1)]
-    hat2 = [qi(-1), qi(0), qi(1)]
+    # vectors over Q(i) by their coordinates (a_0, b_0, a_1, b_1, ...) on the
+    # basis (1, i), multiplied through the regular representation
+    tile0 = [1, 0, -2, 0, 1, 0]  # (1, -2, 1)
+    tile1 = [0, 1, 1, 1, 1, 0]  # (i, 1 + i, 1)
+    hat1 = [-1, 0, -1, -1, 0, -1]  # (-1, -1 - i, -i)
+    tile2 = [1, 0, 0, 0, -1, 0]  # (1, 0, -1)
+    hat2 = [-1, 0, 0, 0, 1, 0]  # (-1, 0, 1)
 
     x0 = tile0 * (2 * q + 1)
     x1 = (tile1 + hat1) * q + tile1
     x2 = (tile2 + hat2) * q + tile2
-    if len(x0) != r:
+    if len(x0) != 2 * r:
         return False
     return (
-        not any(matvec(b0, x0))
-        and not any(matvec(b1, x1))
-        and not any(matvec(b2, x2))
+        not any(matvec(regular_representation(b0), x0))
+        and not any(matvec(regular_representation(b1), x1))
+        and not any(matvec(regular_representation(b2), x2))
         and b3 == tuple(zip(*b1))
     )
 

@@ -285,3 +285,13 @@ class TestConjectureHarness:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             z.conjecture_harness("petersen")
+
+    def test_ranges_that_select_nothing(self):
+        # an empty table would claim no failing row after checking nothing;
+        # ECG(3, 6 - 3 - 4) has k < t, so the ecg_tr ranges select nothing
+        for family, ranges in (
+            ("circ_l", {"l_values": (), "k_values": (1,)}),
+            ("ecg_tr", {"t_values": (3,), "r_values": (1,)}),
+        ):
+            with pytest.raises(ValueError, match="select no instance"):
+                z.conjecture_harness(family, **ranges)

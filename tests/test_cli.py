@@ -411,6 +411,14 @@ class TestCommands:
             (["kappa", "--graph", "{tmp}/header-x.txt"], "malformed header '3 x'"),
             (["kappa", "--graph", "{tmp}/edge-triple.txt"],
              "malformed edge line '0 1 2'"),
+            (["conjecture", "--family", "circ_l", "--lmax", "2"],
+             "the ranges select no instance of family 'circ_l'"),
+            (["conjecture", "--family", "circ_l", "--kmax", "0"],
+             "the ranges select no instance of family 'circ_l'"),
+            (["conjecture", "--family", "ecg_tr", "--tmax", "-1"],
+             "the ranges select no instance of family 'ecg_tr'"),
+            (["conjecture", "--family", "ecg_tr", "--rmax", "0"],
+             "the ranges select no instance of family 'ecg_tr'"),
         ],
         ids=["missing-step", "missing-order", "missing-file", "empty-matrix",
              "short-header", "matrix-float-header", "extra-rows", "matrix-gf",
@@ -426,7 +434,9 @@ class TestCommands:
              "primes-empty", "primes-repeated", "path-extra-arg", "circulant-extra-arg",
              "set-not-int", "perm-not-int", "transversal-not-int",
              "matrix-size", "partition-range", "partition-empty-block",
-             "cart-no-plus", "edges-empty", "edges-header", "edges-triple"],
+             "cart-no-plus", "edges-empty", "edges-header", "edges-triple",
+             "conjecture-lmax", "conjecture-kmax", "conjecture-tmax",
+             "conjecture-rmax"],
     )
     def test_bad_input_exit_code(self, capsys, tmp_path, argv, message):
         (tmp_path / "empty.txt").write_text("\n")

@@ -8,10 +8,11 @@ import zflab as z
 from zflab import equitable
 from oracles import (
     brute_vertex_orbits,
-    extension_rank,
     matmul,
     multiset_contained,
     multisets_close,
+    naive_rational_rank,
+    regular_representation,
 )
 from paper import divisor_spectrum, orbit_partition, verify_ecg_nullvectors
 
@@ -242,16 +243,18 @@ class TestVertexOrbits:
 
 
 def shift_block(block, lam):
-    """A decomposition block minus lam times the identity."""
-    return [
-        [x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(block)
-    ]
+    """A decomposition block minus lam times the identity, over Q by the
+    regular representation: twice the size, twice the rank."""
+    rows = regular_representation(block)
+    return [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
 
 
 def block_nullity(dec, lam=0):
     """Sum of the block nullities of an exact decomposition of A minus
     lam*I, by the oracle."""
-    return sum(len(b) - extension_rank(shift_block(b, lam)) for b in dec.blocks)
+    return sum(
+        len(b) - naive_rational_rank(shift_block(b, lam)) // 2 for b in dec.blocks
+    )
 
 
 class TestDecomposition:
@@ -261,19 +264,10 @@ class TestDecomposition:
         assert dec.k == 4 and dec.exact
         assert dec.transversals[0] == (0, 1, 2)
         b0, b1, b2, b3 = dec.blocks
-        qi = lambda a, b=0: z.QuadRational(a, b, "i")
-        assert b0 == (
-            (qi(0), qi(1), qi(2)),
-            (qi(1), qi(1), qi(1)),
-            (qi(2), qi(1), qi(0)),
-        )
-        assert b2 == (
-            (qi(0), qi(1), qi(0)),
-            (qi(1), qi(1), qi(1)),
-            (qi(0), qi(1), qi(0)),
-        )
-        assert b1[0][2] == qi(-1, -1)
-        assert b1[2][0] == qi(-1, 1)
+        assert b0 == ((0, 1, 2), (1, 1, 1), (2, 1, 0))
+        assert b2 == ((0, 1, 0), (1, 1, 1), (0, 1, 0))
+        assert b1[0][2] == z.QuadRational(-1, -1, "i")
+        assert b1[2][0] == z.QuadRational(-1, 1, "i")
 
     def test_example_spectra(self):
         g = z.extended_cube(1, 1)
@@ -296,24 +290,52 @@ class TestDecomposition:
         assert dec.blocks[0] == z.adjacency_matrix(g).data
 
     def test_inexact_blocks_match_numpy(self):
-        # bipartite circulants shifted by 2: even-even entries of a block are
-        # never written and must still be complex zeros, as decompose prints
-        for k in (5, 7):
-            n = 2 * k
-            g = z.circulant(n, {1, 3})
-            dec = z.equitable_decomposition(g, [(i + 2) % n for i in range(n)])
-            assert dec.k == k and not dec.exact
+        # every orbit size k of a bipartite circulant, exact or not, against
+        # numpy through complex(x). An exact entry is an int, or a
+        # QuadRational off Q; an inexact one is complex, and the even-even
+        # entries no slice writes are still ints or complex zeros, as
+        # decompose prints them
+        cases = [(z.circulant(12, {1, 3}), 12 // k) for k in (1, 2, 3, 4, 6)]
+        cases += [(z.circulant(2 * k, {1, 3}), 2) for k in (5, 7)]
+        for g, s in cases:
+            n = g.n
+            dec = z.equitable_decomposition(g, [(i + s) % n for i in range(n)])
+            k = dec.k
+            assert k == n // math.gcd(n, s) and dec.exact == (k in (1, 2, 3, 4, 6))
             a = np.array(z.adjacency_matrix(g).data, dtype=float)
             w = np.exp(2j * np.pi / k)
             t0 = list(dec.transversals[0])
             for j, block in enumerate(dec.blocks):
-                assert all(type(x) is complex for row in block for x in row)
-                assert block[0][0] == 0j
+                entries = [x for row in block for x in row]
+                if dec.exact:
+                    assert all(
+                        type(x) is int or type(x) is z.QuadRational and x.b != 0
+                        for x in entries
+                    )
+                else:
+                    assert all(type(x) is complex for x in entries)
+                if s % 2 == 0:
+                    assert block[0][0] == 0 and type(block[0][0]) is (
+                        int if dec.exact else complex
+                    )
                 want = sum(
                     w ** (j * ell) * a[np.ix_(t0, list(dec.transversals[ell]))]
                     for ell in range(k)
                 )
-                assert np.abs(np.array(block) - want).max() < 1e-12
+                got = np.array([[complex(x) for x in row] for row in block])
+                assert np.abs(got - want).max() < 1e-12
+
+    def test_large_orbit_blocks(self):
+        # C_1000 rotated by one vertex: block j is the 1x1 matrix
+        # [2 cos(2 pi j / 1000)], a real number the spectrum accepts
+        n = 1000
+        dec = z.equitable_decomposition(
+            z.cycle_graph(n), [(i + 1) % n for i in range(n)]
+        )
+        assert dec.k == n and not dec.exact
+        for j, (block, spec) in enumerate(zip(dec.blocks, dec.block_spectra())):
+            want = 2 * math.cos(2 * math.pi * j / n)
+            assert abs(block[0][0] - want) < 1e-9 and abs(spec[0] - want) < 1e-9
 
     def test_union_equals_full_spectrum(self, families):
         cases = [
@@ -405,8 +427,9 @@ class TestDecomposition:
         # the blocks of A(C4) - 2I are the blocks of A(C4) minus 2I
         g = z.cycle_graph(4)
         dec = z.equitable_decomposition(g, [1, 2, 3, 0])
+        # each Q(i) block over Q is real symmetric, with every eigenvalue twice
         union = sorted(v for b in dec.blocks for v in z.spectrum(shift_block(b, 2)))
-        assert multisets_close(union, [0, -2, -2, -4], 1e-8)
+        assert multisets_close(union, [0, -2, -2, -4] * 2, 1e-8)
 
 
 class TestEcgNullvectors:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import zflab as z
-from zflab import equitable, forcing
+from zflab import equitable, forcing, graphs
 from zflab.cli import parse_graph_spec
 from oracles import brute_vertex_orbits, brute_zero_forcing, set_closure
 from paper import (
@@ -70,7 +70,7 @@ class TestClosure:
         for g in corpus[:60]:
             masks = g.adjacency_masks
             for q in (0.1, 0.25):
-                start = forcing._to_mask(
+                start = graphs.vertex_mask(
                     [v for v in range(g.n) if rng.random() < q], g.n
                 )
                 closed = forcing._close(masks, start, start)
@@ -86,7 +86,7 @@ class TestClosure:
                     )
                     assert seeded == forcing._close(masks, grown, grown)
                     blue = [v for v in range(g.n) if (grown >> v) & 1]
-                    assert seeded == forcing._to_mask(set_closure(g, blue), g.n)
+                    assert seeded == graphs.vertex_mask(set_closure(g, blue), g.n)
 
     def test_monotone(self, corpus):
         rng = random.Random(1)
