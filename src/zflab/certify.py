@@ -5,7 +5,9 @@ field is at most M(F,G) <= Z(G), and reducing an integer matrix mod p can
 only lower its rank. `certify`, `report` and `conjecture` are views of one
 sandwich: the nullities of A - lambda*I over Q and each GF(p) at the shifts
 the verb asks for, and one forcing search floored at the largest of these
-nullities, which stops at a forcing set of that size. Each nullity meeting Z
+nullities, which stops at a forcing set of that size. A - lambda*I is built
+and eliminated over Q once per shift; `linalg.nullities` reads each GF(p)
+nullity off that pass unless p divides its pivot minor. Each nullity meeting Z
 makes A - lambda*I attain the minimum rank over its field; when the rational
 one does, the whole chain collapses: the nullity over every GF(p) is Z as
 well, and A - lambda*I attains the minimum rank over every field. A lower
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 from . import forcing
 from .forcing import ZfResult, zero_forcing_number
-from .linalg import QQ, adjacency_matrix, prime_field
+from .linalg import QQ, adjacency_matrix, nullities, prime_field
 from .structure import has_sap, min_degree, vertex_connectivity
 
 PRIMES = (2, 3, 5)  # the prime fields certify and the harness check
@@ -63,9 +65,9 @@ def _sandwich(g, shifts, primes=()):
     prime p, Z search floored at the largest nullity). A floor the search
     refutes is a nullity above Z, so the search runs again unfloored and
     the views report the violation, also when that search spends its budget."""
-    fields = {"Q": QQ, **{p: prime_field(p) for p in primes}}
-    nulls = {f: {lam: adjacency_matrix(g, lam, dom).rank_nullity()[1] for lam in shifts}
-             for f, dom in fields.items()}
+    fields = [prime_field(p) for p in primes]  # bad primes fail before any rank
+    per_shift = {lam: nullities(adjacency_matrix(g, lam), fields) for lam in shifts}
+    nulls = {f: {lam: per_shift[lam][f] for lam in shifts} for f in ("Q", *primes)}
     floor = max(v for by_lam in nulls.values() for v in by_lam.values())
     try:
         zf = zero_forcing_number(g, floor=floor)
@@ -192,7 +194,7 @@ def min_rank_gf2_exhaustive(g):
         raise ValueError(
             f"graph order {n} exceeds the GF(2) search cap {GF2_ORDER_CAP}"
         )
-    floor = n - len(forcing._greedy_upper_bound(g))
+    floor = n - forcing._greedy_upper_bound(g).bit_count()
     # adjacency_masks is cached on the graph: read, never written
     best, best_diag, nodes = _gf2_min_rank(g.adjacency_masks, floor)
     return Gf2MinRank(

@@ -175,7 +175,7 @@ def zero_forcing_number(g, floor=0):
     bound. The witness is replayed through `zf_closure`; a set that does
     not force raises ArithmeticError.
     """
-    found, lower, states = _wavefront(g, vertex_mask(_greedy_upper_bound(g), g.n), floor)
+    found, lower, states = _wavefront(g, _greedy_upper_bound(g), floor)
     witness = mask_vertices(found)
     if len(witness) < floor:
         raise ValueError(f"the floor {floor} is not a lower bound: Z(G) is below it")
@@ -189,9 +189,10 @@ def zero_forcing_number(g, floor=0):
 
 
 def _greedy_upper_bound(g):
-    """Drop each vertex in turn while the rest still forces. A trial set's
-    white vertices are the dropped ones and v, so only their blue neighbors
-    can force: they seed the closure's worklist."""
+    """The mask of a forcing set: drop each vertex in turn while the rest
+    still forces. A trial set's white vertices are the dropped ones and v,
+    so only their blue neighbors can force: they seed the closure's
+    worklist."""
     n, masks = g.n, g.adjacency_masks
     full = (1 << n) - 1
     blue, near = full, 0  # near: the neighbors of the dropped vertices
@@ -199,4 +200,4 @@ def _greedy_upper_bound(g):
         trial, seen = blue ^ (1 << v), near | masks[v]
         if _close(masks, trial, seen & trial) == full:
             blue, near = trial, seen
-    return list(mask_vertices(blue))
+    return blue

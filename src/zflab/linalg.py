@@ -9,10 +9,13 @@ A rational entry is stored as an int when integral, as a Fraction otherwise.
 One elimination kernel, `_echelon`, serves both domains: rational rows are
 cleared to integers, then one row operation eliminates to row echelon form
 with first-nonzero pivoting, its result reduced mod p over GF(p) and divided
-by its gcd over Q. Rank is the pivot count; the nullspace basis is
-back-substituted with no reduction pass: each pivot scales the vector by
-the least factor that makes its entry integral over Q (by 1 over GF(p)), so
-over Q it stays primitive and integer input never meets a Fraction.
+by its gcd over Q. Over Q it also returns the pivot rows and the determinant
+of the pivot minor, so `nullities` gets the nullity over every GF(p) whose
+prime does not divide that minor from the one rational pass. Rank is the
+pivot count; the nullspace basis is back-substituted with no reduction
+pass: each pivot scales the vector by the least factor that makes its
+entry integral over Q (by 1 over GF(p)), so over Q it stays primitive and
+integer input never meets a Fraction.
 Floating-point spectra of real symmetric / complex Hermitian matrices come
 from numpy's eigvalsh, as descending tuples of floats; callers compare them
 with their own tolerance. numpy loads at the first spectrum.
@@ -80,6 +83,14 @@ def _normalize(value, domain):
     return value if value.denominator > 1 else value.numerator
 
 
+def _normalize_row(row, domain):
+    if set(map(type, row)) != {int}:
+        return tuple(_normalize(x, domain) for x in row)
+    # a row of plain ints, such as an adjacency row: no per-entry dispatch
+    p = domain.p
+    return tuple(x % p for x in row) if p else tuple(row)
+
+
 class ExactMatrix:
     """Immutable dense matrix with exact entries in a CoeffDomain."""
 
@@ -95,9 +106,7 @@ class ExactMatrix:
         self.domain = domain
         self.rows = len(data)
         self.cols = cols
-        self.data = tuple(
-            tuple(_normalize(x, domain) for x in row) for row in data
-        )
+        self.data = tuple(_normalize_row(row, domain) for row in data)
 
     def entry(self, i, j):
         return self.data[i][j]
@@ -132,7 +141,7 @@ class ExactMatrix:
         pivots back-substituted. Its entry at f is 1 over GF(p); over Q it is
         the primitive integer vector with a positive entry at f, which is the
         reduced-echelon vector with x[f] = 1 scaled by its lcm denominator."""
-        rows, pivots = _echelon(self)
+        rows, pivots, _, _ = _echelon(self)
         p = self.domain.p
         # each pivot row as its pivot and its nonzero entries past it
         pivot_rows = [
@@ -155,24 +164,40 @@ class ExactMatrix:
 
 
 def _echelon(matrix):
-    """Row echelon form of an ExactMatrix and its pivot columns, by forward
-    elimination with the first nonzero entry of each column as pivot, so the
-    pivot columns are the lexicographically first column basis.
+    """Row echelon form of an ExactMatrix, its pivot columns C and the rows
+    R of the matrix its pivot rows came from, by forward elimination with
+    the first nonzero entry of each column as pivot, so C is the
+    lexicographically first column basis; for an integer matrix over Q also
+    d, the determinant of the pivot minor A[R, C] up to sign (else None).
 
-    Rational rows are first scaled by the lcm of their denominators. One row
-    operation serves both domains, on the rows with a nonzero entry f in the
-    pivot column only: row <- piv * row - f * pivot_row, then `_reduce`d.
-    Each rational row stays proportional to its fraction-free (Bareiss) row,
-    so pivots and the ratios nullspace_basis reads agree; the primitive row
-    divides that row of input minors, so entries stay polynomially bounded.
+    Rational rows are first scaled by the lcm of their denominators. One
+    row operation serves both domains, on the rows with a nonzero entry f
+    in the pivot column only: row <- piv * row - f * pivot_row, reduced mod
+    p over GF(p) and divided by its gcd g over Q. Each rational row stays
+    proportional to its fraction-free (Bareiss) row, so pivots and the
+    ratios nullspace_basis reads agree; the primitive row divides that row
+    of input minors, so entries stay polynomially bounded.
+
+    Row r of elimination without scaling is num[r] / den[r] times the
+    stored row: each operation multiplies that factor by g / piv, held over
+    den[r] = the pivot minor's determinant at the time. A pivot row's
+    factor times its pivot is the next pivot of that elimination, and the
+    product of those pivots is d. Every division below is exact, since it
+    gives a determinant or the gcd of a row of Bareiss minors; a remainder
+    raises ArithmeticError.
     """
     p = matrix.domain.p
     rows = [list(row) for row in matrix.data]
-    for r, row in enumerate(rows):
-        lcm = 1 if p else math.lcm(*(x.denominator for x in row))
-        if lcm > 1:
-            rows[r] = [x.numerator * (lcm // x.denominator) for x in row]
+    integral = True
+    if not p:
+        for r, row in enumerate(rows):
+            if Fraction in map(type, row):  # an int row has nothing to clear
+                lcm = math.lcm(*(x.denominator for x in row))
+                rows[r] = [x.numerator * (lcm // x.denominator) for x in row]
+                integral = False
     n_rows, n_cols = len(rows), matrix.cols
+    origin = list(range(n_rows))
+    num, den, det = [1] * n_rows, [1] * n_rows, 1
     pivots = []
     for col in range(n_cols):
         rank = len(pivots)
@@ -183,26 +208,38 @@ def _echelon(matrix):
                 break
         if pivot_row is None:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        for seq in (rows, origin, num, den):
+            seq[rank], seq[pivot_row] = seq[pivot_row], seq[rank]
         piv, tail = rows[rank][col], rows[rank][col:]
+        if not p:
+            t = _exact(det * num[rank], den[rank])
+            det = t * piv
         for r in range(rank + 1, n_rows):
             row = rows[r]
             f = row[col]
             if f:  # both rows are zero left of col
                 new = [piv * x - f * y for x, y in zip(row[col:], tail)]
-                rows[r] = row[:col] + _reduce(new, p)
+                if p:
+                    new = [x % p for x in new]
+                else:
+                    g = math.gcd(*new)  # 0 for a row that vanished: factor 0
+                    if g > 1:
+                        new = [x // g for x in new]
+                    num[r], den[r] = _exact(num[r] * g * t, den[r]), det
+                rows[r] = row[:col] + new
         pivots.append(col)
         if rank + 1 == n_rows:
             break
-    return rows[: len(pivots)], pivots
+    rank = len(pivots)
+    return rows[:rank], pivots, origin[:rank], det if integral and not p else None
 
 
-def _reduce(vec, p):
-    """An integer vector reduced mod p, or for p None divided by its gcd."""
-    if p:
-        return [x % p for x in vec]
-    g = math.gcd(*vec)  # 0 for a vector that vanished
-    return [x // g for x in vec] if g > 1 else vec
+def _exact(a, b):
+    """a / b, which must be an integer."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact division in elimination")
+    return q
 
 
 def _back_solve(piv, s, p):
@@ -213,6 +250,26 @@ def _back_solve(piv, s, p):
         return 1, -s * pow(piv, -1, p) % p
     g = math.gcd(piv, s) if piv > 0 else -math.gcd(piv, s)
     return piv // g, -s // g
+
+
+def nullities(matrix, fields):
+    """{"Q": nullity over Q} of a matrix over Q, and the nullity over GF(p)
+    at key p for each prime field in `fields`.
+
+    One elimination over Q gives the rank r, the pivot rows R and columns C,
+    and d = det A[R, C] up to sign. Reducing mod p cannot raise the rank,
+    and A[R, C] stays invertible mod p when p does not divide d, so then the
+    rank over GF(p) is r as well. Only a prime that divides d, or every
+    prime when the matrix has a non-integer entry (d is None), is
+    eliminated again mod p."""
+    _, pivots, _, det = _echelon(matrix)
+    nulls = {"Q": matrix.cols - len(pivots)}
+    for field in fields:
+        if det is not None and det % field.p:
+            nulls[field.p] = nulls["Q"]
+        else:
+            nulls[field.p] = ExactMatrix(field, matrix.data).rank_nullity()[1]
+    return nulls
 
 
 # ---------------------------------------------------------------------------

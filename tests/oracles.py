@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the library's own code paths: ranks by
 naive rational or mod-p elimination (over Q(i) and Q(w) through the regular
-representation over Q), rational and mod-p nullspace bases read off the
+representation over Q), determinants by Fraction elimination, rational and mod-p nullspace bases read off the
 reduced row echelon form, zero forcing by trying all subsets with a
 set-based closure, vertex connectivity by trying vertex sets size by
 size, vertex orbits by trying every extension of a partial vertex map,
@@ -281,6 +281,25 @@ def laplace_determinant(rows):
             continue
         minor = [[rows[i][t] for t in range(n) if t != j] for i in range(1, n)]
         det += (-1) ** j * Fraction(rows[0][j]) * laplace_determinant(minor)
+    return det
+
+
+def fraction_determinant(rows):
+    """Determinant by Gaussian elimination over the rationals, each row swap
+    flipping the sign; 1 for the empty matrix."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return det
 
 

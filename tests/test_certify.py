@@ -11,6 +11,17 @@ from zflab.forcing import ZfResult
 from oracles import brute_min_rank_gf2
 
 
+def reading_n_over(*broken):
+    """`linalg.nullities` with the nullity over each field in `broken` ("Q"
+    or a prime) replaced by the matrix order n: a fault that breaks the
+    chain."""
+    def faulty(matrix, fields):
+        nulls = linalg.nullities(matrix, fields)
+        return {f: matrix.cols if f in broken else v for f, v in nulls.items()}
+
+    return faulty
+
+
 class TestCertify:
     def test_aztec_2(self):
         v = z.certify_universal_optimality(z.aztec_diamond(2), 0, (2, 3, 5, 7))
@@ -40,22 +51,14 @@ class TestCertify:
 
     def test_modular_nullity_above_z_violates(self, monkeypatch, capsys):
         # only the GF(5) nullity, n = 14, exceeds Z = 4; the Q nullity is 0
-        rank_nullity = linalg.ExactMatrix.rank_nullity
-
-        def gf5_high(self):
-            return (0, self.cols) if self.domain.p == 5 else rank_nullity(self)
-
-        monkeypatch.setattr(linalg.ExactMatrix, "rank_nullity", gf5_high)
+        monkeypatch.setattr(certify, "nullities", reading_n_over(5))
         assert cli.main(["certify", "--graph", "cart:cycle:7+path:2"]) == 1
         verdict = json.loads(capsys.readouterr().out)["verdict"]
         assert "chain violation" in verdict and "5: 14" in verdict
 
     def test_violation_reason_names_the_broken_bound(self, monkeypatch):
         # a spent search bounds Z, and the reason gives those bounds
-        rank_nullity = linalg.ExactMatrix.rank_nullity
-        monkeypatch.setattr(
-            linalg.ExactMatrix, "rank_nullity", lambda self: (0, self.cols)
-        )
+        monkeypatch.setattr(certify, "nullities", reading_n_over("Q", 2, 3, 5))
         monkeypatch.setattr(forcing, "STATE_BUDGET", 3)
         v = z.certify_universal_optimality(z.generalized_petersen(11, 4))
         assert not v.zf.is_exact and "chain violation" in v.reason
@@ -64,10 +67,7 @@ class TestCertify:
 
         # only the GF(2) nullity, n = 14, exceeds the exact Z = 4; the Q
         # nullity 0 lies below Z and breaks no bound
-        def gf2_high(self):
-            return (0, self.cols) if self.domain.p == 2 else rank_nullity(self)
-
-        monkeypatch.setattr(linalg.ExactMatrix, "rank_nullity", gf2_high)
+        monkeypatch.setattr(certify, "nullities", reading_n_over(2))
         g = z.cartesian_product(z.cycle_graph(7), z.path_graph(2))
         v = z.certify_universal_optimality(g)
         assert v.zf.is_exact and "chain violation" in v.reason
@@ -163,7 +163,7 @@ class TestGf2MinRank:
         # stops at the first diagonal of rank 14, far short of 2^18
         g = z.cartesian_product(z.cycle_graph(9), z.path_graph(2))
         res = z.min_rank_gf2_exhaustive(g)
-        assert res.min_rank == g.n - len(forcing._greedy_upper_bound(g)) == 14
+        assert res.min_rank == g.n - forcing._greedy_upper_bound(g).bit_count() == 14
         assert 0 < res.nodes_examined < 1000
 
     def test_empty_graph(self):
@@ -226,9 +226,7 @@ class TestConjectureHarness:
 
     def test_floor_above_z_fails(self, monkeypatch, capsys):
         # every nullity reads n = 8 > Z = 6: each verb reports the violation
-        monkeypatch.setattr(
-            linalg.ExactMatrix, "rank_nullity", lambda self: (0, self.cols)
-        )
+        monkeypatch.setattr(certify, "nullities", reading_n_over("Q", 2, 3, 5))
         rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1,))
         v = rows[0].verdict
         assert (v.nullities["Q"], v.zf.zf_number, rows[0].status) == (8, 6, "fail")
@@ -263,9 +261,7 @@ class TestConjectureHarness:
 
     def test_violation_with_spent_budget_is_never_skipped(self, monkeypatch, capsys):
         # every nullity reads n = 22 above the spent search's best set of 7
-        monkeypatch.setattr(
-            linalg.ExactMatrix, "rank_nullity", lambda self: (0, self.cols)
-        )
+        monkeypatch.setattr(certify, "nullities", reading_n_over("Q", 2, 3, 5))
         monkeypatch.setattr(forcing, "STATE_BUDGET", 3)
         g = z.generalized_petersen(11, 4)
         v = z.certify_universal_optimality(g)

@@ -390,6 +390,14 @@ class TestCommands:
              "--primes must be comma-separated primes, got ''"),
             (["certify", "--graph", "kbip:1,1", "--primes", "2,2"],
              "need one or more distinct primes, got (2, 2)"),
+            (["certify", "--graph", "path:3", "--primes", "4"],
+             "GF modulus must be a prime < 2^31, got 4"),
+            (["certify", "--graph", "path:3", "--primes", "1"],
+             "GF modulus must be a prime < 2^31, got 1"),
+            (["certify", "--graph", "path:3", "--primes", "2147483659"],
+             "GF modulus must be a prime < 2^31, got 2147483659"),
+            (["certify", "--graph", "{tmp}/no-vertices.txt"], "dimensions must be positive"),
+            (["report", "--graph", "{tmp}/no-vertices.txt"], "dimensions must be positive"),
             (["kappa", "--graph", "path:5:junk"],
              "graph spec 'path:5:junk' has too many arguments"),
             (["kappa", "--graph", "circulant:8:1,3:9"],
@@ -431,7 +439,9 @@ class TestCommands:
              "petersen-pair", "non-integer", "json-edges", "json-n-string",
              "json-n-float", "json-n-bool", "json-edge-triple",
              "json-duplicate-key", "primes-not-int",
-             "primes-empty", "primes-repeated", "path-extra-arg", "circulant-extra-arg",
+             "primes-empty", "primes-repeated", "primes-composite", "primes-one",
+             "primes-too-large", "certify-no-vertices", "report-no-vertices",
+             "path-extra-arg", "circulant-extra-arg",
              "set-not-int", "perm-not-int", "transversal-not-int",
              "matrix-size", "partition-range", "partition-empty-block",
              "cart-no-plus", "edges-empty", "edges-header", "edges-triple",
@@ -450,6 +460,7 @@ class TestCommands:
         (tmp_path / "empty-edges.txt").write_text("")
         (tmp_path / "header-x.txt").write_text("3 x\n")
         (tmp_path / "edge-triple.txt").write_text("3 1\n0 1 2\n")
+        (tmp_path / "no-vertices.txt").write_text("0 0\n")
         for name, text in (
             ("edges-not-pairs", '{"n": 3, "edges": [1]}'),
             ("n-string", '{"n": "3", "edges": []}'),

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import zflab as z
+from zflab import linalg
 from oracles import (
     format_matrix,
+    fraction_determinant,
     fraction_nullspace,
     laplace_determinant,
     matvec,
@@ -107,6 +109,82 @@ class TestRank:
             for p in (2, 3, 5, 7):
                 rp = z.ExactMatrix(z.prime_field(p), data).rank_nullity()[0]
                 assert rp <= rq
+
+
+PRIMES = (2, 3, 5, 7)
+
+
+def oracle_nullities(rows, primes=PRIMES):
+    """The nullity map by textbook elimination over Q and each GF(p)."""
+    n = len(rows[0])
+    nulls = {"Q": n - naive_rational_rank(rows)}
+    return nulls | {p: n - naive_mod_p_rank(rows, p) for p in primes}
+
+
+def shifted_corpus(corpus):
+    return [z.adjacency_matrix(g, lam) for g in corpus for lam in range(-2, 3)]
+
+
+class TestPivotMinor:
+    """The rational pass's certificate: pivot rows R, pivot columns C and d,
+    the determinant of A[R, C] up to sign, and the nullity map read off it."""
+
+    def test_d_is_the_determinant_of_the_pivot_minor(self, corpus):
+        rng = random.Random(17)
+        matrices = shifted_corpus(corpus) + [
+            z.ExactMatrix(z.QQ, [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(cols)]
+                                 for _ in range(rows)])
+            for rows, cols in ((rng.randint(1, 7), rng.randint(1, 7)) for _ in range(200))
+        ]
+        for m in matrices:
+            _, cols, rows, d = linalg._echelon(m)
+            assert len(set(rows)) == len(rows) == len(cols)
+            minor = [[m.data[r][c] for c in cols] for r in rows]
+            assert abs(fraction_determinant(minor)) == abs(d) != 0
+
+    def test_rank_mod_p_is_the_rational_rank_when_p_does_not_divide_d(self, corpus):
+        settled = 0
+        for m in shifted_corpus(corpus):
+            _, cols, _, d = linalg._echelon(m)
+            for p in PRIMES:
+                if d % p:
+                    assert naive_mod_p_rank(m.data, p) == len(cols)
+                    settled += 1
+        assert settled
+
+    def test_nullities_match_per_prime_elimination(self, corpus):
+        fields = [z.prime_field(p) for p in PRIMES]
+        for m in shifted_corpus(corpus):
+            assert linalg.nullities(m, fields) == oracle_nullities(m.data)
+
+    @pytest.mark.parametrize(
+        "g, lam, d, p, nullity",
+        [
+            (z.circulant(9, {1, 2}), 0, -16, 2, 3),
+            (z.generalized_petersen(15, 2), 1, -3, 3, 6),
+            (z.cartesian_product(z.cycle_graph(9), z.cycle_graph(9)), 0, 2**18, 2, 17),
+        ],
+        ids=["circ-9", "petersen-15-2", "c9xc9"],
+    )
+    def test_prime_dividing_d_is_eliminated_again(self, g, lam, d, p, nullity):
+        # the GF(p) nullity exceeds the rational one, so only the fallback
+        # elimination mod p can give it
+        m = z.adjacency_matrix(g, lam)
+        assert linalg._echelon(m)[3] == d
+        nulls = linalg.nullities(m, [z.prime_field(q) for q in PRIMES])
+        assert nulls[p] == nullity > nulls["Q"]
+        assert nulls[p] == m.cols - naive_mod_p_rank(m.data, p)
+        if m.cols < 30:
+            assert nulls == oracle_nullities(m.data)
+
+    def test_denominators_leave_every_prime_to_its_own_elimination(self):
+        # cleared of its denominator, this matrix is the identity (d = 1),
+        # but mod 2 it has no reduction at all
+        m = z.ExactMatrix(z.QQ, [[1, 0], [0, Fraction(1, 2)]])
+        assert linalg._echelon(m)[3] is None
+        assert linalg.nullities(m, [z.prime_field(3)]) == {"Q": 0, 3: 0}
+        with pytest.raises(ZeroDivisionError):
+            linalg.nullities(m, [z.prime_field(2)])
 
 
 def non_pivot_columns(m):
