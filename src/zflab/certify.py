@@ -5,14 +5,17 @@ field is at most M(F,G) <= Z(G), and reducing an integer matrix mod p can
 only lower its rank. `certify`, `report` and `conjecture` are views of one
 sandwich: the nullities of A - lambda*I over Q and each GF(p) at the shifts
 the verb asks for, and one forcing search floored at the largest of these
-nullities, which stops at a forcing set of that size. A - lambda*I is built
-and eliminated over Q once per shift; `linalg.nullities` reads each GF(p)
-nullity off that pass unless p divides its pivot minor. Each nullity meeting Z
-makes A - lambda*I attain the minimum rank over its field; when the rational
-one does, the whole chain collapses: the nullity over every GF(p) is Z as
-well, and A - lambda*I attains the minimum rank over every field. A lower
-bound above the search's best set contradicts the chain, budget or not; the
-search is then rerun without a floor, and every view reports a chain
+nullities, which stops at a forcing set of that size. Below the greedy set
+the search also floors itself at the GF(2) nullities of A and A + I (see
+`forcing`), which settles Z wherever mod-2 rank already proves it.
+A - lambda*I is built and eliminated over Q once per shift;
+`linalg.nullities` reads each GF(p) nullity off that pass unless p divides
+its pivot minor. Each nullity meeting Z makes A - lambda*I attain the
+minimum rank over its field; when the rational one does, the whole chain
+collapses: the nullity over every GF(p) is Z as well, and A - lambda*I
+attains the minimum rank over every field. A lower bound above the
+search's best set contradicts the chain, budget or not; the search is then
+rerun without the caller's floor, and every view reports a chain
 violation. Only a spent budget with no violation gives bounds alone
 ("skipped" in the harness).
 
@@ -63,7 +66,7 @@ class CertifyVerdict:
 def _sandwich(g, shifts, primes=()):
     """({field: {lambda: nullity of A - lambda*I}} for field "Q" and each
     prime p, Z search floored at the largest nullity). A floor the search
-    refutes is a nullity above Z, so the search runs again unfloored and
+    refutes is a nullity above Z, so the search runs again without it and
     the views report the violation, also when that search spends its budget."""
     fields = [prime_field(p) for p in primes]  # bad primes fail before any rank
     per_shift = {lam: nullities(adjacency_matrix(g, lam), fields) for lam in shifts}

@@ -15,6 +15,18 @@ later state expands every vertex. Each state carries a set of initial
 vertices that reaches it, so the witness is the set the search found: a
 minimum zero forcing set, though not in general the lexicographically
 least one.
+
+The search stops at a forcing set no larger than a proven lower bound on
+Z(G): the caller's floor, and its own GF(2) floor. For every field F each
+matrix with the graph's off-diagonal pattern has nullity at most
+M(F,G) <= Z(G) (AIM Minimum Rank Work Group, LAA 428, 2008). Over GF(2),
+A - lambda*I is A for even lambda and A + I for odd lambda, both with the
+graph's pattern, and reducing mod 2 never raises a rank; so the larger
+GF(2) nullity of A and A + I, two bitmask eliminations, bounds Z at least
+as well as the rational nullity at every integer shift. The wavefront
+swaps its incumbent only for a strictly smaller set, so a floor at or
+below Z changes neither the witness nor its forces, only the states
+expanded.
 """
 
 from __future__ import annotations
@@ -24,9 +36,11 @@ from dataclasses import dataclass
 
 from .equitable import vertex_orbits
 from .graphs import mask_vertices, vertex_mask
+from .linalg import gf2_rank
 
 # Closed sets the wavefront may expand before it settles for bounds. With no
-# floor, Circ[96,{1,7}] needs 22,222 (about 2 s on a 2-core Xeon guest).
+# floor, Circ[96,{1,7}] needs 22,222 (about 2 s on a 2-core Xeon guest); its
+# GF(2) floor is 14 = Z, so it needs none.
 STATE_BUDGET = 60_000
 
 
@@ -170,34 +184,64 @@ def zero_forcing_number(g, floor=0):
 
     floor must be a proven lower bound for Z(G), such as a nullity; a
     forcing set that small ends the search, one below it raises ValueError.
+    When floor is below the greedy set's size, the search also floors
+    itself at `_gf2_floor`, the larger GF(2) nullity of A and A + I, which
+    is at most Z(G) by the parity argument in the module docstring; a set
+    below that floor is an implementation fault and raises ArithmeticError.
     Past STATE_BUDGET the result is bounds only (is_exact=False), with the
     best forcing set found, at most the greedy one, as witness and upper
     bound. The witness is replayed through `zf_closure`; a set that does
     not force raises ArithmeticError.
     """
-    found, lower, states = _wavefront(g, _greedy_upper_bound(g), floor)
+    greedy = _greedy_upper_bound(g)
+    own = _gf2_floor(g) if floor < greedy.bit_count() else 0
+    found, lower, states = _wavefront(g, greedy, max(floor, own))
     witness = mask_vertices(found)
     if len(witness) < floor:
         raise ValueError(f"the floor {floor} is not a lower bound: Z(G) is below it")
+    if len(witness) < own:
+        raise ArithmeticError(
+            f"the GF(2) floor {own} is above the search's forcing set of size {len(witness)}"
+        )
     coloring = zf_closure(g, witness)
     if not coloring.all_colored:
         raise ArithmeticError(f"the search's set {witness} does not force")
     return ZfResult(
         len(witness), witness, coloring.log, subsets_examined=states,
-        is_exact=lower == len(witness), lower_bound=max(floor, lower),
+        is_exact=lower == len(witness), lower_bound=max(floor, own, lower),
     )
+
+
+def _gf2_floor(g):
+    """n - min(rank A, rank (A + I)) over GF(2): the larger GF(2) nullity of
+    A - lambda*I over the integers lambda, a lower bound for Z(G)."""
+    masks = g.adjacency_masks  # cached on the graph: read, never written
+    plus = [row | 1 << i for i, row in enumerate(masks)]
+    return g.n - min(gf2_rank(masks), gf2_rank(plus))
 
 
 def _greedy_upper_bound(g):
     """The mask of a forcing set: drop each vertex in turn while the rest
-    still forces. A trial set's white vertices are the dropped ones and v,
-    so only their blue neighbors can force: they seed the closure's
-    worklist."""
+    still forces. A run of c consecutive vertices is tried in one closure;
+    c doubles after a run drops and halves after one that does not, and a
+    single vertex that does not drop is kept. Closure is monotone, so a run
+    drops exactly when each of its vertices would drop in turn: the mask is
+    the one-at-a-time greedy's. A trial set's white vertices are the
+    dropped ones and the run, so only their blue neighbors can force: they
+    seed the closure's worklist."""
     n, masks = g.n, g.adjacency_masks
     full = (1 << n) - 1
     blue, near = full, 0  # near: the neighbors of the dropped vertices
-    for v in range(n):
-        trial, seen = blue ^ (1 << v), near | masks[v]
+    v, c = 0, 1
+    while v < n:
+        c = min(c, n - v)
+        trial, seen = blue ^ (((1 << c) - 1) << v), near
+        for u in range(v, v + c):
+            seen |= masks[u]
         if _close(masks, trial, seen & trial) == full:
-            blue, near = trial, seen
+            blue, near, v, c = trial, seen, v + c, 2 * c
+        elif c > 1:
+            c //= 2
+        else:
+            v += 1
     return blue

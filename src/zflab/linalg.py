@@ -16,6 +16,8 @@ pivot count; the nullspace basis is back-substituted with no reduction
 pass: each pivot scales the vector by the least factor that makes its
 entry integral over Q (by 1 over GF(p)), so over Q it stays primitive and
 integer input never meets a Fraction.
+Rows of 0/1 entries packed into bitmasks have their own GF(2) rank,
+`gf2_rank`, one XOR per reduction step.
 Floating-point spectra of real symmetric / complex Hermitian matrices come
 from numpy's eigvalsh, as descending tuples of floats; callers compare them
 with their own tolerance. numpy loads at the first spectrum.
@@ -270,6 +272,23 @@ def nullities(matrix, fields):
         else:
             nulls[field.p] = ExactMatrix(field, matrix.data).rank_nullity()[1]
     return nulls
+
+
+def gf2_rank(rows):
+    """Rank over GF(2) of rows given as bitmasks (bit j is column j). Each
+    pivot is kept under its lowest set bit; XORing it out of a row clears
+    that bit and touches only higher ones, so a row is reduced in one pass
+    up its set bits, and one that is not zero by then becomes a pivot."""
+    pivots = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,31 @@ class TestCommands:
         assert set(obj) == {"zf_number", "witness", "forces", "exact"}
 
     def test_zf_number_inexact_prints_bounds(self, capsys, monkeypatch):
+        # GF(2) floor 1, below Z = 7: the search runs into its budget
         monkeypatch.setattr(forcing, "STATE_BUDGET", 5)
-        code, obj = run(capsys, "zf", "number", "--graph", "petersen:10,3")
+        code, obj = run(capsys, "zf", "number", "--graph", "petersen:11,4")
         assert code == 0 and obj["exact"] is False
-        assert obj["lower_bound"] <= 8 <= obj["upper_bound"] == obj["zf_number"]
+        assert obj["lower_bound"] <= 7 <= obj["upper_bound"] == obj["zf_number"]
+
+    @pytest.mark.parametrize("argv", [
+        ("zf", "number", "--graph", "ecg:3,5"),
+        ("certify", "--graph", "ecg:3,5"),
+        ("report", "--graph", "ecg:3,5"),
+        ("conjecture", "--family", "ecg_tr", "--tmax", "3", "--rmax", "2"),
+    ], ids=["zf-number", "certify", "report", "conjecture"])
+    def test_gf2_floor_above_z_is_a_fault(self, monkeypatch, argv):
+        # ECG(3,5) has nullities 2 and a greedy set of 4, so every verb
+        # consults the search's own floor; one above Z is never bad input
+        # (exit 2) nor a skipped row
+        monkeypatch.setattr(forcing, "_gf2_floor", lambda g: g.n + 1)
+        with pytest.raises(ArithmeticError, match="GF\\(2\\) floor"):
+            cli.main(list(argv))
+
+    def test_zf_number_without_vertices(self, capsys, tmp_path):
+        (tmp_path / "no-vertices.txt").write_text("0 0\n")
+        code, obj = run(capsys, "zf", "number", "--graph", str(tmp_path / "no-vertices.txt"))
+        assert code == 0
+        assert obj == {"zf_number": 0, "witness": [], "forces": [], "exact": True}
 
     def test_red_derive_then_verify(self, capsys, tmp_path):
         code, cert = run(capsys, "red", "derive", "--graph", "circulant:8:1,3")

@@ -6,7 +6,12 @@ import pytest
 import zflab as z
 from zflab import equitable, forcing, graphs
 from zflab.cli import parse_graph_spec
-from oracles import brute_vertex_orbits, brute_zero_forcing, set_closure
+from oracles import (
+    brute_vertex_orbits,
+    brute_zero_forcing,
+    naive_rational_rank,
+    set_closure,
+)
 from paper import (
     aztec_cells,
     aztec_zfs,
@@ -15,6 +20,13 @@ from paper import (
     circulant_zfs,
     ecg_zfs,
 )
+
+
+@pytest.fixture
+def unfloored(monkeypatch):
+    """Z searches without their own GF(2) floor, so that a graph whose
+    floor meets Z still runs the wavefront and its root moves."""
+    monkeypatch.setattr(forcing, "_gf2_floor", lambda g: 0)
 
 
 class TestClosure:
@@ -250,17 +262,21 @@ class TestSearch:
             z.zero_forcing_number(z.cycle_graph(6), floor=3)
 
     def test_budget_gives_bounds(self, monkeypatch):
+        # GF(2) floor 0, below Z = 6: the search runs into its budget
         monkeypatch.setattr(forcing, "STATE_BUDGET", 5)
-        g = z.circulant(24, {1, 5})
+        g = z.cartesian_product(z.cycle_graph(6), z.path_graph(4))
         res = z.zero_forcing_number(g)
         assert not res.is_exact
         assert 1 <= res.lower_bound <= res.zf_number == len(res.witness)
         assert z.zf_closure(g, res.witness).all_colored
 
-    def test_greedy_matches_plain_trials(self, corpus):
+    def test_greedy_matches_plain_trials(self, corpus, families):
         # the greedy drops each vertex in turn while the rest still forces;
-        # its seeded closures must decide every trial as a full closure does
-        for g in corpus:
+        # its seeded closures of whole runs must decide every trial as one
+        # full closure per vertex does
+        graphs_ = list(corpus) + list(families.values())
+        graphs_ += [parse_graph_spec(spec) for spec in ZF_SPECS]
+        for g in graphs_:
             blue = list(range(g.n))
             for v in range(g.n):
                 trial = [w for w in blue if w != v]
@@ -310,7 +326,7 @@ def every_vertex_a_root(g, vertices):
 
 
 class TestRootOrbits:
-    def test_answers_match_every_root_search(self, corpus, families, monkeypatch):
+    def test_answers_match_every_root_search(self, corpus, families, monkeypatch, unfloored):
         graphs = list(corpus) + list(families.values())
         graphs += [parse_graph_spec(spec) for spec in ZF_SPECS]
         reduced = [z.zero_forcing_number(g) for g in graphs]
@@ -342,7 +358,7 @@ class TestRootOrbits:
             assert res.is_exact and res.zf_number == zf
             check_witness(g, res)
 
-    def test_spent_orbit_budget_keeps_z(self, monkeypatch):
+    def test_spent_orbit_budget_keeps_z(self, monkeypatch, unfloored):
         # refinement splits these vertex-transitive strongly regular graphs
         # slowly, so the finder needs dozens of nodes to join all 16
         # vertices; with fewer, some vertices stay roots of their own
@@ -367,12 +383,87 @@ class TestRootOrbits:
                 res = z.zero_forcing_number(parse_graph_spec(spec))
                 assert res.lower_bound <= zf <= res.zf_number
 
-    def test_no_orbit_work_without_cheap_root_moves(self, monkeypatch):
+    def test_no_orbit_work_without_cheap_root_moves(self, monkeypatch, unfloored):
         # every first move of K_n costs n - 1, the greedy set's size
         calls = []
         monkeypatch.setattr(forcing, "vertex_orbits", lambda g, vs: calls.append(vs) or ())
         assert z.zero_forcing_number(z.complete_graph(30)).zf_number == 29
         assert calls == [[]]
+
+
+class TestGf2Floor:
+    """The search's own floor: the larger GF(2) nullity of A and A + I."""
+
+    def test_floor_at_most_z_on_corpus(self, corpus):
+        for g in corpus:
+            assert forcing._gf2_floor(g) <= brute_zero_forcing(g)[0], g.edges
+
+    def test_floor_at_most_z_on_families(self, families, unfloored):
+        for name, g in families.items():
+            assert forcing._gf2_floor(g) <= z.zero_forcing_number(g).zf_number, name
+
+    def test_floor_meets_every_rational_nullity_at_integer_shifts(self, corpus, families):
+        # A - lambda*I is A or A + I mod 2, and reducing mod 2 keeps or
+        # lowers the rank
+        for g in list(corpus) + list(families.values()):
+            floor = forcing._gf2_floor(g)
+            for lam in range(-3, 4):
+                rows = g.adjacency_rows()
+                for i in range(g.n):
+                    rows[i][i] -= lam
+                assert g.n - naive_rational_rank(rows) <= floor, (g.edges, lam)
+
+    def test_floor_leaves_the_adjacency_masks(self, corpus, families):
+        for g in list(corpus) + list(families.values()):
+            before = list(g.adjacency_masks)
+            forcing._gf2_floor(g)
+            z.zero_forcing_number(g)
+            assert g.adjacency_masks == before
+
+    def test_floor_changes_no_witness(self, corpus, families, monkeypatch):
+        # the wavefront swaps its incumbent only for a strictly smaller set,
+        # so stopping at a floor no larger than Z keeps the witness and the
+        # forces; only the states expanded drop
+        graphs_ = list(corpus) + list(families.values())
+        graphs_ += [parse_graph_spec(spec) for spec in ZF_SPECS]
+        floored = [z.zero_forcing_number(g) for g in graphs_]
+        monkeypatch.setattr(forcing, "_gf2_floor", lambda g: 0)
+        for g, got in zip(graphs_, floored):
+            want = z.zero_forcing_number(g)
+            assert (got.witness, got.forces) == (want.witness, want.forces), g.edges
+            assert got.is_exact and want.is_exact
+            assert got.subsets_examined <= want.subsets_examined
+
+    def test_floor_at_z_ends_search_at_the_greedy_set(self):
+        # GF(2) nullity of A = Z on these: no state is expanded
+        for spec in ("circulant:24:1,5", "petersen:10,3", "petersen:12,5",
+                     "cart:cycle:8+path:3", "aztec:3", "aztec:6"):
+            g = parse_graph_spec(spec)
+            res = z.zero_forcing_number(g)
+            assert res.is_exact and res.subsets_examined == 0, spec
+            assert res.lower_bound == res.zf_number == forcing._gf2_floor(g)
+            assert forcing._greedy_upper_bound(g) == graphs.vertex_mask(res.witness, g.n)
+            check_witness(g, res)
+
+    def test_floor_at_or_above_the_greedy_set_is_not_computed(self, monkeypatch):
+        # a caller's floor that already meets the greedy set ends the search
+        calls = []
+        monkeypatch.setattr(forcing, "_gf2_floor", lambda g: calls.append(g) or 0)
+        g = z.circulant(16, {1, 7})
+        assert z.zero_forcing_number(g, floor=10).zf_number == 10
+        assert calls == []
+        assert z.zero_forcing_number(g, floor=9).zf_number == 10
+        assert calls == [g]
+
+    def test_floor_above_the_witness_raises(self, monkeypatch):
+        # a floor above the search's set is an implementation fault, not a
+        # bad caller floor: ArithmeticError, never ValueError
+        g = z.cartesian_product(z.cycle_graph(6), z.path_graph(4))
+        monkeypatch.setattr(forcing, "_gf2_floor", lambda g: g.n + 1)
+        with pytest.raises(ArithmeticError, match="GF\\(2\\) floor 25"):
+            z.zero_forcing_number(g)
+        with pytest.raises(ArithmeticError):
+            z.zero_forcing_number(g, floor=3)
 
 
 class TestConstructions:

@@ -12,6 +12,7 @@ from oracles import (
     format_matrix,
     fraction_determinant,
     fraction_nullspace,
+    gf2_rank,
     laplace_determinant,
     matvec,
     mod_p_nullspace,
@@ -195,6 +196,28 @@ def non_pivot_columns(m):
         for j in range(m.cols)
     ]
     return [j for j in range(m.cols) if ranks[j + 1] == ranks[j]]
+
+
+class TestGf2Rank:
+    def test_small_cases(self):
+        assert linalg.gf2_rank([]) == 0
+        assert linalg.gf2_rank([0, 0]) == 0
+        assert linalg.gf2_rank([0b110, 0b011, 0b101]) == 2
+        assert linalg.gf2_rank([0b1, 0b10, 0b100]) == 3
+
+    def test_matches_oracle_on_a_and_a_plus_i(self, corpus, families):
+        for g in list(corpus) + list(families.values()):
+            masks = g.adjacency_masks
+            plus = [row | 1 << i for i, row in enumerate(masks)]
+            assert linalg.gf2_rank(masks) == gf2_rank(masks), g.edges
+            assert linalg.gf2_rank(plus) == gf2_rank(plus), g.edges
+
+    def test_matches_oracle_on_random_rows(self):
+        rng = random.Random(26)
+        for _ in range(300):
+            width = rng.randint(1, 40)
+            rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 12))]
+            assert linalg.gf2_rank(rows) == gf2_rank(rows), rows
 
 
 class TestNullspace:
