@@ -22,10 +22,13 @@ violation. Only a spent budget with no violation gives bounds alone
 For GF(2) the minimum rank over all matrices with the graph's off-diagonal
 pattern is exact: off-diagonal entries are forced (the only nonzero element
 is 1), so the search space is the 2^n free diagonals. A branch and bound
-walks them, pruning a prefix whose rank already reaches the best rank, and
-stops at the floor n - |greedy zero forcing set|, which is at most
-n - Z <= mr. The attained ranks form the interval [mr, n], so the minimum
-alone decides whether a target rank is attained.
+walks them from an incumbent one above min(rank A, rank (A + I)), which
+D = 0 or D = I attains, and stops at the floor n - |greedy zero forcing
+set| <= n - Z <= mr. A prefix with rows F fixed at rank r is pruned once
+2r - rank M[F,F] reaches the incumbent: by the partitioned-rank inequality
+(Marsaglia and Styan, 1974) and symmetry, no completion ranks lower. The
+attained ranks form the interval [mr, n], so the minimum alone decides
+whether a target rank is attained.
 """
 
 from __future__ import annotations
@@ -131,53 +134,55 @@ class Gf2MinRank:
     nodes_examined: int = 0  # diagonal prefixes whose rank was computed
 
 
-def _reduce(pivots, row):
-    """Reduce row against an echelon basis whose k-th vector avoids the
-    lowest set bits of the ones before it; the result avoids every such
-    bit, so it is the canonical representative modulo the span and the
-    reduction is linear."""
-    for p in pivots:
-        if row & p & -p:
-            row ^= p
-    return row
-
-
-def _gf2_min_rank(base, floor):
+def _gf2_min_rank(base, floor, best):
     """(least rank, least diagonal attaining it, prefixes examined) by a
     depth-first search fixing the diagonal bits of vertices n-1 down to 0,
     0 before 1, so leaves come in increasing integer order of the diagonal.
+    `best` must exceed the minimum: only lower ranks are sought.
 
-    The echelon basis of the fixed rows lives on a stack, so a node reduces
-    one row and one unit vector, not n rows; by linearity the d = 1 row
-    reduces to the sum of the two. A prefix's rank bounds the whole
-    matrix's rank from below, so a prefix that already reaches the best
-    rank is pruned, and a leaf at the proven floor ends the search."""
-    n = len(base)
-    best, best_diag, nodes = n + 1, 0, 0
+    The echelon basis of the fixed rows lives on a stack as (lead, vector)
+    pairs, each vector free of the highest-bit leads below it, so a node
+    reduces one row and one unit vector, not n rows; by linearity the d = 1
+    row reduces to the sum of the two. With rows F = i..n-1 fixed at rank
+    r, the leads at bits >= i count rank M[F,F] (the other vectors vanish
+    on columns F; these keep distinct leads), and rank [[X, B], [C, Y]] >=
+    rank [C Y] + rank [B; Y] - rank Y with M symmetric bounds every
+    completion's rank by 2r - rank M[F,F]. A prefix is pruned once its
+    bound reaches `best`; until the least minimizing diagonal is reached,
+    `best` exceeds every bound along it, so none of its prefixes is pruned.
+    A leaf at the proven floor ends the search."""
+    best_diag, nodes = 0, 0
     pivots = []
 
-    def visit(i, rank, diag):
+    def reduce(row):
+        for lead, p in pivots:
+            if row & lead:
+                row ^= p
+        return row
+
+    def visit(i, rank, leads, diag):
         nonlocal best, best_diag, nodes
         if i < 0:
             best, best_diag = rank, diag
             return rank <= floor
-        row = _reduce(pivots, base[i])
-        unit = _reduce(pivots, 1 << i)
+        row = reduce(base[i])
+        unit = reduce(1 << i)
         nodes += 2
         for bit, reduced in ((0, row), (1, row ^ unit)):
-            grown = rank + (reduced != 0)
-            if grown >= best:
+            lead = 1 << reduced.bit_length() >> 1
+            grown = rank + (lead != 0)
+            if 2 * grown - ((leads | lead) >> i).bit_count() >= best:
                 continue
-            if reduced:
-                pivots.append(reduced)
-            done = visit(i - 1, grown, diag | (bit << i))
-            if reduced:
+            if lead:
+                pivots.append((lead, reduced))
+            done = visit(i - 1, grown, leads | lead, diag | (bit << i))
+            if lead:
                 pivots.pop()
             if done:
                 return True
         return False
 
-    visit(n - 1, 0, 0)
+    visit(len(base) - 1, 0, 0, 0)
     return best, best_diag, nodes
 
 
@@ -185,7 +190,10 @@ def min_rank_gf2_exhaustive(g):
     """Exact minimum rank over the GF(2) matrices with the graph's
     off-diagonal pattern (the 2^n free diagonals), by branch and bound
     down to the floor n - |greedy zero forcing set| <= n - Z <= mr, with
-    the least witness diagonal. Some diagonal attains rank t exactly when
+    the least witness diagonal. The incumbent starts one above
+    min(rank A, rank (A + I)), which D = 0 or D = I attains, and the
+    partitioned-rank bound never prunes a minimizing prefix (see
+    `_gf2_min_rank`). Some diagonal attains rank t exactly when
     min <= t <= n. One flipped diagonal bit moves the rank by at
     most 1 and single flips connect all diagonals, so the attained ranks
     form an interval; it ends at n because det(A + D) is multilinear in the
@@ -198,13 +206,10 @@ def min_rank_gf2_exhaustive(g):
             f"graph order {n} exceeds the GF(2) search cap {GF2_ORDER_CAP}"
         )
     floor = n - forcing._greedy_upper_bound(g).bit_count()
+    seed = n - forcing._gf2_floor(g)  # min(rank A, rank (A + I)) over GF(2)
     # adjacency_masks is cached on the graph: read, never written
-    best, best_diag, nodes = _gf2_min_rank(g.adjacency_masks, floor)
-    return Gf2MinRank(
-        best,
-        tuple((best_diag >> i) & 1 for i in range(n)),
-        nodes,
-    )
+    best, best_diag, nodes = _gf2_min_rank(g.adjacency_masks, floor, seed + 1)
+    return Gf2MinRank(best, tuple((best_diag >> i) & 1 for i in range(n)), nodes)
 
 
 # ---------------------------------------------------------------------------

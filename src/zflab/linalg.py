@@ -110,9 +110,6 @@ class ExactMatrix:
         self.cols = cols
         self.data = tuple(_normalize_row(row, domain) for row in data)
 
-    def entry(self, i, j):
-        return self.data[i][j]
-
     def row(self, i):
         return self.data[i]
 

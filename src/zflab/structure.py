@@ -220,16 +220,12 @@ def _check_pattern(a, g):
         raise ValueError("matrix size does not match the graph")
     if a.domain != QQ:
         raise ValueError("SAP verification works over the rationals")
-    for i in range(g.n):
-        for j in range(g.n):
-            if a.entry(i, j) != a.entry(j, i):
-                raise ValueError("matrix is not symmetric")
-            if i != j:
-                nz = bool(a.entry(i, j))
-                if nz != g.has_edge(i, j):
-                    raise ValueError(
-                        f"entry ({i},{j}) violates the off-diagonal pattern"
-                    )
+    if a.data != tuple(zip(*a.data)):
+        raise ValueError("matrix is not symmetric")
+    for i, row in enumerate(a.data):
+        wrong = {j for j, x in enumerate(row) if x and j != i} ^ g.neighbors(i)
+        if wrong:
+            raise ValueError(f"entry ({i},{min(wrong)}) violates the off-diagonal pattern")
 
 
 def has_sap(a, g):

@@ -201,6 +201,40 @@ def brute_min_rank_gf2(g):
     return best, tuple((best_diag >> i) & 1 for i in range(g.n)), ranks
 
 
+def bb_min_rank_gf2(g, floor, best):
+    """The GF(2) minimum rank search recomputed from scratch at every
+    prefix: fix the diagonal bits of vertices n-1 down to 0, 0 before 1;
+    with rows F = i..n-1 fixed at rank r, prune once 2r - rank M[F,F]
+    reaches the best rank (started at `best`), and end at a leaf of rank at
+    most `floor`. Returns (minimum, least diagonal as bits, prefixes whose
+    rank was computed: two per internal node visited)."""
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    state = {"best": best, "diag": 0, "nodes": 0}
+
+    def visit(i, diag):
+        if i < 0:
+            state["best"] = gf2_rank([adj[j] | (diag & (1 << j)) for j in range(g.n)])
+            state["diag"] = diag
+            return state["best"] <= floor
+        state["nodes"] += 2
+        for bit in (0, 1):
+            d = diag | (bit << i)
+            fixed = [adj[j] | (d & (1 << j)) for j in range(i, g.n)]
+            r = gf2_rank(fixed)
+            if 2 * r - gf2_rank([row >> i for row in fixed]) >= state["best"]:
+                continue
+            if visit(i - 1, d):
+                return True
+        return False
+
+    visit(g.n - 1, 0)
+    diag = tuple((state["diag"] >> i) & 1 for i in range(g.n))
+    return state["best"], diag, state["nodes"]
+
+
 def brute_vertex_orbits(g):
     """The orbits of Aut(G) as sorted tuples, ordered by least vertex: every
     automorphism is found by extending a map of 0..k-1 to vertex k in every

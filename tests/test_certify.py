@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -8,7 +9,8 @@ import zflab.cli as cli
 from zflab import certify, forcing, linalg
 from zflab.forcing import ZfResult
 
-from oracles import brute_min_rank_gf2
+from conftest import make_random_corpus
+from oracles import bb_min_rank_gf2, brute_min_rank_gf2, gf2_rank
 
 
 def reading_n_over(*broken):
@@ -91,6 +93,26 @@ class TestCertify:
         assert obj["zero_forcing_number"] == 2
 
 
+def _lead_mask(rows):
+    """The lead bits of the rows' echelon basis as the GF(2) search stacks
+    it: each row reduced against the (lead, vector) pairs before it, then
+    pushed under its highest set bit."""
+    pivots, leads = [], 0
+    for row in rows:
+        for lead, p in pivots:
+            if row & lead:
+                row ^= p
+        if row:
+            lead = 1 << row.bit_length() >> 1
+            pivots.append((lead, row))
+            leads |= lead
+    return leads
+
+
+def _search_floor(g):
+    return g.n - forcing._greedy_upper_bound(g).bit_count()
+
+
 class TestGf2MinRank:
     def test_k2(self):
         res = z.min_rank_gf2_exhaustive(z.complete_graph(2))
@@ -150,7 +172,7 @@ class TestGf2MinRank:
 
     def test_matches_oracle(self, corpus, families):
         graphs = corpus[:40] + [g for g in families.values() if g.n <= 12]
-        for g in graphs:
+        for g in graphs + make_random_corpus(count=200, max_n=12, seed=27):
             best, diag, ranks = brute_min_rank_gf2(g)
             res = z.min_rank_gf2_exhaustive(g)
             assert (res.min_rank, res.witness_diagonal) == (best, diag)
@@ -169,6 +191,55 @@ class TestGf2MinRank:
     def test_empty_graph(self):
         res = z.min_rank_gf2_exhaustive(z.Graph(0, []))
         assert (res.min_rank, res.witness_diagonal) == (0, ())
+
+    def test_partitioned_rank_bound(self):
+        # with rows F = i..n-1 of a symmetric M fixed, every completion of
+        # the free diagonal bits 0..i-1 has rank >= 2 rank(rows F) - rank
+        # M[F,F], and the search's lead mask counts rank M[F,F]
+        rng = random.Random(27)
+        for _ in range(80):
+            n = rng.randint(1, 8)
+            m = [0] * n
+            for u, v in itertools.combinations(range(n), 2):
+                if rng.random() < 0.5:
+                    m[u] |= 1 << v
+                    m[v] |= 1 << u
+            m = [row | (rng.random() < 0.5) << i for i, row in enumerate(m)]
+            for i in range(n + 1):
+                fixed = m[i:]
+                rank, rank_ff = gf2_rank(fixed), gf2_rank([row >> i for row in fixed])
+                assert (_lead_mask(reversed(fixed)) >> i).bit_count() == rank_ff
+                for free in range(1 << i):
+                    rows = [m[j] & ~(1 << j) | free & (1 << j) for j in range(i)]
+                    assert gf2_rank(rows + fixed) >= 2 * rank - rank_ff, (m, i, free)
+
+    def test_matches_recomputed_search(self, corpus, families):
+        # the same minimum, witness and prefix count as the search that
+        # recomputes every rank, seeded one above min(rank A, rank (A + I))
+        for g in corpus[:60] + [g for g in families.values() if g.n <= 14]:
+            plus = [row | 1 << i for i, row in enumerate(g.adjacency_masks)]
+            seed = min(gf2_rank(g.adjacency_masks), gf2_rank(plus))
+            res = z.min_rank_gf2_exhaustive(g)
+            got = (res.min_rank, res.witness_diagonal, res.nodes_examined)
+            assert got == bb_min_rank_gf2(g, _search_floor(g), seed + 1), g.edges
+
+    def test_seed_keeps_answers(self, corpus, families):
+        # the search seeded at A and A + I answers as one started above
+        # every rank, and examines no more prefixes
+        for g in corpus + list(families.values()):
+            res = z.min_rank_gf2_exhaustive(g)
+            best, diag, nodes = certify._gf2_min_rank(
+                g.adjacency_masks, _search_floor(g), g.n + 1
+            )
+            assert res.min_rank == best
+            assert res.witness_diagonal == tuple((diag >> i) & 1 for i in range(g.n))
+            assert res.nodes_examined <= nodes
+
+    def test_bound_prunes_petersen_8_3(self):
+        # 9,694 prefixes when only the fixed rows' rank pruned, with no seed
+        res = z.min_rank_gf2_exhaustive(z.generalized_petersen(8, 3))
+        assert res.min_rank == 12
+        assert res.nodes_examined < 9694
 
 
 class TestParameterReport:

@@ -385,7 +385,7 @@ class TestAdjacency:
 
     def test_circ_8_13_row(self):
         m = z.adjacency_matrix(z.circulant(8, {1, 3}))
-        assert [j for j in range(8) if m.entry(0, j)] == [1, 3, 5, 7]
+        assert [j for j in range(8) if m.row(0)[j]] == [1, 3, 5, 7]
 
     def test_shift_mod_p(self):
         m = z.adjacency_matrix(z.complete_graph(2), 3, z.prime_field(2))

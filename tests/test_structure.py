@@ -170,22 +170,27 @@ class TestSap:
             # AX = 0
             assert all(not e for row in matmul(a.data, x.data) for e in row)
             for i in range(g.n):
-                assert x.entry(i, i) == 0
+                assert x.row(i)[i] == 0
                 for j in range(g.n):
-                    assert x.entry(i, j) == x.entry(j, i)
+                    assert x.row(i)[j] == x.row(j)[i]
                     if i != j and g.has_edge(i, j):
-                        assert x.entry(i, j) == 0
+                        assert x.row(i)[j] == 0
 
     def test_pattern_mismatch_rejected(self):
         g = z.cycle_graph(4)
         bad = z.ExactMatrix(z.QQ, [[0] * 4] * 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"entry \(0,1\) violates"):
             z.has_sap(bad, g)
+        # a nonzero entry on the non-edge 1-3
+        chord = [list(row) for row in z.adjacency_matrix(g).data]
+        chord[1][3] = chord[3][1] = 5
+        with pytest.raises(ValueError, match=r"entry \(1,3\) violates"):
+            z.has_sap(z.ExactMatrix(z.QQ, chord), g)
 
     def test_nonsymmetric_rejected(self):
         g = z.complete_graph(2)
         bad = z.ExactMatrix(z.QQ, [[0, 1], [2, 0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not symmetric"):
             z.has_sap(bad, g)
 
     def test_free_diagonal_allowed(self):
@@ -214,7 +219,7 @@ class TestSap:
         d = [1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069]
         assert g.n == len(d)
         a = z.adjacency_matrix(g)
-        m = z.ExactMatrix(z.QQ, [[d[i] * a.entry(i, j) * d[j] for j in range(g.n)]
+        m = z.ExactMatrix(z.QQ, [[d[i] * a.row(i)[j] * d[j] for j in range(g.n)]
                                  for i in range(g.n)])
         rep = z.has_sap(m, g)
         assert rep.violation_dim == _violation_dim(m, g) == 2
@@ -292,7 +297,7 @@ def _sap_matrices(g, rng):
 
     a = z.adjacency_matrix(g)
     d = [frac() for _ in range(g.n)]
-    scaled = [[d[i] * a.entry(i, j) * d[j] for j in range(g.n)]
+    scaled = [[d[i] * a.row(i)[j] * d[j] for j in range(g.n)]
               for i in range(g.n)]
     generic = [[Fraction(0)] * g.n for _ in range(g.n)]
     for i in range(g.n):
@@ -327,7 +332,7 @@ def _violation_dim(a, g):
             x = [[0] * n for _ in range(n)]
             x[i][j] = x[j][i] = 1
             columns.append([
-                sum(a.entry(r, k) for k in range(n) if x[k][c])
+                sum(a.row(r)[k] for k in range(n) if x[k][c])
                 for r in range(n)
                 for c in range(n)
             ])
