@@ -1,19 +1,28 @@
 """Vertex connectivity, minimum degree, and Strong Arnold Property
 verification.
 
-Vertex connectivity runs unit-capacity max-flow on the vertex-split digraph
-(each vertex v becomes v_in -> v_out with capacity 1), built once. One pass
-grows a set S of vertices that no set of fewer than k vertices separates,
-starting from k = delta with the neighborhood of a minimum-degree vertex v0
-as the separator. Vertices join S in breadth-first order from v0. While
-|S| < k, a vertex joins after a flow to each non-neighbor in S. After that
-it joins after one fan flow to all of S, each member a sink of capacity 1,
-unless k of its neighbors are already in S. A flow below k gives a smaller
-separator and lowers k, which keeps S valid. If fewer than k vertices
-separated the new vertex x from a member of S, they would miss one of its k
-fan paths, so x would reach some s in S, and they would separate s from
-that member, against the invariant. When S is all of V, k is the
-connectivity.
+Vertex connectivity runs unit-capacity max-flow on the graph itself, each
+vertex v split into v_in -> v_out of capacity 1. The flow is pred[v], the
+out-node before v_in on v's path (-1 while v is free), and every residual
+arc follows from it: v_out goes back to v_in when v carries a path, then to
+each neighbor's in-node; v_in goes on to v_out when v is free, else back to
+pred[v]. Paths straight to a sink neighbor are taken without a search. The
+cut is read off the nodes that the last, failed search reached: every
+maximum flow leaves the source side of the unique minimal min cut reachable
+(Picard and Queyranne, 1980), so the separator does not depend on the
+order the paths are found in.
+
+One pass grows a set S of vertices that no set of fewer than k vertices
+separates, starting from k = delta with the neighborhood of a
+minimum-degree vertex v0 as the separator. Vertices join S in breadth-first
+order from v0. While |S| < k, a vertex joins after a flow to each
+non-neighbor in S. After that it joins after one fan flow to all of S, each
+member a sink of capacity 1, which needs no search when k of its neighbors
+are already in S. A flow below k gives a smaller separator and lowers k,
+which keeps S valid. If fewer than k vertices separated the new vertex x
+from a member of S, they would miss one of its k fan paths, so x would
+reach some s in S, and they would separate s from that member, against the
+invariant. When S is all of V, k is the connectivity.
 
 The Strong Arnold Property is decided over Q in kernel coordinates: every
 symmetric X with A X = 0 is U S U^T, with U the nullspace basis of A and S
@@ -26,7 +35,6 @@ the diagonal and the edges, nonzero, and A X = 0.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .linalg import QQ, ExactMatrix
@@ -45,88 +53,65 @@ def min_degree(g):
 
 
 # ---------------------------------------------------------------------------
-# max-flow on the split digraph
-
-_INF = 1 << 30
+# vertex-disjoint paths on the graph itself
 
 
-def _split_digraph(g):
-    """The vertex-split digraph as paired arcs: arc e runs to head[e] with
-    capacity cap[e], arc e ^ 1 is its reverse, and out[a] lists the arcs
-    leaving node a. Node 2v = v_in, 2v+1 = v_out."""
-    out = [[] for _ in range(2 * g.n)]
-    head, cap = [], []
-
-    def add(a, b, c):
-        out[a].append(len(head))
-        head.append(b)
-        cap.append(c)
-        out[b].append(len(head))
-        head.append(a)
-        cap.append(0)
-
-    for v in range(g.n):
-        add(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges:
-        add(2 * u + 1, 2 * v, _INF)
-        add(2 * v + 1, 2 * u, _INF)
-    return out, head, cap
-
-
-def _split_maxflow(digraph, s, sink, limit):
-    """Internally vertex-disjoint paths on the split digraph from s_out to
-    the nodes flagged in sink, up to limit of them, plus a minimum vertex
-    cut when fewer than limit exist. A path ends at the first sink it
-    reaches. The flow is pushed on cap in place and taken back off before
-    returning, so the digraph is unchanged."""
-    out, head, cap = digraph
-    n = len(out) // 2
+def _path_flow(ins, s, sink, limit):
+    """Internally vertex-disjoint paths from s_out to the nodes flagged in
+    sink, up to limit of them, plus a minimum vertex cut when fewer than
+    limit exist; ins[v] lists the in-nodes of v's neighbors in ascending
+    order. A path ends at the first sink it reaches. The flow is pred[v]
+    and the residual arcs are read off it as the module docstring says;
+    the direct paths s -> w with w_out a sink, in ascending w, are the
+    ones the first searches would find."""
+    n = len(ins)
     source = 2 * s + 1
-    pushed = []  # arcs in the order the flow used them
+    pred = [-1] * n
     flow = 0
+    for b in ins[s]:
+        if flow < limit and sink[b + 1]:
+            pred[b >> 1] = source
+            flow += 1
     while flow < limit:
-        # BFS augmenting path; parent[b] is the arc that reached b
-        parent = {source: None}
-        queue = deque([source])
-        end = None
-        while queue and end is None:
-            a = queue.popleft()
-            for e in out[a]:
-                b = head[e]
-                if b not in parent and cap[e] > 0:
-                    parent[b] = e
+        # BFS augmenting path; parent[b] is the node that reached b
+        parent = [-1] * (2 * n)
+        parent[source] = source
+        queue = [source]
+        end = -1
+        for a in queue:
+            v = a >> 1
+            if a & 1:
+                heads = ins[v] if pred[v] < 0 else [a - 1, *ins[v]]
+            else:
+                heads = (a + 1 if pred[v] < 0 else pred[v],)
+            for b in heads:
+                if parent[b] < 0:
+                    parent[b] = a
                     if sink[b]:
                         end = b
                         break
                     queue.append(b)
-        if end is None:
-            break
-        while parent[end] is not None:
-            e = parent[end]
-            cap[e] -= 1
-            cap[e ^ 1] += 1
-            pushed.append(e)
-            end = head[e ^ 1]
+            if end >= 0:
+                break
+        if end < 0:
+            # the source side of the minimal min cut: split arcs leaving it
+            cut = [v for v in range(n) if parent[2 * v] >= 0 and parent[2 * v + 1] < 0]
+            return flow, cut
+        # walk the path back; a pair sink's in-node gets a pred that is
+        # never read, since a search stops there
+        b = end
+        while b != source:
+            a = parent[b]
+            if a & 1:
+                if b != a - 1:  # u_out -> v_in: v's path now comes from u
+                    pred[b >> 1] = a
+            elif b != a + 1:  # v_in -> u_out cancels the arc u_out -> v_in
+                pred[a >> 1] = -1
+            b = a
         flow += 1
         if flow > n:
             raise ArithmeticError("flow exceeded vertex count")
-    cut = None
-    if flow < limit:
-        # min cut: split arcs (v_in -> v_out) crossing the reachable set
-        reach = {source}
-        stack = [source]
-        while stack:
-            a = stack.pop()
-            for e in out[a]:
-                b = head[e]
-                if b not in reach and cap[e] > 0:
-                    reach.add(b)
-                    stack.append(b)
-        cut = [v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach]
-    for e in pushed:
-        cap[e] += 1
-        cap[e ^ 1] -= 1
-    return flow, cut
+    return flow, None
 
 
 def _check_separator(g, separator):
@@ -155,9 +140,14 @@ def vertex_connectivity(g):
     join S in breadth-first order from v0 (neighbors sorted). While |S| < k,
     x joins after a flow from x to each non-neighbor y in S (sink y_in);
     then after one fan flow from x to all of S (sinks s_out, so each s
-    carries one path), skipped when k neighbors of x are in S. Each flow
-    stops at k, and one below k replaces the separator by its min cut,
-    which separates x from a member of S. A separator of fewer than k
+    carries one path), whose paths to neighbors of x in S are direct. Each
+    flow stops at k, and one below k replaces the separator by its min cut,
+    which separates x from a member of S. The flow lives on the graph as
+    pred[v], the out-node before v_in on v's path: v_out reaches v_in when
+    v carries a path, then its neighbors' in-nodes; v_in reaches v_out when
+    v is free, else pred[v]. The cut is read off the last, failed search;
+    any maximum flow gives the same one, the source side of the minimal min
+    cut (Picard and Queyranne, 1980). A separator of fewer than k
     vertices would miss one of x's k fan paths (or one of k neighbors in
     S) and so separate two members of S; once S = V there is none. At most
     n - 1 + delta(delta-1)/2 flows run."""
@@ -179,7 +169,7 @@ def vertex_connectivity(g):
             if w not in seen:
                 seen.add(w)
                 order.append(w)
-    digraph = _split_digraph(g)
+    ins = [[2 * w for w in sorted(g.neighbors(v))] for v in range(n)]
     members = []
     in_s = bytearray(2 * n)  # s_out flagged for each s in S
     y_in = bytearray(2 * n)
@@ -188,12 +178,12 @@ def vertex_connectivity(g):
             for y in members:
                 if not g.has_edge(x, y):
                     y_in[2 * y] = 1
-                    flow, cut = _split_maxflow(digraph, x, y_in, best)
+                    flow, cut = _path_flow(ins, x, y_in, best)
                     y_in[2 * y] = 0
                     if flow < best:
                         best, best_cut = flow, cut
-        elif sum(in_s[2 * w + 1] for w in g.neighbors(x)) < best:
-            flow, cut = _split_maxflow(digraph, x, in_s, best)
+        else:
+            flow, cut = _path_flow(ins, x, in_s, best)
             if flow < best:
                 best, best_cut = flow, cut
         members.append(x)

@@ -264,22 +264,26 @@ def brute_vertex_orbits(g):
 
 def disconnects(g, removed):
     """Whether deleting the vertices in removed leaves two vertices with no
-    path between them, by a search over the edge list."""
+    path between them."""
     rest = [v for v in range(g.n) if v not in removed]
-    if not rest:
-        return False
-    nbrs = {v: set() for v in rest}
+    return bool(rest) and len(reached_from(g, rest[0], removed)) < len(rest)
+
+
+def reached_from(g, s, removed):
+    """The vertices that a search from s (not in removed) reaches once
+    removed is deleted, by a search over the edge list."""
+    nbrs = {v: set() for v in range(g.n) if v not in removed}
     for u, v in g.edges:
         if u in nbrs and v in nbrs:
             nbrs[u].add(v)
             nbrs[v].add(u)
-    seen = {rest[0]}
-    stack = [rest[0]]
+    seen = {s}
+    stack = [s]
     while stack:
         for w in nbrs[stack.pop()] - seen:
             seen.add(w)
             stack.append(w)
-    return len(seen) < len(rest)
+    return seen
 
 
 def brute_kappa(g):
@@ -290,6 +294,27 @@ def brute_kappa(g):
         if any(disconnects(g, set(c)) for c in itertools.combinations(range(g.n), k)):
             return k
     return g.n - 1
+
+
+def brute_menger_cut(g, s, out_sinks=(), in_sinks=()):
+    """The smallest vertex set, without s, that meets every path from s to a
+    sink, by trying vertex sets size by size. A path may end at a vertex of
+    out_sinks, which the set may hold, or at one of in_sinks, which it may
+    not; None when no set does (s is adjacent to an in-sink). Of the
+    smallest sets it is the one that leaves s the fewest reachable
+    vertices: the minimal min cut, which is unique. By Menger's theorem its
+    size is the number of internally vertex-disjoint s-sink paths."""
+    sinks = set(out_sinks) | set(in_sinks)
+    free = [v for v in range(g.n) if v != s and v not in in_sinks]
+    for k in range(len(free) + 1):
+        cuts = [
+            (len(seen), set(c))
+            for c in itertools.combinations(free, k)
+            if not (seen := reached_from(g, s, set(c))) & sinks
+        ]
+        if cuts:
+            return min(cuts, key=lambda cut: cut[0])[1]
+    return None
 
 
 def matvec(rows, vec, p=None):

@@ -6,10 +6,12 @@ import pytest
 import zflab as z
 from oracles import (
     brute_kappa,
+    brute_menger_cut,
     disconnects,
     induced_subgraph,
     matmul,
     naive_rational_rank,
+    reached_from,
 )
 from paper import circulant_kappa_deficient
 from zflab import linalg, structure
@@ -79,10 +81,10 @@ class TestVertexConnectivity:
         # one flow per vertex after the first, plus the pair flows while
         # S is smaller than k <= delta
         calls = []
-        flow = structure._split_maxflow
+        flow = structure._path_flow
         monkeypatch.setattr(
             structure,
-            "_split_maxflow",
+            "_path_flow",
             lambda *args: calls.append(1) or flow(*args),
         )
         graphs = list(families.values())
@@ -93,12 +95,78 @@ class TestVertexConnectivity:
             delta = z.min_degree(g)
             assert len(calls) <= g.n - 1 + delta * (delta - 1) // 2, g
 
+    def test_frozen_separators(self):
+        # glued blobs with kappa < delta, so the separator is a flow's cut
+        # and not N(v0); every maximum flow leaves the same minimal min cut,
+        # so no order of augmenting paths may move these
+        rng = random.Random(14)
+        blobs = [_glued_blobs(rng) for _ in range(21)]
+        frozen = {2: (9, 11), 7: (8, 11), 9: (2,), 16: (6, 12), 19: (9,), 20: (1,)}
+        for i, separator in frozen.items():
+            g = blobs[i]
+            kw = z.vertex_connectivity(g)
+            assert kw.kappa < z.min_degree(g)
+            assert kw.separator == separator, i
+
     def test_kappa_at_most_z(self, corpus):
         for g in corpus[:60]:
             assert (
                 z.vertex_connectivity(g).kappa
                 <= z.zero_forcing_number(g).zf_number
             )
+
+
+class TestPathFlow:
+    def test_matches_menger_oracle(self):
+        # fan sinks (a set of out-nodes) and pair sinks (one in-node), each
+        # flow against the smallest cut and the cut against the minimal one
+        rng = random.Random(28)
+        cuts = 0
+        for trial in range(600):
+            n = rng.randint(2, 9)
+            p = rng.choice((0.25, 0.45, 0.65))
+            g = z.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+            s = rng.randrange(n)
+            others = [v for v in range(n) if v != s]
+            sink = bytearray(2 * n)
+            if trial % 2:
+                outs, in_sinks = rng.sample(others, rng.randint(1, n - 1)), ()
+                for w in outs:
+                    sink[2 * w + 1] = 1
+                oracle = brute_menger_cut(g, s, out_sinks=outs)
+            else:
+                outs, in_sinks = (), (rng.choice(others),)
+                sink[2 * in_sinks[0]] = 1
+                oracle = brute_menger_cut(g, s, in_sinks=in_sinks)
+            limit = rng.randint(1, n)
+            flow, cut = structure._path_flow(_in_nodes(g), s, sink, limit)
+            key = (g.edges, s, outs, in_sinks, limit)
+            assert flow == (limit if oracle is None else min(limit, len(oracle))), key
+            if flow == limit:
+                assert cut is None, key
+                continue
+            cuts += 1
+            assert len(cut) == flow and s not in cut, key
+            assert not reached_from(g, s, set(cut)) & (set(outs) | set(in_sinks)), key
+            assert set(cut) == oracle, key
+        assert cuts >= 100
+
+    def test_vertex_freed_by_a_later_path(self):
+        # the first path is 10-0-5-1-3; the second runs 10-8-4-1, cancels
+        # 5's arc into 1, goes back 5_out -> 5_in -> 0_out and on by 7-9-3,
+        # which frees 5; the last search reaches 5_in from 2 and goes on
+        g = z.Graph(12, [(0, 5), (0, 7), (0, 10), (1, 3), (1, 4), (1, 5), (2, 5),
+                         (2, 6), (3, 9), (4, 8), (6, 11), (7, 9), (8, 10), (10, 11)])
+        sink = bytearray(2 * g.n)
+        sink[2 * 3] = 1
+        assert structure._path_flow(_in_nodes(g), 10, sink, 3) == (2, [0, 1])
+        assert brute_menger_cut(g, 10, in_sinks=(3,)) == {0, 1}
+
+
+def _in_nodes(g):
+    """The in-node 2w of each neighbor w of v, in ascending order, per v."""
+    return [[2 * w for w in sorted(g.neighbors(v))] for v in range(g.n)]
 
 
 class TestMinDegree:
