@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from . import forcing
 from .forcing import ZfResult, zero_forcing_number
-from .linalg import QQ, adjacency_matrix, nullities, prime_field
+from .linalg import adjacency_matrix, nullities, prime_field
 from .structure import has_sap, min_degree, vertex_connectivity
 
 PRIMES = (2, 3, 5)  # the prime fields certify and the harness check
@@ -256,7 +256,7 @@ def parameter_report(g, graph_id="G"):
     by_field, zf = _sandwich(g, REPORT_SHIFTS)
     nulls = by_field["Q"]
     kw = vertex_connectivity(g)
-    sap = has_sap(adjacency_matrix(g, 0, QQ), g).has_sap
+    sap = has_sap(g.adjacency_rows(), g).has_sap
     best_lam = max(nulls, key=lambda lam: (nulls[lam], -abs(lam)))
     if kw.kappa >= nulls[best_lam]:
         best, source = kw.kappa, "vertex connectivity"

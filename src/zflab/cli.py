@@ -22,7 +22,7 @@ from . import forcing as _forcing
 from . import graphs as _graphs
 from . import redrule as _redrule
 from . import structure as _structure
-from .linalg import QQ, adjacency_matrix, parse_matrix
+from .linalg import parse_matrix
 
 
 def parse_graph_spec(spec):
@@ -187,13 +187,11 @@ def _cmd_sap(g, args):
         with open(args.matrix) as fh:
             a = parse_matrix(fh.read())
     else:
-        a = adjacency_matrix(g, 0, QQ)
+        a = g.adjacency_rows()
     rep = _structure.has_sap(a, g)
     out = {"has_sap": rep.has_sap, "violation_dim": rep.violation_dim}
     if rep.sample_violation is not None:
-        out["sample_violation"] = [
-            [str(x) for x in row] for row in rep.sample_violation.data
-        ]
+        out["sample_violation"] = [list(map(str, row)) for row in rep.sample_violation]
     _emit(out, args)
     return 0
 
@@ -207,8 +205,7 @@ def _cmd_equitable_refine(g, args):
 
 
 def _cmd_equitable_divisor(g, args):
-    dm = _equitable.divisor_matrix(g, _load_blocks(args.partition))
-    _emit({"divisor": dm.data}, args)
+    _emit({"divisor": _equitable.divisor_matrix(g, _load_blocks(args.partition))}, args)
     return 0
 
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import mask_vertices, vertex_mask
-from .linalg import QQ, ExactMatrix, spectrum
+from .linalg import spectrum
 
 
 @dataclass(frozen=True)
@@ -203,12 +203,13 @@ class _Ordered:
 
 
 def divisor_matrix(g, blocks):
-    """Integer divisor matrix [b_ij] of an equitable partition's blocks."""
+    """Integer divisor matrix [b_ij] of an equitable partition's blocks, as
+    is_equitable's tuple of row tuples."""
     ok, data = is_equitable(g, blocks)
     if not ok:
         v, j = data
         raise ValueError(f"partition is not equitable: vertex {v} vs block {j}")
-    return ExactMatrix(QQ, [list(row) for row in data])
+    return data
 
 
 # ---------------------------------------------------------------------------

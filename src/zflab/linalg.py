@@ -1,9 +1,10 @@
 """Dense exact matrices over the rationals and prime fields GF(p).
 
-These are the two domains zflab eliminates over. An ExactMatrix offers only
-what zflab uses: entry and row access, rank and nullity, and a nullspace
-basis. The decomposition blocks of `equitable`, in Q(i) and Q(w), are
-plain rows that nothing eliminates over.
+These are the two domains zflab eliminates over. Matrices pass between
+modules as plain rows; an ExactMatrix is built only to eliminate, and
+offers only that: rank and nullity, and a nullspace basis. The
+decomposition blocks of `equitable`, in Q(i) and Q(w), are plain rows that
+nothing eliminates over.
 
 A rational entry is stored as an int when integral, as a Fraction otherwise.
 One elimination kernel, `_echelon`, serves both domains: rational rows are
@@ -59,9 +60,6 @@ class CoeffDomain:
         elif self.p is not None:
             raise ValueError("only GF takes a modulus")
 
-    def __str__(self):
-        return f"GF({self.p})" if self.kind == "GF" else self.kind
-
 
 QQ = CoeffDomain("Q")
 
@@ -109,22 +107,6 @@ class ExactMatrix:
         self.rows = len(data)
         self.cols = cols
         self.data = tuple(_normalize_row(row, domain) for row in data)
-
-    def row(self, i):
-        return self.data[i]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.domain == other.domain
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.domain, self.data))
-
-    def __repr__(self):
-        return f"ExactMatrix({self.domain}, {self.rows}x{self.cols})"
 
     # -- rank / nullspace ---------------------------------------------------
 
@@ -292,13 +274,13 @@ def gf2_rank(rows):
 # adjacency matrices
 
 
-def adjacency_matrix(g, shift=0, domain=QQ):
-    """A(G) - shift*I over the requested domain."""
+def adjacency_matrix(g, shift=0):
+    """A(G) - shift*I over Q."""
     rows = g.adjacency_rows()
     if shift:
         for i in range(g.n):
             rows[i][i] -= shift
-    return ExactMatrix(domain, rows)
+    return ExactMatrix(QQ, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +307,8 @@ def spectrum(rows):
 
 
 def parse_matrix(text):
-    """Text form: header "rows cols Q", then one line of rational entries
-    per row."""
+    """The rows, as lists of Fractions, of the text form: header "rows cols
+    Q", then one line of rational entries per row."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError('empty matrix text; expected a header "rows cols domain"')
@@ -346,4 +328,4 @@ def parse_matrix(text):
         raise ValueError("a matrix entry has denominator 0") from None
     if len(data) != rows or any(len(r) != cols for r in data):
         raise ValueError("entry count mismatch")
-    return ExactMatrix(QQ, data)
+    return data

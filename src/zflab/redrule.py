@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import QQ, adjacency_matrix
+from .linalg import adjacency_matrix
 
 
 def _check_int(x, what):
@@ -169,7 +169,7 @@ def derive_red_certificates(g):
     """
     if g.n == 0:
         return ()
-    vectors = adjacency_matrix(g, 0, QQ).nullspace_basis()
+    vectors = adjacency_matrix(g).nullspace_basis()
     # the free column of each vector is its last nonzero coordinate
     targets = [max(i for i, c in enumerate(x) if c) for x in vectors]
     basis = sorted(set(range(g.n)) - set(targets))

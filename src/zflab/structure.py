@@ -202,25 +202,25 @@ def vertex_connectivity(g):
 class SapReport:
     has_sap: bool
     violation_dim: int
-    sample_violation: ExactMatrix | None
+    sample_violation: tuple | None  # ((x_00, ...), ...)
 
 
 def _check_pattern(a, g):
-    if a.rows != a.cols or a.rows != g.n:
+    """Raise unless the rows a are an n x n symmetric matrix with the
+    off-diagonal pattern of g."""
+    if len(a) != g.n or any(len(row) != g.n for row in a):
         raise ValueError("matrix size does not match the graph")
-    if a.domain != QQ:
-        raise ValueError("SAP verification works over the rationals")
-    if a.data != tuple(zip(*a.data)):
+    if tuple(map(tuple, a)) != tuple(zip(*a)):
         raise ValueError("matrix is not symmetric")
-    for i, row in enumerate(a.data):
+    for i, row in enumerate(a):
         wrong = {j for j, x in enumerate(row) if x and j != i} ^ g.neighbors(i)
         if wrong:
             raise ValueError(f"entry ({i},{min(wrong)}) violates the off-diagonal pattern")
 
 
 def has_sap(a, g):
-    """Strong Arnold Property of a matrix in S(G), decided in kernel
-    coordinates.
+    """Strong Arnold Property of a matrix in S(G), given as rows of
+    rationals, decided in kernel coordinates.
 
     A symmetric X with A X = 0 has its rows and columns in ker A, so it is
     U S U^T for a symmetric k x k matrix S, where the columns of U are the
@@ -230,14 +230,14 @@ def has_sap(a, g):
     k(k+1)/2 entries of S, and the violation dimension is the nullity of
     that system. A nonsingular A (k = 0) has the property with no system.
 
-    The sample is X = U S U^T for the first kernel vector S. It is
-    replayed against every condition: X is symmetric, zero on the diagonal
-    and on every edge, nonzero, and A X = 0; a failure raises
-    ArithmeticError.
+    The sample is X = U S U^T for the first kernel vector S, as a tuple of
+    row tuples. It is replayed against every condition: X is symmetric,
+    zero on the diagonal and on every edge, nonzero, and A X = 0; a failure
+    raises ArithmeticError.
     """
     _check_pattern(a, g)
     n = g.n
-    basis = a.nullspace_basis()
+    basis = ExactMatrix(QQ, a).nullspace_basis()
     if not basis:
         return SapReport(True, 0, None)
     k = len(basis)
@@ -278,7 +278,7 @@ def has_sap(a, g):
         raise ArithmeticError("the sample SAP violation is the zero matrix")
     # A X = 0 summed over the nonzero a_ik
     for i in range(n):
-        a_i = [(c, e) for c, e in enumerate(a.row(i)) if e]
+        a_i = [(c, e) for c, e in enumerate(a[i]) if e]
         if any(sum(e * sample[c][j] for c, e in a_i) for j in range(n)):
             raise ArithmeticError("the sample SAP violation does not satisfy A X = 0")
-    return SapReport(False, len(kernel), ExactMatrix(QQ, sample))
+    return SapReport(False, len(kernel), tuple(map(tuple, sample)))

@@ -558,8 +558,9 @@ def write_edge_list(g):
     return "\n".join(lines) + "\n"
 
 
-def format_matrix(m):
-    """Text form: header "rows cols domain", then row-major entries."""
-    lines = [f"{m.rows} {m.cols} {m.domain}"]
-    lines += [" ".join(str(x) for x in row) for row in m.data]
+def format_matrix(rows):
+    """Text form of rational rows: header "rows cols Q", then row-major
+    entries."""
+    lines = [f"{len(rows)} {len(rows[0])} Q"]
+    lines += [" ".join(str(x) for x in row) for row in rows]
     return "\n".join(lines) + "\n"

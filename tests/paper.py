@@ -257,7 +257,7 @@ def divisor_spectrum(g, partition):
     """Eigenvalues of the divisor matrix via the similarity that symmetrizes
     it: scaling block i by sqrt(|V_i|) turns [b_ij] into the symmetric
     matrix [b_ij * sqrt(|V_i| / |V_j|)] with the same spectrum."""
-    b = z.divisor_matrix(g, partition.blocks).data
+    b = z.divisor_matrix(g, partition.blocks)
     sizes = [len(blk) for blk in partition.blocks]
     return z.spectrum(
         [

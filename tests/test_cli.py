@@ -177,6 +177,17 @@ class TestCommands:
         )
         assert code == 0 and obj["divisor"] == [[0, 1], [2, 0]]
 
+    def test_equitable_divisor_no_vertices(self, capsys, tmp_path):
+        # the empty partition of the empty graph has the empty divisor
+        # matrix, as `equitable refine` prints it
+        graph = tmp_path / "no-vertices.txt"
+        graph.write_text("0 0\n")
+        code, obj = run(
+            capsys, "equitable", "divisor", "--graph", str(graph),
+            "--partition", '{"blocks": []}',
+        )
+        assert code == 0 and obj == {"divisor": []}
+
     def test_decompose(self, capsys):
         perm = ",".join(str((x + 3) % 12) for x in range(12))
         code, obj = run(capsys, "decompose", "--graph", "ecg:1,1", "--perm", perm)
@@ -431,6 +442,8 @@ class TestCommands:
               "--transversal", "q"], "--transversal must list integer vertices"),
             (["sap", "--graph", "path:3", "--matrix", "{tmp}/square-2.txt"],
              "matrix size does not match the graph"),
+            (["sap", "--graph", "path:2", "--matrix", "{tmp}/square-0.txt"],
+             "matrix size does not match the graph"),
             (["equitable", "refine", "--graph", "path:3", "--partition",
               '{{"blocks": [[0, 1], [2, 3]]}}'], "vertex 3 out of range"),
             (["equitable", "refine", "--graph", "path:3", "--partition",
@@ -464,7 +477,8 @@ class TestCommands:
              "primes-too-large", "certify-no-vertices", "report-no-vertices",
              "path-extra-arg", "circulant-extra-arg",
              "set-not-int", "perm-not-int", "transversal-not-int",
-             "matrix-size", "partition-range", "partition-empty-block",
+             "matrix-size", "matrix-no-rows", "partition-range",
+             "partition-empty-block",
              "cart-no-plus", "edges-empty", "edges-header", "edges-triple",
              "conjecture-lmax", "conjecture-kmax", "conjecture-tmax",
              "conjecture-rmax"],
@@ -478,6 +492,7 @@ class TestCommands:
         (tmp_path / "qi.txt").write_text("2 2 QI\n0 1\n1 0\n")
         (tmp_path / "zero-denominator.txt").write_text("2 2 Q\n0 1/0\n1 0\n")
         (tmp_path / "square-2.txt").write_text("2 2 Q\n0 1\n1 0\n")
+        (tmp_path / "square-0.txt").write_text("0 0 Q\n")
         (tmp_path / "empty-edges.txt").write_text("")
         (tmp_path / "header-x.txt").write_text("3 x\n")
         (tmp_path / "edge-triple.txt").write_text("3 1\n0 1 2\n")

@@ -209,61 +209,73 @@ class TestCirculantCriterion:
 class TestSap:
     def test_k2(self):
         g = z.complete_graph(2)
-        rep = z.has_sap(z.adjacency_matrix(g), g)
+        rep = z.has_sap(g.adjacency_rows(), g)
         assert rep.has_sap and rep.violation_dim == 0
 
     def test_empty_two_vertices(self):
         g = z.Graph(2, [])
-        rep = z.has_sap(z.ExactMatrix(z.QQ, [[0, 0], [0, 0]]), g)
+        rep = z.has_sap([[0, 0], [0, 0]], g)
         assert not rep.has_sap
         assert rep.violation_dim == 1
-        assert rep.sample_violation.data == ((0, 1), (1, 0))
+        assert rep.sample_violation == ((0, 1), (1, 0))
 
     def test_c8_p3(self):
         g = z.cartesian_product(z.cycle_graph(8), z.path_graph(3))
-        a = z.adjacency_matrix(g)
-        rep = z.has_sap(a, g)
+        rep = z.has_sap(g.adjacency_rows(), g)
         assert rep.has_sap
-        assert a.rank_nullity()[1] == 6
+        assert z.adjacency_matrix(g).rank_nullity()[1] == 6
 
     def test_sample_violations_verify(self, corpus):
         for g in corpus[:25]:
-            a = z.adjacency_matrix(g)
+            a = g.adjacency_rows()
             rep = z.has_sap(a, g)
             assert rep.has_sap == (rep.violation_dim == 0)
             if rep.sample_violation is None:
                 continue
             x = rep.sample_violation
-            assert any(e for row in x.data for e in row)
+            assert any(e for row in x for e in row)
             # AX = 0
-            assert all(not e for row in matmul(a.data, x.data) for e in row)
+            assert all(not e for row in matmul(a, x) for e in row)
             for i in range(g.n):
-                assert x.row(i)[i] == 0
+                assert x[i][i] == 0
                 for j in range(g.n):
-                    assert x.row(i)[j] == x.row(j)[i]
+                    assert x[i][j] == x[j][i]
                     if i != j and g.has_edge(i, j):
-                        assert x.row(i)[j] == 0
+                        assert x[i][j] == 0
 
     def test_pattern_mismatch_rejected(self):
         g = z.cycle_graph(4)
-        bad = z.ExactMatrix(z.QQ, [[0] * 4] * 4)
+        bad = [[0] * 4] * 4
         with pytest.raises(ValueError, match=r"entry \(0,1\) violates"):
             z.has_sap(bad, g)
         # a nonzero entry on the non-edge 1-3
-        chord = [list(row) for row in z.adjacency_matrix(g).data]
+        chord = g.adjacency_rows()
         chord[1][3] = chord[3][1] = 5
         with pytest.raises(ValueError, match=r"entry \(1,3\) violates"):
-            z.has_sap(z.ExactMatrix(z.QQ, chord), g)
+            z.has_sap(chord, g)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1, 0], [1, 0], [0, 1, 0]],
+            [[0, 1, 0], [1, 0, 1], [0, 1, 0], [0, 0, 0]],
+            [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0]],
+        ],
+        ids=["ragged-row", "extra-row", "extra-column"],
+    )
+    def test_shape_mismatch_rejected(self, rows):
+        with pytest.raises(ValueError, match="matrix size does not match the graph"):
+            z.has_sap(rows, z.path_graph(3))
 
     def test_nonsymmetric_rejected(self):
         g = z.complete_graph(2)
-        bad = z.ExactMatrix(z.QQ, [[0, 1], [2, 0]])
+        bad = [[0, 1], [2, 0]]
         with pytest.raises(ValueError, match="not symmetric"):
             z.has_sap(bad, g)
 
     def test_free_diagonal_allowed(self):
         g = z.complete_graph(2)
-        a = z.ExactMatrix(z.QQ, [[Fraction(1, 2), 3], [3, -2]])
+        a = [[Fraction(1, 2), 3], [3, -2]]
         rep = z.has_sap(a, g)
         assert rep.has_sap
 
@@ -272,12 +284,12 @@ class TestSap:
         # 0 or p, so its column vanishes mod p but not over Q
         p = 1_000_003
         g = z.path_graph(3)
-        a = z.ExactMatrix(z.QQ, [[0, p, 0], [p, 1, p], [0, p, 0]])
+        a = [[0, p, 0], [p, 1, p], [0, p, 0]]
         rep = z.has_sap(a, g)
         assert _violation_dim(a, g) == 0
         assert rep.has_sap and rep.violation_dim == 0
         assert rep.sample_violation is None
-        assert z.has_sap(z.adjacency_matrix(g), g).has_sap
+        assert z.has_sap(g.adjacency_rows(), g).has_sap
 
     def test_fallback_when_lift_fails(self):
         # D A D with D the diagonal of 12 distinct primes above 1000: the
@@ -286,15 +298,14 @@ class TestSap:
         g = z.aztec_diamond(2)
         d = [1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069]
         assert g.n == len(d)
-        a = z.adjacency_matrix(g)
-        m = z.ExactMatrix(z.QQ, [[d[i] * a.row(i)[j] * d[j] for j in range(g.n)]
-                                 for i in range(g.n)])
+        a = g.adjacency_rows()
+        m = [[d[i] * a[i][j] * d[j] for j in range(g.n)] for i in range(g.n)]
         rep = z.has_sap(m, g)
         assert rep.violation_dim == _violation_dim(m, g) == 2
         assert not rep.has_sap
         x = rep.sample_violation
-        assert any(e for row in x.data for e in row)
-        assert all(not e for row in matmul(m.data, x.data) for e in row)
+        assert any(e for row in x for e in row)
+        assert all(not e for row in matmul(m, x) for e in row)
 
     def test_sample_check_rejects_a_non_violation(self, monkeypatch):
         # S = e_0 lies outside the S-system's kernel: X = U S U^T has the
@@ -309,31 +320,31 @@ class TestSap:
 
         monkeypatch.setattr(linalg.ExactMatrix, "nullspace_basis", s_system_off_kernel)
         with pytest.raises(ArithmeticError, match="diagonal"):
-            z.has_sap(z.adjacency_matrix(g), g)
+            z.has_sap(g.adjacency_rows(), g)
 
     def test_nonsingular_needs_no_system(self):
         g = z.cartesian_product(z.cycle_graph(7), z.cycle_graph(7))
-        rep = z.has_sap(z.adjacency_matrix(g), g)
+        rep = z.has_sap(g.adjacency_rows(), g)
         assert rep == z.SapReport(True, 0, None)
 
     @pytest.mark.parametrize("order, dim", [(3, 6), (5, 20)])
     def test_aztec_violation_dim(self, order, dim):
         g = z.aztec_diamond(order)
-        a = z.adjacency_matrix(g)
+        a = g.adjacency_rows()
         rep = z.has_sap(a, g)
         assert not rep.has_sap and rep.violation_dim == dim
         x = rep.sample_violation
-        assert any(e for row in x.data for e in row)
-        assert all(not e for row in matmul(a.data, x.data) for e in row)
+        assert any(e for row in x for e in row)
+        assert all(not e for row in matmul(a, x) for e in row)
 
     def test_aztec_4(self):
         g = z.aztec_diamond(4)
-        a = z.adjacency_matrix(g)
+        a = g.adjacency_rows()
         rep = z.has_sap(a, g)
         assert not rep.has_sap and rep.violation_dim == 12
         x = rep.sample_violation
-        assert any(e for row in x.data for e in row)
-        assert all(not e for row in matmul(a.data, x.data) for e in row)
+        assert any(e for row in x for e in row)
+        assert all(not e for row in matmul(a, x) for e in row)
 
     def test_violation_dim_matches_definition(self, corpus):
         rng = random.Random(8)
@@ -353,7 +364,7 @@ class TestSap:
         assert rep.violation_dim == _violation_dim(m, g) == 4
         assert not rep.has_sap
         x = rep.sample_violation
-        assert all(not e for row in matmul(m.data, x.data) for e in row)
+        assert all(not e for row in matmul(m, x) for e in row)
 
 
 def _sap_matrices(g, rng):
@@ -363,16 +374,15 @@ def _sap_matrices(g, rng):
     def frac():
         return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 6))
 
-    a = z.adjacency_matrix(g)
+    a = g.adjacency_rows()
     d = [frac() for _ in range(g.n)]
-    scaled = [[d[i] * a.row(i)[j] * d[j] for j in range(g.n)]
-              for i in range(g.n)]
+    scaled = [[d[i] * a[i][j] * d[j] for j in range(g.n)] for i in range(g.n)]
     generic = [[Fraction(0)] * g.n for _ in range(g.n)]
     for i in range(g.n):
         generic[i][i] = frac() if rng.random() < 0.7 else Fraction(0)
     for i, j in g.edges:
         generic[i][j] = generic[j][i] = frac()
-    return a, z.ExactMatrix(z.QQ, scaled), z.ExactMatrix(z.QQ, generic)
+    return a, scaled, generic
 
 
 def _gram_sap_matrix():
@@ -384,7 +394,7 @@ def _gram_sap_matrix():
     gram = [[sum(x * y for x, y in zip(v, w)) for w in vs] for v in vs]
     gram_graph = z.Graph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)
                              if gram[i][j]])
-    return z.ExactMatrix(z.QQ, gram), gram_graph
+    return gram, gram_graph
 
 
 def _violation_dim(a, g):
@@ -400,7 +410,7 @@ def _violation_dim(a, g):
             x = [[0] * n for _ in range(n)]
             x[i][j] = x[j][i] = 1
             columns.append([
-                sum(a.row(r)[k] for k in range(n) if x[k][c])
+                sum(a[r][k] for k in range(n) if x[k][c])
                 for r in range(n)
                 for c in range(n)
             ])
