@@ -45,12 +45,9 @@ from .graphs import (
     read_edge_list,
 )
 from .linalg import (
-    QQ,
-    CoeffDomain,
     ExactMatrix,
     adjacency_matrix,
     parse_matrix,
-    prime_field,
     spectrum,
 )
 from .redrule import (

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from . import forcing
 from .forcing import ZfResult, zero_forcing_number
-from .linalg import adjacency_matrix, nullities, prime_field
+from .linalg import adjacency_matrix, gf2_rank, nullities
 from .structure import has_sap, min_degree, vertex_connectivity
 
 PRIMES = (2, 3, 5)  # the prime fields certify and the harness check
@@ -71,8 +71,7 @@ def _sandwich(g, shifts, primes=()):
     prime p, Z search floored at the largest nullity). A floor the search
     refutes is a nullity above Z, so the search runs again without it and
     the views report the violation, also when that search spends its budget."""
-    fields = [prime_field(p) for p in primes]  # bad primes fail before any rank
-    per_shift = {lam: nullities(adjacency_matrix(g, lam), fields) for lam in shifts}
+    per_shift = {lam: nullities(adjacency_matrix(g, lam), primes) for lam in shifts}
     nulls = {f: {lam: per_shift[lam][f] for lam in shifts} for f in ("Q", *primes)}
     floor = max(v for by_lam in nulls.values() for v in by_lam.values())
     try:
@@ -199,7 +198,9 @@ def min_rank_gf2_exhaustive(g):
     form an interval; it ends at n because det(A + D) is multilinear in the
     diagonal bits with coefficient 1 on their product (only the identity
     permutation takes every diagonal entry), and a nonzero multilinear
-    polynomial over GF(2) is nonzero at some point of {0,1}^n."""
+    polynomial over GF(2) is nonzero at some point of {0,1}^n. The witness
+    is replayed: A + D must have the minimum rank over GF(2), else
+    ArithmeticError."""
     n = g.n
     if n > GF2_ORDER_CAP:
         raise ValueError(
@@ -208,7 +209,10 @@ def min_rank_gf2_exhaustive(g):
     floor = n - forcing._greedy_upper_bound(g).bit_count()
     seed = n - forcing._gf2_floor(g)  # min(rank A, rank (A + I)) over GF(2)
     # adjacency_masks is cached on the graph: read, never written
-    best, best_diag, nodes = _gf2_min_rank(g.adjacency_masks, floor, seed + 1)
+    masks = g.adjacency_masks
+    best, best_diag, nodes = _gf2_min_rank(masks, floor, seed + 1)
+    if gf2_rank([row | (best_diag & 1 << i) for i, row in enumerate(masks)]) != best:
+        raise ArithmeticError(f"the witness diagonal does not attain rank {best}")
     return Gf2MinRank(best, tuple((best_diag >> i) & 1 for i in range(n)), nodes)
 
 

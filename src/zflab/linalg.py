@@ -1,22 +1,21 @@
 """Dense exact matrices over the rationals and prime fields GF(p).
 
 These are the two domains zflab eliminates over. Matrices pass between
-modules as plain rows; an ExactMatrix is built only to eliminate, and
-offers only that: rank and nullity, and a nullspace basis. The
-decomposition blocks of `equitable`, in Q(i) and Q(w), are plain rows that
-nothing eliminates over.
+modules as plain rows; an ExactMatrix, integer rows plus a modulus p (None
+for Q), is built only to eliminate, and offers only that: rank and
+nullity, and a nullspace basis. The decomposition blocks of `equitable`,
+in Q(i) and Q(w), are plain rows that nothing eliminates over.
 
-A rational entry is stored as an int when integral, as a Fraction otherwise.
-One elimination kernel, `_echelon`, serves both domains: rational rows are
-cleared to integers, then one row operation eliminates to row echelon form
-with first-nonzero pivoting, its result reduced mod p over GF(p) and divided
-by its gcd over Q. Over Q it also returns the pivot rows and the determinant
-of the pivot minor, so `nullities` gets the nullity over every GF(p) whose
-prime does not divide that minor from the one rational pass. Rank is the
+One elimination kernel, `_echelon`, serves both domains: one row operation
+eliminates to row echelon form with first-nonzero pivoting, its result
+reduced mod p over GF(p) and divided by its gcd over Q. Over Q it also
+returns the pivot rows and the determinant of the pivot minor, so
+`nullities` gets the nullity over every GF(p) whose prime does not divide
+that minor from the one rational pass. Rank is the
 pivot count; the nullspace basis is back-substituted with no reduction
 pass: each pivot scales the vector by the least factor that makes its
 entry integral over Q (by 1 over GF(p)), so over Q it stays primitive and
-integer input never meets a Fraction.
+never meets a Fraction.
 Rows of 0/1 entries packed into bitmasks have their own GF(2) rank,
 `gf2_rank`, one XOR per reduction step.
 Floating-point spectra of real symmetric / complex Hermitian matrices come
@@ -27,7 +26,6 @@ with their own tolerance. numpy loads at the first spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -44,69 +42,38 @@ def is_prime(p):
     return True
 
 
-@dataclass(frozen=True)
-class CoeffDomain:
-    """Coefficient domain tag: "Q" or "GF" (with prime p)."""
+class _Field:
+    """The field an ExactMatrix is over: Q when p is None, else GF(p)."""
 
-    kind: str
-    p: int | None = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self):
-        if self.kind not in ("Q", "GF"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "GF":
-            if self.p is None or self.p >= 2**31 or not is_prime(self.p):
-                raise ValueError(f"GF modulus must be a prime < 2^31, got {self.p}")
-        elif self.p is not None:
-            raise ValueError("only GF takes a modulus")
-
-
-QQ = CoeffDomain("Q")
-
-
-def prime_field(p):
-    return CoeffDomain("GF", p)
-
-
-def _normalize(value, domain):
-    if domain.kind == "GF":
-        if isinstance(value, int):  # checked first: Fraction's check is slow
-            return value % domain.p
-        if isinstance(value, Fraction):
-            if value.denominator % domain.p == 0:
-                raise ZeroDivisionError("denominator vanishes mod p")
-            return value.numerator * pow(value.denominator, -1, domain.p) % domain.p
-        return int(value) % domain.p
-    if isinstance(value, int):
-        return int(value)  # a bool becomes 0 or 1
-    value = Fraction(value)
-    return value if value.denominator > 1 else value.numerator
-
-
-def _normalize_row(row, domain):
-    if set(map(type, row)) != {int}:
-        return tuple(_normalize(x, domain) for x in row)
-    # a row of plain ints, such as an adjacency row: no per-entry dispatch
-    p = domain.p
-    return tuple(x % p for x in row) if p else tuple(row)
+    def __init__(self, p):
+        if p is not None and (p >= 2**31 or not is_prime(p)):
+            raise ValueError(f"GF modulus must be a prime < 2^31, got {p}")
+        self.kind = "Q" if p is None else "GF"
+        self.p = p
 
 
 class ExactMatrix:
-    """Immutable dense matrix with exact entries in a CoeffDomain."""
+    """Immutable dense matrix of integer rows over Q (p None) or GF(p), p a
+    prime below 2^31; over GF(p) the rows are reduced mod p once, here."""
 
     __slots__ = ("domain", "rows", "cols", "data")
 
-    def __init__(self, domain, data):
-        data = [list(row) for row in data]
-        if not data or not data[0]:
-            raise ValueError("dimensions must be positive")
-        cols = len(data[0])
-        if any(len(row) != cols for row in data):
-            raise ValueError("ragged rows")
-        self.domain = domain
+    def __init__(self, data, p=None):
+        self.domain = _Field(p)
+        data = [tuple(row) for row in data]
+        cols = len(data[0]) if data else 0
+        for row in data:
+            if len(row) != cols:
+                raise ValueError("ragged rows")
+            if not set(map(type, row)) <= {int}:
+                raise TypeError("matrix entries must be int")
         self.rows = len(data)
         self.cols = cols
-        self.data = tuple(_normalize_row(row, domain) for row in data)
+        if p:
+            data = [tuple(x % p for x in row) for row in data]
+        self.data = tuple(data)
 
     # -- rank / nullspace ---------------------------------------------------
 
@@ -148,14 +115,13 @@ def _echelon(matrix):
     """Row echelon form of an ExactMatrix, its pivot columns C and the rows
     R of the matrix its pivot rows came from, by forward elimination with
     the first nonzero entry of each column as pivot, so C is the
-    lexicographically first column basis; for an integer matrix over Q also
-    d, the determinant of the pivot minor A[R, C] up to sign (else None).
+    lexicographically first column basis; over Q also d, the determinant
+    of the pivot minor A[R, C] up to sign (None over GF(p)).
 
-    Rational rows are first scaled by the lcm of their denominators. One
-    row operation serves both domains, on the rows with a nonzero entry f
-    in the pivot column only: row <- piv * row - f * pivot_row, reduced mod
-    p over GF(p) and divided by its gcd g over Q. Each rational row stays
-    proportional to its fraction-free (Bareiss) row, so pivots and the
+    One row operation serves both domains, on the rows with a nonzero
+    entry f in the pivot column only: row <- piv * row - f * pivot_row,
+    reduced mod p over GF(p) and divided by its gcd g over Q. Over Q each
+    row stays proportional to its fraction-free (Bareiss) row, so pivots and the
     ratios nullspace_basis reads agree; the primitive row divides that row
     of input minors, so entries stay polynomially bounded.
 
@@ -169,13 +135,6 @@ def _echelon(matrix):
     """
     p = matrix.domain.p
     rows = [list(row) for row in matrix.data]
-    integral = True
-    if not p:
-        for r, row in enumerate(rows):
-            if Fraction in map(type, row):  # an int row has nothing to clear
-                lcm = math.lcm(*(x.denominator for x in row))
-                rows[r] = [x.numerator * (lcm // x.denominator) for x in row]
-                integral = False
     n_rows, n_cols = len(rows), matrix.cols
     origin = list(range(n_rows))
     num, den, det = [1] * n_rows, [1] * n_rows, 1
@@ -212,7 +171,7 @@ def _echelon(matrix):
         if rank + 1 == n_rows:
             break
     rank = len(pivots)
-    return rows[:rank], pivots, origin[:rank], det if integral and not p else None
+    return rows[:rank], pivots, origin[:rank], None if p else det
 
 
 def _exact(a, b):
@@ -233,23 +192,22 @@ def _back_solve(piv, s, p):
     return piv // g, -s // g
 
 
-def nullities(matrix, fields):
+def nullities(matrix, primes):
     """{"Q": nullity over Q} of a matrix over Q, and the nullity over GF(p)
-    at key p for each prime field in `fields`.
+    at key p for each prime p in `primes`; a bad prime fails before any
+    elimination.
 
     One elimination over Q gives the rank r, the pivot rows R and columns C,
     and d = det A[R, C] up to sign. Reducing mod p cannot raise the rank,
     and A[R, C] stays invertible mod p when p does not divide d, so then the
-    rank over GF(p) is r as well. Only a prime that divides d, or every
-    prime when the matrix has a non-integer entry (d is None), is
-    eliminated again mod p."""
+    rank over GF(p) is r as well. Only a prime that divides d is eliminated
+    again mod p."""
+    for p in primes:
+        _Field(p)  # refuses a bad prime
     _, pivots, _, det = _echelon(matrix)
     nulls = {"Q": matrix.cols - len(pivots)}
-    for field in fields:
-        if det is not None and det % field.p:
-            nulls[field.p] = nulls["Q"]
-        else:
-            nulls[field.p] = ExactMatrix(field, matrix.data).rank_nullity()[1]
+    for p in primes:
+        nulls[p] = nulls["Q"] if det % p else ExactMatrix(matrix.data, p).rank_nullity()[1]
     return nulls
 
 
@@ -280,7 +238,7 @@ def adjacency_matrix(g, shift=0):
     if shift:
         for i in range(g.n):
             rows[i][i] -= shift
-    return ExactMatrix(QQ, rows)
+    return ExactMatrix(rows)
 
 
 # ---------------------------------------------------------------------------

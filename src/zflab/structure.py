@@ -35,9 +35,11 @@ the diagonal and the edges, nonzero, and A X = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .linalg import QQ, ExactMatrix
+from .linalg import ExactMatrix
 
 
 @dataclass(frozen=True)
@@ -229,6 +231,8 @@ def has_sap(a, g):
     u_i^T S u_j = 0 for i = j and for each edge ij, linear equations in the
     k(k+1)/2 entries of S, and the violation dimension is the nullity of
     that system. A nonsingular A (k = 0) has the property with no system.
+    A row holding a Fraction is scaled by the lcm of its denominators before
+    the kernel is taken, which leaves ker A unchanged.
 
     The sample is X = U S U^T for the first kernel vector S, as a tuple of
     row tuples. It is replayed against every condition: X is symmetric,
@@ -237,7 +241,13 @@ def has_sap(a, g):
     """
     _check_pattern(a, g)
     n = g.n
-    basis = ExactMatrix(QQ, a).nullspace_basis()
+    cleared = []
+    for row in a:
+        if Fraction in map(type, row):  # a row of ints has nothing to clear
+            lcm = math.lcm(*(x.denominator for x in row))
+            row = [x.numerator * (lcm // x.denominator) for x in row]
+        cleared.append(row)
+    basis = ExactMatrix(cleared).nullspace_basis()
     if not basis:
         return SapReport(True, 0, None)
     k = len(basis)
@@ -256,7 +266,7 @@ def has_sap(a, g):
                 row[var[s][r]] += x * y
         if any(row):
             rows.append(row)
-    kernel = ExactMatrix(QQ, rows).nullspace_basis()
+    kernel = ExactMatrix(rows).nullspace_basis()
     if not kernel:
         return SapReport(True, 0, None)
     # the (i, j) entry of U S U^T is u_i . w_j with w_j = S u_j

@@ -42,7 +42,7 @@ def test_criterion_01_aztec_diamonds():
         g = z.aztec_diamond(r)
         assert z.adjacency_matrix(g).rank_nullity()[1] == 2 * r
         for p in PRIMES:
-            m = z.ExactMatrix(z.prime_field(p), z.adjacency_matrix(g).data)
+            m = z.ExactMatrix(z.adjacency_matrix(g).data, p)
             assert m.rank_nullity()[1] == 2 * r
         if r <= 3:
             assert z.zero_forcing_number(g).zf_number == 2 * r
@@ -97,7 +97,7 @@ def test_criterion_05_generalized_petersen():
     assert max(nullities.values()) == 6
     assert nullities[-2] == 6
     for p in PRIMES:
-        m = z.ExactMatrix(z.prime_field(p), z.adjacency_matrix(g, -2).data)
+        m = z.ExactMatrix(z.adjacency_matrix(g, -2).data, p)
         assert m.rank_nullity()[1] == 6
     _report(5, "P(15,2): exact Z = 6, attained by the adjacency matrix at -2", t0)
 
@@ -112,7 +112,7 @@ def test_criterion_06_extended_cubes():
         assert z.adjacency_matrix(g).rank_nullity()[1] == 4
         assert verify_ecg_nullvectors(q)
         for p in PRIMES:
-            m = z.ExactMatrix(z.prime_field(p), z.adjacency_matrix(g).data)
+            m = z.ExactMatrix(z.adjacency_matrix(g).data, p)
             assert m.rank_nullity()[1] == 4
     _report(6, "widened cubes: Z = 4; nullity 4 over Q and GF(p); block nullvectors", t0)
 
@@ -228,7 +228,7 @@ def test_criterion_12_property_suites():
     for g in corpus[:80]:
         rq = z.adjacency_matrix(g).rank_nullity()[0]
         for p in PRIMES:
-            m = z.ExactMatrix(z.prime_field(p), z.adjacency_matrix(g).data)
+            m = z.ExactMatrix(z.adjacency_matrix(g).data, p)
             assert m.rank_nullity()[0] <= rq
 
     # shifted nullities below Z (families included where the search is cheap)

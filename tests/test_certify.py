@@ -17,8 +17,8 @@ def reading_n_over(*broken):
     """`linalg.nullities` with the nullity over each field in `broken` ("Q"
     or a prime) replaced by the matrix order n: a fault that breaks the
     chain."""
-    def faulty(matrix, fields):
-        nulls = linalg.nullities(matrix, fields)
+    def faulty(matrix, primes):
+        nulls = linalg.nullities(matrix, primes)
         return {f: matrix.cols if f in broken else v for f, v in nulls.items()}
 
     return faulty
@@ -155,8 +155,7 @@ class TestGf2MinRank:
             for i, bit in enumerate(res.witness_diagonal):
                 rows[i] |= bit << i
             m = z.ExactMatrix(
-                z.prime_field(2),
-                [[(rows[i] >> j) & 1 for j in range(g.n)] for i in range(g.n)],
+                [[(rows[i] >> j) & 1 for j in range(g.n)] for i in range(g.n)], 2
             )
             assert m.rank_nullity()[0] == res.min_rank
 
@@ -169,6 +168,13 @@ class TestGf2MinRank:
     def test_cap(self):
         with pytest.raises(ValueError):
             z.min_rank_gf2_exhaustive(z.circulant(30, {1}))
+
+    def test_wrong_witness_is_refused(self, monkeypatch):
+        # P2 has GF(2) minimum rank 1, at D = I; the zero diagonal leaves
+        # A at rank 2, so a search reporting it is caught by the replay
+        monkeypatch.setattr(certify, "_gf2_min_rank", lambda base, floor, best: (1, 0, 1))
+        with pytest.raises(ArithmeticError, match="does not attain rank 1"):
+            z.min_rank_gf2_exhaustive(z.path_graph(2))
 
     def test_matches_oracle(self, corpus, families):
         graphs = corpus[:40] + [g for g in families.values() if g.n <= 12]

@@ -188,6 +188,24 @@ class TestCommands:
         )
         assert code == 0 and obj == {"divisor": []}
 
+    def test_certify_no_vertices(self, capsys, tmp_path):
+        # the empty graph: Z = 0 and every nullity of the 0 x 0 matrix is 0
+        graph = tmp_path / "no-vertices.txt"
+        graph.write_text("0 0\n")
+        code, obj = run(capsys, "certify", "--graph", str(graph))
+        assert code == 0 and obj["verdict"] == "Certified"
+        assert obj["zero_forcing_number"] == obj["nullity_Q"] == 0
+        assert obj["nullities_mod_p"] == {"2": 0, "3": 0, "5": 0}
+
+    def test_sap_no_vertices(self, capsys, tmp_path):
+        graph = tmp_path / "no-vertices.txt"
+        graph.write_text("0 0\n")
+        matrix = tmp_path / "square-0.txt"
+        matrix.write_text("0 0 Q\n")
+        for extra in ((), ("--matrix", str(matrix))):
+            code, obj = run(capsys, "sap", "--graph", str(graph), *extra)
+            assert code == 0 and obj == {"has_sap": True, "violation_dim": 0}
+
     def test_decompose(self, capsys):
         perm = ",".join(str((x + 3) % 12) for x in range(12))
         code, obj = run(capsys, "decompose", "--graph", "ecg:1,1", "--perm", perm)
@@ -428,8 +446,7 @@ class TestCommands:
              "GF modulus must be a prime < 2^31, got 1"),
             (["certify", "--graph", "path:3", "--primes", "2147483659"],
              "GF modulus must be a prime < 2^31, got 2147483659"),
-            (["certify", "--graph", "{tmp}/no-vertices.txt"], "dimensions must be positive"),
-            (["report", "--graph", "{tmp}/no-vertices.txt"], "dimensions must be positive"),
+            (["report", "--graph", "{tmp}/no-vertices.txt"], "empty graph"),
             (["kappa", "--graph", "path:5:junk"],
              "graph spec 'path:5:junk' has too many arguments"),
             (["kappa", "--graph", "circulant:8:1,3:9"],
@@ -474,7 +491,7 @@ class TestCommands:
              "json-n-float", "json-n-bool", "json-edge-triple",
              "json-duplicate-key", "primes-not-int",
              "primes-empty", "primes-repeated", "primes-composite", "primes-one",
-             "primes-too-large", "certify-no-vertices", "report-no-vertices",
+             "primes-too-large", "report-no-vertices",
              "path-extra-arg", "circulant-extra-arg",
              "set-not-int", "perm-not-int", "transversal-not-int",
              "matrix-size", "matrix-no-rows", "partition-range",

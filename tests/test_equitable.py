@@ -150,7 +150,6 @@ class TestDivisorMatrix:
         assert mult == {4: 1, -4: 1, 1: 2, -1: 2, 0: 2}
         squared = matmul(a.data, a.data)
         squared_shift = z.ExactMatrix(
-            z.QQ,
             [[x - 3 * (i == j) for j, x in enumerate(row)]
              for i, row in enumerate(squared)],
         )
