@@ -3,19 +3,17 @@
 The pipeline rests on two facts: the nullity of A(G) - lambda*I over any
 field is at most M(F,G) <= Z(G), and reducing an integer matrix mod p can
 only lower its rank. `certify`, `report` and `conjecture` are views of one
-sandwich: the nullities of A - lambda*I over Q and each GF(p) at the shifts
-the verb asks for, and one forcing search floored at the largest of these
-nullities, which stops at a forcing set of that size. Below the greedy set
-the search also floors itself at the GF(2) nullities of A and A + I (see
-`forcing`), which settles Z wherever mod-2 rank already proves it.
-A - lambda*I is built and eliminated over Q once per shift;
-`linalg.nullities` reads each GF(p) nullity off that pass unless p divides
-its pivot minor. Each nullity meeting Z makes A - lambda*I attain the
-minimum rank over its field; when the rational one does, the whole chain
-collapses: the nullity over every GF(p) is Z as well, and A - lambda*I
-attains the minimum rank over every field. A lower bound above the
-search's best set contradicts the chain, budget or not; the search is then
-rerun without the caller's floor, and every view reports a chain
+sandwich: the nullities of A - lambda*I at the shifts the verb asks for,
+over Q and (but for `report`) each GF(p), and one forcing search, which
+floors itself at the GF(2) nullities of A and A + I (see `forcing`) and so
+settles Z wherever mod-2 rank already proves it. A - lambda*I is built and
+eliminated over Q once per shift; `linalg.nullities` reads each GF(p)
+nullity off that pass unless p divides its pivot minor. Each nullity meeting Z makes A - lambda*I attain
+the minimum rank over its field; when the rational one does, the whole
+chain collapses: the nullity over every GF(p) is Z as well, and
+A - lambda*I attains the minimum rank over every field. The bounds are
+compared once the search has run: a lower bound above the search's best
+set contradicts the chain, budget or not, and every view reports a chain
 violation. Only a spent budget with no violation gives bounds alone
 ("skipped" in the harness).
 
@@ -66,21 +64,6 @@ class CertifyVerdict:
         }
 
 
-def _sandwich(g, shifts, primes=()):
-    """({field: {lambda: nullity of A - lambda*I}} for field "Q" and each
-    prime p, Z search floored at the largest nullity). A floor the search
-    refutes is a nullity above Z, so the search runs again without it and
-    the views report the violation, also when that search spends its budget."""
-    per_shift = {lam: nullities(adjacency_matrix(g, lam), primes) for lam in shifts}
-    nulls = {f: {lam: per_shift[lam][f] for lam in shifts} for f in ("Q", *primes)}
-    floor = max(v for by_lam in nulls.values() for v in by_lam.values())
-    try:
-        zf = zero_forcing_number(g, floor=floor)
-    except ValueError:  # the floor is not a lower bound: a nullity exceeds Z
-        zf = zero_forcing_number(g)
-    return nulls, zf
-
-
 def _violates_chain(lower_bounds, zf):
     """Whether a lower bound on M(G) exceeds the search's best set. That set
     forces, so its size bounds Z from above whether or not the search is
@@ -100,18 +83,21 @@ def certify_universal_optimality(g, lam=0, primes=PRIMES, graph_id="G"):
     """
     if not primes or len(set(primes)) < len(primes):
         raise ValueError(f"need one or more distinct primes, got {tuple(primes)}")
-    by_field, zf = _sandwich(g, (lam,), primes)
-    nulls = {f: by_lam[lam] for f, by_lam in by_field.items()}
+    nulls = nullities(adjacency_matrix(g, lam), primes)
+    zf = zero_forcing_number(g)
     z = zf.zf_number
-    z_known = f"Z = {z}" if zf.is_exact else f"{zf.lower_bound} <= Z <= {z}"
     claims, reason = (), None
     if _violates_chain(nulls.values(), zf):
         above = {f: v for f, v in nulls.items() if v > z}
+        z_known = f"Z = {z}" if zf.is_exact else f"{zf.lower_bound} <= Z <= {z}"
         reason = (
             f"nullity above Z at {above}, {z_known} (chain violation: check implementation)"
         )
     elif not zf.is_exact:
-        reason = f"the Z search used its budget of {forcing.STATE_BUDGET} states: {z_known}"
+        lower = max(zf.lower_bound, *nulls.values())
+        reason = (
+            f"the Z search used its budget of {forcing.STATE_BUDGET} states: {lower} <= Z <= {z}"
+        )
     elif all(v == z for v in nulls.values()):
         claims = (
             f"M(F,G) = Z(G) = {z} for all fields F",
@@ -253,12 +239,12 @@ class ParameterReport:
 
 
 def parameter_report(g, graph_id="G"):
-    """Populated parameter table, with Z floored at the rational nullities.
-    A contradiction of the recorded chain kappa, nullities <= Z is
-    reported, not raised: chain_consistent() is False and `zflab report`
-    exits 1."""
-    by_field, zf = _sandwich(g, REPORT_SHIFTS)
-    nulls = by_field["Q"]
+    """Populated parameter table: the rational nullity at each shift in
+    REPORT_SHIFTS, kappa, and Z. A contradiction of the recorded chain
+    kappa, nullities <= Z is reported, not raised: chain_consistent() is
+    False and `zflab report` exits 1."""
+    nulls = {lam: adjacency_matrix(g, lam).rank_nullity()[1] for lam in REPORT_SHIFTS}
+    zf = zero_forcing_number(g)
     kw = vertex_connectivity(g)
     sap = has_sap(g.adjacency_rows(), g).has_sap
     best_lam = max(nulls, key=lambda lam: (nulls[lam], -abs(lam)))

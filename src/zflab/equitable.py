@@ -413,8 +413,11 @@ def equitable_decomposition(g, phi, t0=None):
     defaults to the least vertex of each orbit. The powers of omega come
     from one table, indexed by j*l mod k: exact for orbit sizes 1, 2, 3, 4
     and 6, where an entry in Q is an int and any other a QuadRational;
-    complex floats with exact=False for other sizes.
+    complex floats with exact=False for other sizes. The empty graph has
+    no orbit to slice along and raises ValueError.
     """
+    if g.n == 0:
+        raise ValueError("empty graph")
     perm = check_automorphism(g, phi)
     cycles = sorted(_cycles(perm), key=min)
     sizes = {len(c) for c in cycles}

@@ -16,17 +16,16 @@ vertices that reaches it, so the witness is the set the search found: a
 minimum zero forcing set, though not in general the lexicographically
 least one.
 
-The search stops at a forcing set no larger than a proven lower bound on
-Z(G): the caller's floor, and its own GF(2) floor. For every field F each
-matrix with the graph's off-diagonal pattern has nullity at most
-M(F,G) <= Z(G) (AIM Minimum Rank Work Group, LAA 428, 2008). Over GF(2),
-A - lambda*I is A for even lambda and A + I for odd lambda, both with the
-graph's pattern, and reducing mod 2 never raises a rank; so the larger
-GF(2) nullity of A and A + I, two bitmask eliminations, bounds Z at least
-as well as the rational nullity at every integer shift. The wavefront
-swaps its incumbent only for a strictly smaller set, so a floor at or
-below Z changes neither the witness nor its forces, only the states
-expanded.
+The search stops at a forcing set no larger than its own proven lower
+bound on Z(G), the GF(2) floor. For every field F each matrix with the
+graph's off-diagonal pattern has nullity at most M(F,G) <= Z(G) (AIM
+Minimum Rank Work Group, LAA 428, 2008). Over GF(2), A - lambda*I is A for
+even lambda and A + I for odd lambda, both with the graph's pattern, and
+reducing mod 2 never raises a rank; so the larger GF(2) nullity of A and
+A + I, two bitmask eliminations, bounds Z at least as well as the rational
+nullity at every integer shift. The wavefront swaps its incumbent only for
+a strictly smaller set, so a floor at or below Z changes neither the
+witness nor its forces, only the states expanded.
 """
 
 from __future__ import annotations
@@ -179,36 +178,31 @@ def _root_moves(g, incumbent):
     return [orbit[0] for orbit in vertex_orbits(g, moves)]
 
 
-def zero_forcing_number(g, floor=0):
+def zero_forcing_number(g):
     """Exact Z(G) with the minimum zero forcing set the search found.
 
-    floor must be a proven lower bound for Z(G), such as a nullity; a
-    forcing set that small ends the search, one below it raises ValueError.
-    When floor is below the greedy set's size, the search also floors
-    itself at `_gf2_floor`, the larger GF(2) nullity of A and A + I, which
-    is at most Z(G) by the parity argument in the module docstring; a set
-    below that floor is an implementation fault and raises ArithmeticError.
-    Past STATE_BUDGET the result is bounds only (is_exact=False), with the
-    best forcing set found, at most the greedy one, as witness and upper
-    bound. The witness is replayed through `zf_closure`; a set that does
-    not force raises ArithmeticError.
+    The search floors itself at `_gf2_floor`, the larger GF(2) nullity of
+    A and A + I, which is at most Z(G) by the parity argument in the module
+    docstring: a forcing set that small ends it, and one below it is an
+    implementation fault and raises ArithmeticError. Past STATE_BUDGET the
+    result is bounds only (is_exact=False), with the best forcing set found,
+    at most the greedy one, as witness and upper bound. The witness is
+    replayed through `zf_closure`; a set that does not force raises
+    ArithmeticError.
     """
-    greedy = _greedy_upper_bound(g)
-    own = _gf2_floor(g) if floor < greedy.bit_count() else 0
-    found, lower, states = _wavefront(g, greedy, max(floor, own))
+    floor = _gf2_floor(g)
+    found, lower, states = _wavefront(g, _greedy_upper_bound(g), floor)
     witness = mask_vertices(found)
     if len(witness) < floor:
-        raise ValueError(f"the floor {floor} is not a lower bound: Z(G) is below it")
-    if len(witness) < own:
         raise ArithmeticError(
-            f"the GF(2) floor {own} is above the search's forcing set of size {len(witness)}"
+            f"the GF(2) floor {floor} is above the search's forcing set of size {len(witness)}"
         )
     coloring = zf_closure(g, witness)
     if not coloring.all_colored:
         raise ArithmeticError(f"the search's set {witness} does not force")
     return ZfResult(
         len(witness), witness, coloring.log, subsets_examined=states,
-        is_exact=lower == len(witness), lower_bound=max(floor, own, lower),
+        is_exact=lower == len(witness), lower_bound=max(floor, lower),
     )
 
 

@@ -24,6 +24,18 @@ def reading_n_over(*broken):
     return faulty
 
 
+def every_nullity_reading_n(monkeypatch):
+    """Every nullity the verbs read reads the matrix order n: `nullities`
+    over Q and each prime for `certify` and `conjecture`, and the rational
+    `rank_nullity` for `report`."""
+    monkeypatch.setattr(certify, "nullities", reading_n_over("Q", 2, 3, 5))
+    rank_nullity = linalg.ExactMatrix.rank_nullity
+    monkeypatch.setattr(
+        linalg.ExactMatrix, "rank_nullity",
+        lambda m: (0, m.cols) if m.domain.p is None else rank_nullity(m),
+    )
+
+
 class TestCertify:
     def test_aztec_2(self):
         v = z.certify_universal_optimality(z.aztec_diamond(2), 0, (2, 3, 5, 7))
@@ -57,6 +69,18 @@ class TestCertify:
         assert cli.main(["certify", "--graph", "cart:cycle:7+path:2"]) == 1
         verdict = json.loads(capsys.readouterr().out)["verdict"]
         assert "chain violation" in verdict and "5: 14" in verdict
+
+    def test_budget_reason_keeps_the_nullity_lower_end(self, monkeypatch):
+        # P(11,4), Z = 7: 5 states bound Z by 4 <= Z <= 7 on their own, and
+        # a nullity 6 over GF(3), at most the best set, is the better floor
+        def six_over_3(matrix, primes):
+            return {**linalg.nullities(matrix, primes), 3: 6}
+
+        monkeypatch.setattr(certify, "nullities", six_over_3)
+        monkeypatch.setattr(forcing, "STATE_BUDGET", 5)
+        v = z.certify_universal_optimality(z.generalized_petersen(11, 4))
+        assert (v.zf.lower_bound, v.zf.zf_number, v.zf.is_exact) == (4, 7, False)
+        assert v.reason == "the Z search used its budget of 5 states: 6 <= Z <= 7"
 
     def test_violation_reason_names_the_broken_bound(self, monkeypatch):
         # a spent search bounds Z, and the reason gives those bounds
@@ -303,7 +327,7 @@ class TestConjectureHarness:
 
     def test_floor_above_z_fails(self, monkeypatch, capsys):
         # every nullity reads n = 8 > Z = 6: each verb reports the violation
-        monkeypatch.setattr(certify, "nullities", reading_n_over("Q", 2, 3, 5))
+        every_nullity_reading_n(monkeypatch)
         rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1,))
         v = rows[0].verdict
         assert (v.nullities["Q"], v.zf.zf_number, rows[0].status) == (8, 6, "fail")
@@ -312,12 +336,32 @@ class TestConjectureHarness:
         assert cli.main(["report", "--graph", "circulant:8:1,3"]) == 1
         monkeypatch.undo()
 
-        def out_of_budget(g, floor=0):
-            return ZfResult(8, tuple(range(8)), (), is_exact=False, lower_bound=floor)
+        def out_of_budget(g):
+            return ZfResult(8, tuple(range(8)), (), is_exact=False, lower_bound=0)
 
         monkeypatch.setattr(certify, "zero_forcing_number", out_of_budget)
         rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1,))
         assert rows[0].status == "skipped"  # bounds only; no Z to test
+
+    def test_one_search_per_verdict(self, monkeypatch, capsys):
+        # a nullity above Z is found by comparing bounds after the one
+        # search: no verb runs the search again
+        every_nullity_reading_n(monkeypatch)
+        calls = []
+        search = certify.zero_forcing_number
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "zero_forcing_number", counted)
+        assert cli.main(["certify", "--graph", "circulant:8:1,3"]) == 1
+        assert len(calls) == 1
+        assert cli.main(["report", "--graph", "circulant:8:1,3"]) == 1
+        assert len(calls) == 2
+        rows = z.conjecture_harness("circ_l", l_values=(3,), k_values=(1,))
+        assert rows[0].status == "fail" and len(calls) == 3
+        capsys.readouterr()
 
     def test_certified_row_with_other_conjecture_fails(self):
         # nullity = Z = 6 is certified, but the conjectured value differs
@@ -327,7 +371,7 @@ class TestConjectureHarness:
 
     def test_budget_exhaustion_skips(self, monkeypatch):
         monkeypatch.setattr(forcing, "STATE_BUDGET", 5)
-        # every floor is below Z = 7: nullity 0 over Q, 0, 1, 0 over GF(2, 3, 5)
+        # the GF(2) floor 1 is below Z = 7: nullity 0 over Q, 0, 1, 0 over GF(2, 3, 5)
         g = z.generalized_petersen(11, 4)
         row = certify._harness_row(g, "P(11,4)", 8)
         assert row.status == "skipped" and not row.verdict.zf.is_exact
@@ -338,7 +382,7 @@ class TestConjectureHarness:
 
     def test_violation_with_spent_budget_is_never_skipped(self, monkeypatch, capsys):
         # every nullity reads n = 22 above the spent search's best set of 7
-        monkeypatch.setattr(certify, "nullities", reading_n_over("Q", 2, 3, 5))
+        every_nullity_reading_n(monkeypatch)
         monkeypatch.setattr(forcing, "STATE_BUDGET", 3)
         g = z.generalized_petersen(11, 4)
         v = z.certify_universal_optimality(g)

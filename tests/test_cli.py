@@ -68,9 +68,8 @@ class TestCommands:
         ("conjecture", "--family", "ecg_tr", "--tmax", "3", "--rmax", "2"),
     ], ids=["zf-number", "certify", "report", "conjecture"])
     def test_gf2_floor_above_z_is_a_fault(self, monkeypatch, argv):
-        # ECG(3,5) has nullities 2 and a greedy set of 4, so every verb
-        # consults the search's own floor; one above Z is never bad input
-        # (exit 2) nor a skipped row
+        # every verb's search consults its own floor; one above Z is never
+        # bad input (exit 2) nor a skipped row
         monkeypatch.setattr(forcing, "_gf2_floor", lambda g: g.n + 1)
         with pytest.raises(ArithmeticError, match="GF\\(2\\) floor"):
             cli.main(list(argv))
@@ -309,7 +308,7 @@ class TestCommands:
         assert obj["sandwich"] == "9 <= M(G) <= Z(G) = 4"
 
     def test_report_floored_at_nullity(self, capsys):
-        # the nullity 14 at shift 0 floors the search, which stops at Z = 14
+        # the GF(2) floor 14 = Z ends the search at the greedy set
         t0 = time.perf_counter()
         assert cli.main(["report", "--graph", "circulant:48:1,7"]) == 0
         assert time.perf_counter() - t0 < 2.0
@@ -447,6 +446,8 @@ class TestCommands:
             (["certify", "--graph", "path:3", "--primes", "2147483659"],
              "GF modulus must be a prime < 2^31, got 2147483659"),
             (["report", "--graph", "{tmp}/no-vertices.txt"], "empty graph"),
+            (["decompose", "--graph", "{tmp}/no-vertices.txt", "--perm", ""],
+             "empty graph"),
             (["kappa", "--graph", "path:5:junk"],
              "graph spec 'path:5:junk' has too many arguments"),
             (["kappa", "--graph", "circulant:8:1,3:9"],
@@ -491,7 +492,7 @@ class TestCommands:
              "json-n-float", "json-n-bool", "json-edge-triple",
              "json-duplicate-key", "primes-not-int",
              "primes-empty", "primes-repeated", "primes-composite", "primes-one",
-             "primes-too-large", "report-no-vertices",
+             "primes-too-large", "report-no-vertices", "decompose-no-vertices",
              "path-extra-arg", "circulant-extra-arg",
              "set-not-int", "perm-not-int", "transversal-not-int",
              "matrix-size", "matrix-no-rows", "partition-range",

@@ -226,15 +226,9 @@ class TestSearch:
 
     def test_hint_with_assertion(self):
         g = z.circulant(16, {1, 7})
-        nu = z.adjacency_matrix(g).rank_nullity()[1]
-        res = z.zero_forcing_number(g, floor=nu)
+        res = z.zero_forcing_number(g)
         assert res.zf_number == 10
         assert z.zf_closure(g, res.witness).all_colored
-
-    def test_floor_below_z_leaves_z_exact(self):
-        g = z.cycle_graph(6)
-        res = z.zero_forcing_number(g, floor=1)
-        assert res.is_exact and res.zf_number == 2
 
     def test_search_cap_gives_bounds(self):
         # n = 40 was beyond the old order cap; the wavefront settles it
@@ -244,10 +238,11 @@ class TestSearch:
         assert z.zf_closure(g, res.witness).all_colored
 
     def test_floor_ends_search_early(self):
+        # the GF(2) floor 18 = Z: the greedy set ends the search
         g = z.circulant(32, {1, 15})
-        res = z.zero_forcing_number(g, floor=18)
+        res = z.zero_forcing_number(g)
         assert res.is_exact and res.zf_number == 18
-        assert res.subsets_examined <= 2 * res.zf_number
+        assert res.subsets_examined == 0
         assert z.zf_closure(g, res.witness).all_colored
 
     def test_aztec_4_without_floor(self):
@@ -256,10 +251,6 @@ class TestSearch:
         res = z.zero_forcing_number(g)
         assert res.is_exact and res.zf_number == 8
         assert z.zf_closure(g, res.witness).all_colored
-
-    def test_floor_above_a_forcing_set_raises(self):
-        with pytest.raises(ValueError):
-            z.zero_forcing_number(z.cycle_graph(6), floor=3)
 
     def test_budget_gives_bounds(self, monkeypatch):
         # GF(2) floor 0, below Z = 6: the search runs into its budget
@@ -445,25 +436,13 @@ class TestGf2Floor:
             assert forcing._greedy_upper_bound(g) == graphs.vertex_mask(res.witness, g.n)
             check_witness(g, res)
 
-    def test_floor_at_or_above_the_greedy_set_is_not_computed(self, monkeypatch):
-        # a caller's floor that already meets the greedy set ends the search
-        calls = []
-        monkeypatch.setattr(forcing, "_gf2_floor", lambda g: calls.append(g) or 0)
-        g = z.circulant(16, {1, 7})
-        assert z.zero_forcing_number(g, floor=10).zf_number == 10
-        assert calls == []
-        assert z.zero_forcing_number(g, floor=9).zf_number == 10
-        assert calls == [g]
-
     def test_floor_above_the_witness_raises(self, monkeypatch):
-        # a floor above the search's set is an implementation fault, not a
-        # bad caller floor: ArithmeticError, never ValueError
+        # the GF(2) floor is proven, so one above the search's set is an
+        # implementation fault: ArithmeticError, never ValueError
         g = z.cartesian_product(z.cycle_graph(6), z.path_graph(4))
         monkeypatch.setattr(forcing, "_gf2_floor", lambda g: g.n + 1)
         with pytest.raises(ArithmeticError, match="GF\\(2\\) floor 25"):
             z.zero_forcing_number(g)
-        with pytest.raises(ArithmeticError):
-            z.zero_forcing_number(g, floor=3)
 
 
 class TestConstructions:

@@ -29,11 +29,17 @@ def test_tracer_counts_the_linalg_calls(capsys):
         # Circ[9,{1,2}]: 2 divides its pivot minor, so GF(2) is ranked again
         assert cli.main(["certify", "--graph", "circulant:9:1,2"]) == 1
         assert cli.main(["sap", "--graph", "aztec:3"]) == 0
+        stats, counts = tracer.take()
+        # report ranks A - lambda*I over Q once at each of its 5 shifts
+        assert cli.main(["report", "--graph", "circulant:9:1,2"]) == 0
+        report_stats, report_counts = tracer.take()
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    stats, counts = tracer.take()
     assert stats["linalg.rank_nullity.gf"][0] > 0
     assert stats["linalg.nullspace_basis"][0] > 0
     assert counts["linalg.rank_nullity.gf.cells"] > 0
     assert counts["linalg.rank_nullity.gf.pivots"] > 0
+    assert report_stats["linalg.rank_nullity.q"][0] == 5
+    assert report_counts["linalg.rank_nullity.q.cells"] > 0
+    assert report_counts["linalg.rank_nullity.q.pivots"] > 0
