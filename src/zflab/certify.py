@@ -31,7 +31,7 @@ whether a target rank is attained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import forcing
 from .forcing import ZfResult, zero_forcing_number
@@ -43,8 +43,7 @@ REPORT_SHIFTS = (-2, -1, 0, 1, 2)  # the shifts lambda parameter_report tries
 GF2_ORDER_CAP = 24  # largest order the GF(2) minimum rank search accepts
 
 
-@dataclass(frozen=True)
-class CertifyVerdict:
+class CertifyVerdict(NamedTuple):
     graph_id: str
     lam: int
     nullities: dict  # field ("Q" or a prime p) -> nullity of A - lam*I
@@ -112,8 +111,7 @@ def certify_universal_optimality(g, lam=0, primes=PRIMES, graph_id="G"):
 # GF(2) minimum rank by branch and bound
 
 
-@dataclass(frozen=True)
-class Gf2MinRank:
+class Gf2MinRank(NamedTuple):
     min_rank: int
     witness_diagonal: tuple
     nodes_examined: int = 0  # diagonal prefixes whose rank was computed
@@ -206,8 +204,7 @@ def min_rank_gf2_exhaustive(g):
 # assembled reports
 
 
-@dataclass(frozen=True)
-class ParameterReport:
+class ParameterReport(NamedTuple):
     graph_id: str
     n: int
     min_degree: int
@@ -270,8 +267,7 @@ def parameter_report(g, graph_id="G"):
 # conjecture harness
 
 
-@dataclass(frozen=True)
-class HarnessRow:
+class HarnessRow(NamedTuple):
     n: int
     verdict: CertifyVerdict  # its graph_id names the instance
     conjectured: int

@@ -22,14 +22,13 @@ maps one vertex to the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import mask_vertices, vertex_mask
 from .linalg import spectrum
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Ordered disjoint blocks covering 0..n-1 and b, their verified
     block-to-block neighbor count table."""
 
@@ -359,8 +358,7 @@ def _cycles(perm):
 # the block decomposition
 
 
-@dataclass(frozen=True)
-class QuadRational:
+class QuadRational(NamedTuple):
     """A block entry a + b*g outside Q, with integers a and b != 0: g = i
     for kind "i", g = w = exp(2 pi i / 3) for kind "w". It is a value to
     print and to convert to complex, with no arithmetic."""
@@ -378,8 +376,7 @@ class QuadRational:
         return f"({self.a}{sign}{abs(self.b)}{self.kind})"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     k: int
     transversals: tuple  # (T_0, ..., T_{k-1}), each a tuple of vertices
     blocks: tuple  # row tuples: ints and QuadRationals when exact, else complex

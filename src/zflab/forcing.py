@@ -31,7 +31,7 @@ witness nor its forces, only the states expanded.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .equitable import vertex_orbits
 from .graphs import mask_vertices, vertex_mask
@@ -43,8 +43,7 @@ from .linalg import gf2_rank
 STATE_BUDGET = 60_000
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Final blue set plus the chronological list of forces that produced it."""
 
     n: int
@@ -56,8 +55,7 @@ class Coloring:
         return len(self.colored) == self.n
 
 
-@dataclass(frozen=True)
-class ZfResult:
+class ZfResult(NamedTuple):
     zf_number: int
     witness: tuple
     forces: tuple

@@ -247,12 +247,12 @@ def adjacency_matrix(g, shift=0):
 
 def spectrum(rows):
     """All eigenvalues of a real symmetric / complex Hermitian matrix, given
-    as rows of numbers numpy converts to complex, as a descending tuple of
+    as rows of numbers complex() converts, as a descending tuple of
     floats, by LAPACK's Hermitian eigensolver (numpy.linalg.eigvalsh); its
     error is about machine precision times the matrix norm."""
     import numpy as np
 
-    a = np.asarray(rows, dtype=complex)
+    a = np.asarray([[complex(x) for x in row] for row in rows], dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
     if not np.allclose(a, a.conj().T, rtol=0.0, atol=1e-12):

@@ -18,7 +18,7 @@ basis; splitting its coefficients by sign gives the X / Y multisets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import adjacency_matrix
 
@@ -42,8 +42,7 @@ def _as_multiset(m):
     return out
 
 
-@dataclass(frozen=True)
-class RedMove:
+class RedMove(NamedTuple):
     """Color target u red via witness v, multisets X (added) / Y (subtracted)
     and repetition count k."""
 

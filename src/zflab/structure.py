@@ -36,14 +36,13 @@ the diagonal and the edges, nonzero, and A X = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import ExactMatrix
 
 
-@dataclass(frozen=True)
-class KappaWitness:
+class KappaWitness(NamedTuple):
     kappa: int
     separator: tuple  # empty for complete or disconnected graphs
 
@@ -200,8 +199,7 @@ def vertex_connectivity(g):
 # Strong Arnold Property
 
 
-@dataclass(frozen=True)
-class SapReport:
+class SapReport(NamedTuple):
     has_sap: bool
     violation_dim: int
     sample_violation: tuple | None  # ((x_00, ...), ...)

@@ -1,5 +1,10 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import zflab
 
@@ -82,3 +87,44 @@ def test_every_private_name_is_referenced():
     sources = sorted(Path(zflab.__file__).parent.glob("*.py"))
     private = lambda name: name.startswith("_") and not name.endswith("__")
     assert _unread(sources, sources, private) == []
+
+
+def test_command_line_import_leaves_dataclasses_and_inspect_unloaded():
+    # the records are named tuples, so a fresh command-line process never
+    # pays for dataclasses and the inspect module it loads; typing is
+    # left out because site loads it
+    code = (
+        "import sys, zflab.cli; zflab.cli.build_parser(); "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(zflab.__file__).resolve().parent.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
+
+
+def test_records_are_immutable():
+    # each record type, built by the function that returns it, with one of
+    # its fields; the cycle C6 rotated by two has QuadRational entries
+    g = zflab.cycle_graph(4)
+    dec = zflab.equitable_decomposition(zflab.cycle_graph(6), [2, 3, 4, 5, 0, 1])
+    records = [
+        (zflab.zf_closure(g, [0, 1]), "colored"),
+        (zflab.zero_forcing_number(g), "zf_number"),
+        (zflab.vertex_connectivity(g), "kappa"),
+        (zflab.has_sap(g.adjacency_rows(), g), "has_sap"),
+        (zflab.coarsest_equitable(g), "blocks"),
+        (dec, "blocks"),
+        (dec.blocks[1][0][1], "b"),
+        (zflab.certify_universal_optimality(g), "claims"),
+        (zflab.min_rank_gf2_exhaustive(g), "min_rank"),
+        (zflab.parameter_report(g), "kappa"),
+        (zflab.conjecture_harness("circ_l", l_values=(3,), k_values=(1,))[0], "status"),
+        (zflab.RedMove.make(0, 1, {2: 1}), "k"),
+    ]
+    assert isinstance(records[6][0], zflab.QuadRational)
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
