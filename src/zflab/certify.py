@@ -19,14 +19,17 @@ violation. Only a spent budget with no violation gives bounds alone
 
 For GF(2) the minimum rank over all matrices with the graph's off-diagonal
 pattern is exact: off-diagonal entries are forced (the only nonzero element
-is 1), so the search space is the 2^n free diagonals. A branch and bound
-walks them from an incumbent one above min(rank A, rank (A + I)), which
-D = 0 or D = I attains, and stops at the floor n - |greedy zero forcing
-set| <= n - Z <= mr. A prefix with rows F fixed at rank r is pruned once
-2r - rank M[F,F] reaches the incumbent: by the partitioned-rank inequality
-(Marsaglia and Styan, 1974) and symmetry, no completion ranks lower. The
-attained ranks form the interval [mr, n], so the minimum alone decides
-whether a target rank is attained.
+is 1), so the search space is the 2^n free diagonals. The incumbent is
+the better of D = 0 and D = I, at rank min(rank A, rank (A + I)); when
+that meets the floor n - |greedy zero forcing set| <= n - Z <= mr it is
+the answer and nothing is searched. Else a branch and bound walks the
+diagonals for strictly lower ranks and stops at the floor. A prefix with
+rows F fixed at rank r is pruned once 2r - rank M[F,F] reaches the
+incumbent: by the partitioned-rank inequality (Marsaglia and Styan, 1974)
+and symmetry, no completion ranks lower. The witness is a minimizing
+diagonal, not in general the least one. The attained ranks form the
+interval [mr, n], so the minimum alone decides whether a target rank is
+attained.
 """
 
 from __future__ import annotations
@@ -117,30 +120,34 @@ class Gf2MinRank(NamedTuple):
     nodes_examined: int = 0  # diagonal prefixes whose rank was computed
 
 
-def _gf2_min_rank(base, floor, best):
-    """(least rank, least diagonal attaining it, prefixes examined) by a
+def _gf2_min_rank(base, floor, best, best_diag):
+    """(minimum rank, a diagonal attaining it, prefixes examined) by a
     depth-first search fixing the diagonal bits of vertices n-1 down to 0,
-    0 before 1, so leaves come in increasing integer order of the diagonal.
-    `best` must exceed the minimum: only lower ranks are sought.
+    0 before 1. The incumbent is rank `best` at diagonal `best_diag`; only
+    strictly lower ranks are sought, each leaf reached is one, and an
+    incumbent already at the proven floor examines no prefix.
 
-    The echelon basis of the fixed rows lives on a stack as (lead, vector)
-    pairs, each vector free of the highest-bit leads below it, so a node
-    reduces one row and one unit vector, not n rows; by linearity the d = 1
-    row reduces to the sum of the two. With rows F = i..n-1 fixed at rank
-    r, the leads at bits >= i count rank M[F,F] (the other vectors vanish
-    on columns F; these keep distinct leads), and rank [[X, B], [C, Y]] >=
-    rank [C Y] + rank [B; Y] - rank Y with M symmetric bounds every
-    completion's rank by 2r - rank M[F,F]. A prefix is pruned once its
-    bound reaches `best`; until the least minimizing diagonal is reached,
-    `best` exceeds every bound along it, so none of its prefixes is pruned.
-    A leaf at the proven floor ends the search."""
-    best_diag, nodes = 0, 0
-    pivots = []
+    The echelon basis of the fixed rows is kept by lead, the highest set
+    bit of each vector, and the mask `leads` of those bits; a row is
+    reduced by the leads it hits, highest first, each XOR clearing its lead
+    and touching only lower bits, so a node reduces one row and one unit
+    vector, not n rows; by linearity the d = 1 row reduces to the sum of
+    the two. With rows F = i..n-1 fixed at rank r, the leads at bits >= i
+    count rank M[F,F] (the other vectors vanish on columns F; these keep
+    distinct leads), and rank [[X, B], [C, Y]] >= rank [C Y] + rank [B; Y]
+    - rank Y with M symmetric bounds every completion's rank by
+    2r - rank M[F,F]. A prefix is pruned once its bound reaches `best`, so
+    no prefix of a diagonal ranking below the incumbent is pruned. A leaf
+    at the proven floor ends the search. The diagonal returned is a
+    minimizing one, not in general the least."""
+    if best <= floor:
+        return best, best_diag, 0
+    nodes = 0
+    pivots = [0] * len(base)  # pivots[b]: the basis vector with lead bit b
 
-    def reduce(row):
-        for lead, p in pivots:
-            if row & lead:
-                row ^= p
+    def reduce(row, leads):
+        while hit := row & leads:
+            row ^= pivots[hit.bit_length() - 1]
         return row
 
     def visit(i, rank, leads, diag):
@@ -148,20 +155,18 @@ def _gf2_min_rank(base, floor, best):
         if i < 0:
             best, best_diag = rank, diag
             return rank <= floor
-        row = reduce(base[i])
-        unit = reduce(1 << i)
+        row = reduce(base[i], leads)
+        unit = reduce(1 << i, leads)
         nodes += 2
         for bit, reduced in ((0, row), (1, row ^ unit)):
-            lead = 1 << reduced.bit_length() >> 1
+            top = reduced.bit_length()
+            lead = 1 << top >> 1
             grown = rank + (lead != 0)
             if 2 * grown - ((leads | lead) >> i).bit_count() >= best:
                 continue
             if lead:
-                pivots.append((lead, reduced))
-            done = visit(i - 1, grown, leads | lead, diag | (bit << i))
-            if lead:
-                pivots.pop()
-            if done:
+                pivots[top - 1] = reduced
+            if visit(i - 1, grown, leads | lead, diag | (bit << i)):
                 return True
         return False
 
@@ -173,28 +178,31 @@ def min_rank_gf2_exhaustive(g):
     """Exact minimum rank over the GF(2) matrices with the graph's
     off-diagonal pattern (the 2^n free diagonals), by branch and bound
     down to the floor n - |greedy zero forcing set| <= n - Z <= mr, with
-    the least witness diagonal. The incumbent starts one above
-    min(rank A, rank (A + I)), which D = 0 or D = I attains, and the
-    partitioned-rank bound never prunes a minimizing prefix (see
-    `_gf2_min_rank`). Some diagonal attains rank t exactly when
-    min <= t <= n. One flipped diagonal bit moves the rank by at
-    most 1 and single flips connect all diagonals, so the attained ranks
-    form an interval; it ends at n because det(A + D) is multilinear in the
-    diagonal bits with coefficient 1 on their product (only the identity
-    permutation takes every diagonal entry), and a nonzero multilinear
-    polynomial over GF(2) is nonzero at some point of {0,1}^n. The witness
-    is replayed: A + D must have the minimum rank over GF(2), else
-    ArithmeticError."""
+    a minimizing witness diagonal, not in general the least. The incumbent
+    is the better of D = 0 and D = I (D = 0 on a tie); when its rank meets
+    the floor it is the answer and no prefix is examined, else the search
+    seeks only strictly lower ranks, and the partitioned-rank bound never
+    prunes a prefix of one (see `_gf2_min_rank`). Some diagonal attains
+    rank t exactly when min <= t <= n. One flipped diagonal bit moves the
+    rank by at most 1 and single flips connect all diagonals, so the
+    attained ranks form an interval; it ends at n because det(A + D) is
+    multilinear in the diagonal bits with coefficient 1 on their product
+    (only the identity permutation takes every diagonal entry), and a
+    nonzero multilinear polynomial over GF(2) is nonzero at some point of
+    {0,1}^n. The witness is replayed: A + D must have the minimum rank
+    over GF(2), else ArithmeticError."""
     n = g.n
     if n > GF2_ORDER_CAP:
         raise ValueError(
             f"graph order {n} exceeds the GF(2) search cap {GF2_ORDER_CAP}"
         )
     floor = n - forcing._greedy_upper_bound(g).bit_count()
-    seed = n - forcing._gf2_floor(g)  # min(rank A, rank (A + I)) over GF(2)
     # adjacency_masks is cached on the graph: read, never written
     masks = g.adjacency_masks
-    best, best_diag, nodes = _gf2_min_rank(masks, floor, seed + 1)
+    rank_a = gf2_rank(masks)
+    rank_i = gf2_rank([row | 1 << i for i, row in enumerate(masks)])
+    incumbent = (rank_a, 0) if rank_a <= rank_i else (rank_i, (1 << n) - 1)
+    best, best_diag, nodes = _gf2_min_rank(masks, floor, *incumbent)
     if gf2_rank([row | (best_diag & 1 << i) for i, row in enumerate(masks)]) != best:
         raise ArithmeticError(f"the witness diagonal does not attain rank {best}")
     return Gf2MinRank(best, tuple((best_diag >> i) & 1 for i in range(n)), nodes)

@@ -73,19 +73,6 @@ class Graph:
             rows[v][u] = 1
         return rows
 
-    def is_connected(self):
-        if self.n <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
-
     def is_complete(self):
         return self.num_edges == self.n * (self.n - 1) // 2
 

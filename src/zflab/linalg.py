@@ -3,8 +3,9 @@
 These are the two domains zflab eliminates over. Matrices pass between
 modules as plain rows; an ExactMatrix, integer rows plus a modulus p (None
 for Q), is built only to eliminate, and offers only that: rank and
-nullity, and a nullspace basis. The decomposition blocks of `equitable`,
-in Q(i) and Q(w), are plain rows that nothing eliminates over.
+nullity, and a nullspace basis, or its first vector alone. The
+decomposition blocks of `equitable`, in Q(i) and Q(w), are plain rows that
+nothing eliminates over.
 
 One elimination kernel, `_echelon`, serves both domains: one row operation
 eliminates to row echelon form with first-nonzero pivoting, its result
@@ -90,25 +91,46 @@ class ExactMatrix:
         the primitive integer vector with a positive entry at f, which is the
         reduced-echelon vector with x[f] = 1 scaled by its lcm denominator."""
         rows, pivots, _, _ = _echelon(self)
-        p = self.domain.p
-        # each pivot row as its pivot and its nonzero entries past it
-        pivot_rows = [
-            (pc, row[pc], [(j, x) for j, x in enumerate(row) if x and j > pc])
-            for pc, row in zip(pivots, rows)
-        ][::-1]
-        basis = []
-        for free in sorted(set(range(self.cols)) - set(pivots)):
-            vec = [0] * free + [1] + [0] * (self.cols - free - 1)
-            for pc, piv, tail in pivot_rows:
-                if pc < free:
-                    # vec <- m * vec, vec[pc] = x (was 0): row . vec = piv*x + m*s = 0
-                    s = sum(e * vec[j] for j, e in tail)
-                    m, x = _back_solve(piv, s, p)
-                    if m != 1:
-                        vec = [m * y for y in vec]
-                    vec[pc] = x
-            basis.append(vec)
-        return basis
+        free = sorted(set(range(self.cols)) - set(pivots))
+        return _back_substitute(rows, pivots, free, self.cols, self.domain.p)
+
+    def nullity_and_first_vector(self):
+        """(nullity, v) from one elimination: v is nullspace_basis()[0],
+        back-substituted alone, or None when the nullity is 0."""
+        rows, pivots, _, _ = _echelon(self)
+        if len(pivots) == self.cols:
+            return 0, None
+        # pivots ascend, so the first free column is the first c != pivots[c]
+        free = next(c for c, pc in enumerate(pivots + [self.cols]) if c != pc)
+        vec = _back_substitute(rows, pivots, [free], self.cols, self.domain.p)[0]
+        return self.cols - len(pivots), vec
+
+
+def _back_substitute(rows, pivots, free, cols, p):
+    """The nullspace vector of each free column f in `free` (ascending), as
+    nullspace_basis describes it, from the echelon rows and their pivot
+    columns. The vector of f is zero past f, so only the pivot rows left of
+    the last f, and their entries up to it, are read."""
+    last = free[-1] if free else -1
+    # each pivot row as its pivot and its nonzero entries past it
+    pivot_rows = [
+        (pc, row[pc], [(j, x) for j, x in enumerate(row[: last + 1]) if x and j > pc])
+        for pc, row in zip(pivots, rows)
+        if pc < last
+    ][::-1]
+    basis = []
+    for f in free:
+        vec = [0] * f + [1] + [0] * (cols - f - 1)
+        for pc, piv, tail in pivot_rows:
+            if pc < f:
+                # vec <- m * vec, vec[pc] = x (was 0): row . vec = piv*x + m*s = 0
+                s = sum(e * vec[j] for j, e in tail)
+                m, x = _back_solve(piv, s, p)
+                if m != 1:
+                    vec = [m * y for y in vec]
+                vec[pc] = x
+        basis.append(vec)
+    return basis
 
 
 def _echelon(matrix):
@@ -249,10 +271,15 @@ def spectrum(rows):
     """All eigenvalues of a real symmetric / complex Hermitian matrix, given
     as rows of numbers complex() converts, as a descending tuple of
     floats, by LAPACK's Hermitian eigensolver (numpy.linalg.eigvalsh); its
-    error is about machine precision times the matrix norm."""
+    error is about machine precision times the matrix norm. Rows of plain
+    numbers go to numpy whole; rows holding a `QuadRational`, which numpy
+    would read as a sequence, are converted entry by entry."""
     import numpy as np
 
-    a = np.asarray([[complex(x) for x in row] for row in rows], dtype=complex)
+    try:
+        a = np.asarray(rows, dtype=np.complex128)
+    except ValueError:  # a QuadRational: its kind is no number
+        a = np.asarray([[complex(x) for x in row] for row in rows], dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
     if not np.allclose(a, a.conj().T, rtol=0.0, atol=1e-12):

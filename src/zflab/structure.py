@@ -7,10 +7,12 @@ out-node before v_in on v's path (-1 while v is free), and every residual
 arc follows from it: v_out goes back to v_in when v carries a path, then to
 each neighbor's in-node; v_in goes on to v_out when v is free, else back to
 pred[v]. Paths straight to a sink neighbor are taken without a search. The
-cut is read off the nodes that the last, failed search reached: every
-maximum flow leaves the source side of the unique minimal min cut reachable
-(Picard and Queyranne, 1980), so the separator does not depend on the
-order the paths are found in.
+cut is read off the queue of the last, failed search: every maximum flow
+leaves the source side of the unique minimal min cut reachable (Picard and
+Queyranne, 1980), so the separator does not depend on the order the paths
+are found in. One flow state serves every flow of a call: a search marks
+the nodes it reaches with a fresh stamp, and a flow resets the pred
+entries it set, so a flow costs what its searches touch, not O(n).
 
 One pass grows a set S of vertices that no set of fewer than k vertices
 separates, starting from k = delta with the neighborhood of a
@@ -27,10 +29,11 @@ invariant. When S is all of V, k is the connectivity.
 The Strong Arnold Property is decided over Q in kernel coordinates: every
 symmetric X with A X = 0 is U S U^T, with U the nullspace basis of A and S
 symmetric, so the conditions on X become a small system in the k(k+1)/2
-entries of S, where k is the nullity of A. Its nullity is the violation
-dimension; a nonsingular A needs no system at all. The sample violation is
-U S U^T for the first kernel vector S, replayed in full: symmetric, zero on
-the diagonal and the edges, nonzero, and A X = 0.
+entries of S, where k is the nullity of A. Its nullity, unknowns minus
+rank, is the violation dimension; a nonsingular A needs no system at all.
+The sample violation is U S U^T for the first kernel vector S, the only
+one back-substituted, replayed in full: symmetric, zero on the diagonal
+and the edges, nonzero, and A X = 0.
 """
 
 from __future__ import annotations
@@ -57,26 +60,49 @@ def min_degree(g):
 # vertex-disjoint paths on the graph itself
 
 
-def _path_flow(ins, s, sink, limit):
+class _FlowState:
+    """What every flow of one vertex_connectivity call reuses: ins[v] lists
+    the in-nodes of v's neighbors in ascending order; pred[v] is the flow,
+    all -1 between flows; a node b was reached by the current search when
+    seen[b] equals stamp, and parent[b] is then the node that reached it."""
+
+    __slots__ = ("ins", "pred", "parent", "seen", "stamp")
+
+    def __init__(self, g):
+        n = g.n
+        self.ins = [[] for _ in range(n)]
+        for u, v in g.edges:  # sorted, so each list ascends
+            self.ins[u].append(2 * v)
+            self.ins[v].append(2 * u)
+        self.pred = [-1] * n
+        self.parent = [0] * (2 * n)
+        self.seen = [0] * (2 * n)
+        self.stamp = 0
+
+
+def _path_flow(state, s, sink, limit):
     """Internally vertex-disjoint paths from s_out to the nodes flagged in
-    sink, up to limit of them, plus a minimum vertex cut when fewer than
-    limit exist; ins[v] lists the in-nodes of v's neighbors in ascending
-    order. A path ends at the first sink it reaches. The flow is pred[v]
-    and the residual arcs are read off it as the module docstring says;
-    the direct paths s -> w with w_out a sink, in ascending w, are the
-    ones the first searches would find."""
+    sink, up to limit of them, plus a minimum vertex cut, ascending, when
+    fewer than limit exist. A path ends at the first sink it reaches. The
+    flow is state.pred and the residual arcs are read off it as the module
+    docstring says; the direct paths s -> w with w_out a sink, in ascending
+    w, are the ones the first searches would find. Every pred entry the
+    flow sets is reset before returning, so state serves the next flow."""
+    ins, pred, parent, seen = state.ins, state.pred, state.parent, state.seen
     n = len(ins)
     source = 2 * s + 1
-    pred = [-1] * n
+    touched = []  # the vertices whose pred this flow set
     flow = 0
     for b in ins[s]:
         if flow < limit and sink[b + 1]:
             pred[b >> 1] = source
+            touched.append(b >> 1)
             flow += 1
+    cut = None
     while flow < limit:
-        # BFS augmenting path; parent[b] is the node that reached b
-        parent = [-1] * (2 * n)
-        parent[source] = source
+        # BFS augmenting path, marking the nodes it reaches with a new stamp
+        state.stamp = stamp = state.stamp + 1
+        seen[source] = stamp
         queue = [source]
         end = -1
         for a in queue:
@@ -86,7 +112,8 @@ def _path_flow(ins, s, sink, limit):
             else:
                 heads = (a + 1 if pred[v] < 0 else pred[v],)
             for b in heads:
-                if parent[b] < 0:
+                if seen[b] != stamp:
+                    seen[b] = stamp
                     parent[b] = a
                     if sink[b]:
                         end = b
@@ -96,8 +123,8 @@ def _path_flow(ins, s, sink, limit):
                 break
         if end < 0:
             # the source side of the minimal min cut: split arcs leaving it
-            cut = [v for v in range(n) if parent[2 * v] >= 0 and parent[2 * v + 1] < 0]
-            return flow, cut
+            cut = sorted(a >> 1 for a in queue if not a & 1 and seen[a + 1] != stamp)
+            break
         # walk the path back; a pair sink's in-node gets a pred that is
         # never read, since a search stops there
         b = end
@@ -106,13 +133,16 @@ def _path_flow(ins, s, sink, limit):
             if a & 1:
                 if b != a - 1:  # u_out -> v_in: v's path now comes from u
                     pred[b >> 1] = a
+                    touched.append(b >> 1)
             elif b != a + 1:  # v_in -> u_out cancels the arc u_out -> v_in
                 pred[a >> 1] = -1
             b = a
         flow += 1
         if flow > n:
             raise ArithmeticError("flow exceeded vertex count")
-    return flow, None
+    for v in touched:
+        pred[v] = -1
+    return flow, cut
 
 
 def _check_separator(g, separator):
@@ -138,7 +168,8 @@ def vertex_connectivity(g):
     Even's seed-set pass: k starts at the minimum degree delta with the
     neighborhood of the first minimum-degree vertex v0 as separator, and S
     holds vertices that no set of fewer than k vertices separates. Vertices
-    join S in breadth-first order from v0 (neighbors sorted). While |S| < k,
+    join S in breadth-first order from v0 (neighbors sorted); a graph that
+    order does not cover is disconnected. While |S| < k,
     x joins after a flow from x to each non-neighbor y in S (sink y_in);
     then after one fan flow from x to all of S (sinks s_out, so each s
     carries one path), whose paths to neighbors of x in S are direct. Each
@@ -155,22 +186,23 @@ def vertex_connectivity(g):
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
-    if not g.is_connected():
+    state = _FlowState(g)
+    v0 = min(range(n), key=g.degree)
+    order = [v0]
+    seen = bytearray(n)
+    seen[v0] = 1
+    for v in order:
+        for b in state.ins[v]:  # the neighbors' in-nodes, ascending
+            if not seen[b >> 1]:
+                seen[b >> 1] = 1
+                order.append(b >> 1)
+    if len(order) < n:  # the search from v0 missed a component
         return KappaWitness(0, ())
     if g.is_complete():
         return KappaWitness(n - 1, ())
     # v0 has least degree and the graph is not complete, so v0 has a
     # non-neighbor and N(v0) separates them
-    v0 = min(range(n), key=g.degree)
     best, best_cut = g.degree(v0), sorted(g.neighbors(v0))
-    order = [v0]
-    seen = {v0}
-    for v in order:
-        for w in sorted(g.neighbors(v)):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    ins = [[2 * w for w in sorted(g.neighbors(v))] for v in range(n)]
     members = []
     in_s = bytearray(2 * n)  # s_out flagged for each s in S
     y_in = bytearray(2 * n)
@@ -179,12 +211,12 @@ def vertex_connectivity(g):
             for y in members:
                 if not g.has_edge(x, y):
                     y_in[2 * y] = 1
-                    flow, cut = _path_flow(ins, x, y_in, best)
+                    flow, cut = _path_flow(state, x, y_in, best)
                     y_in[2 * y] = 0
                     if flow < best:
                         best, best_cut = flow, cut
         else:
-            flow, cut = _path_flow(ins, x, in_s, best)
+            flow, cut = _path_flow(state, x, in_s, best)
             if flow < best:
                 best, best_cut = flow, cut
         members.append(x)
@@ -228,14 +260,15 @@ def has_sap(a, g):
     conditions (X zero on the diagonal and on the edges) become
     u_i^T S u_j = 0 for i = j and for each edge ij, linear equations in the
     k(k+1)/2 entries of S, and the violation dimension is the nullity of
-    that system. A nonsingular A (k = 0) has the property with no system.
-    A row holding a Fraction is scaled by the lcm of its denominators before
-    the kernel is taken, which leaves ker A unchanged.
+    that system, unknowns minus rank from its one elimination. A
+    nonsingular A (k = 0) has the property with no system. A row holding a
+    Fraction is scaled by the lcm of its denominators before the kernel is
+    taken, which leaves ker A unchanged.
 
-    The sample is X = U S U^T for the first kernel vector S, as a tuple of
-    row tuples. It is replayed against every condition: X is symmetric,
-    zero on the diagonal and on every edge, nonzero, and A X = 0; a failure
-    raises ArithmeticError.
+    The sample is X = U S U^T for the first kernel vector S, the only one
+    back-substituted, as a tuple of row tuples. It is replayed against
+    every condition: X is symmetric, zero on the diagonal and on every
+    edge, nonzero, and A X = 0; a failure raises ArithmeticError.
     """
     _check_pattern(a, g)
     n = g.n
@@ -264,11 +297,10 @@ def has_sap(a, g):
                 row[var[s][r]] += x * y
         if any(row):
             rows.append(row)
-    kernel = ExactMatrix(rows).nullspace_basis()
-    if not kernel:
+    dim, sv = ExactMatrix(rows).nullity_and_first_vector()
+    if not dim:
         return SapReport(True, 0, None)
     # the (i, j) entry of U S U^T is u_i . w_j with w_j = S u_j
-    sv = kernel[0]
     w = [
         [sum(sv[var[s][r]] * y for r, y in u_rows[j]) for s in range(k)]
         for j in range(n)
@@ -289,4 +321,4 @@ def has_sap(a, g):
         a_i = [(c, e) for c, e in enumerate(a[i]) if e]
         if any(sum(e * sample[c][j] for c, e in a_i) for j in range(n)):
             raise ArithmeticError("the sample SAP violation does not satisfy A X = 0")
-    return SapReport(False, len(kernel), tuple(map(tuple, sample)))
+    return SapReport(False, dim, tuple(map(tuple, sample)))

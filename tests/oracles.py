@@ -201,18 +201,21 @@ def brute_min_rank_gf2(g):
     return best, tuple((best_diag >> i) & 1 for i in range(g.n)), ranks
 
 
-def bb_min_rank_gf2(g, floor, best):
+def bb_min_rank_gf2(g, floor, best, diag=0):
     """The GF(2) minimum rank search recomputed from scratch at every
-    prefix: fix the diagonal bits of vertices n-1 down to 0, 0 before 1;
-    with rows F = i..n-1 fixed at rank r, prune once 2r - rank M[F,F]
-    reaches the best rank (started at `best`), and end at a leaf of rank at
-    most `floor`. Returns (minimum, least diagonal as bits, prefixes whose
-    rank was computed: two per internal node visited)."""
+    prefix: from the incumbent rank `best` at diagonal `diag`, fix the
+    diagonal bits of vertices n-1 down to 0, 0 before 1; with rows
+    F = i..n-1 fixed at rank r, prune once 2r - rank M[F,F] reaches the
+    best rank, and end at a leaf of rank at most `floor`, or at once when
+    `best` is. Returns (minimum, the last leaf reached as bits, else
+    `diag`, prefixes whose rank was computed: two per internal node
+    visited). Started one above the minimum, it reaches the least
+    minimizing diagonal last."""
     adj = [0] * g.n
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    state = {"best": best, "diag": 0, "nodes": 0}
+    state = {"best": best, "diag": diag, "nodes": 0}
 
     def visit(i, diag):
         if i < 0:
@@ -230,7 +233,8 @@ def bb_min_rank_gf2(g, floor, best):
                 return True
         return False
 
-    visit(g.n - 1, 0)
+    if best > floor:
+        visit(g.n - 1, 0)
     diag = tuple((state["diag"] >> i) & 1 for i in range(g.n))
     return state["best"], diag, state["nodes"]
 

@@ -118,19 +118,30 @@ class TestCertify:
 
 
 def _lead_mask(rows):
-    """The lead bits of the rows' echelon basis as the GF(2) search stacks
-    it: each row reduced against the (lead, vector) pairs before it, then
-    pushed under its highest set bit."""
-    pivots, leads = [], 0
+    """The lead bits of the rows' echelon basis as the GF(2) search keeps
+    it: each row reduced by the leads it hits, highest first, then kept
+    under its highest set bit."""
+    pivots, leads = {}, 0
     for row in rows:
-        for lead, p in pivots:
-            if row & lead:
-                row ^= p
+        while row & leads:
+            row ^= pivots[(row & leads).bit_length()]
         if row:
-            lead = 1 << row.bit_length() >> 1
-            pivots.append((lead, row))
-            leads |= lead
+            pivots[row.bit_length()] = row
+            leads |= 1 << row.bit_length() >> 1
     return leads
+
+
+def _incumbent(g):
+    """The GF(2) search's incumbent: (rank, diagonal) of the better of
+    D = 0 and D = I, D = 0 on a tie."""
+    plus = [row | 1 << i for i, row in enumerate(g.adjacency_masks)]
+    rank_a, rank_i = gf2_rank(g.adjacency_masks), gf2_rank(plus)
+    return (rank_a, 0) if rank_a <= rank_i else (rank_i, (1 << g.n) - 1)
+
+
+def _replayed_rank(g, witness):
+    return gf2_rank([row | bit << i for i, (row, bit)
+                     in enumerate(zip(g.adjacency_masks, witness))])
 
 
 def _search_floor(g):
@@ -196,16 +207,19 @@ class TestGf2MinRank:
     def test_wrong_witness_is_refused(self, monkeypatch):
         # P2 has GF(2) minimum rank 1, at D = I; the zero diagonal leaves
         # A at rank 2, so a search reporting it is caught by the replay
-        monkeypatch.setattr(certify, "_gf2_min_rank", lambda base, floor, best: (1, 0, 1))
+        monkeypatch.setattr(
+            certify, "_gf2_min_rank", lambda base, floor, best, diag: (1, 0, 1)
+        )
         with pytest.raises(ArithmeticError, match="does not attain rank 1"):
             z.min_rank_gf2_exhaustive(z.path_graph(2))
 
     def test_matches_oracle(self, corpus, families):
         graphs = corpus[:40] + [g for g in families.values() if g.n <= 12]
         for g in graphs + make_random_corpus(count=200, max_n=12, seed=27):
-            best, diag, ranks = brute_min_rank_gf2(g)
+            best, _, ranks = brute_min_rank_gf2(g)
             res = z.min_rank_gf2_exhaustive(g)
-            assert (res.min_rank, res.witness_diagonal) == (best, diag)
+            assert res.min_rank == best
+            assert _replayed_rank(g, res.witness_diagonal) == best
             # the attained ranks form the interval [min, n]
             for t in range(-1, g.n + 2):
                 assert (res.min_rank <= t <= g.n) is (t in ranks)
@@ -245,25 +259,45 @@ class TestGf2MinRank:
 
     def test_matches_recomputed_search(self, corpus, families):
         # the same minimum, witness and prefix count as the search that
-        # recomputes every rank, seeded one above min(rank A, rank (A + I))
+        # recomputes every rank, from the incumbent at D = 0 or D = I
         for g in corpus[:60] + [g for g in families.values() if g.n <= 14]:
-            plus = [row | 1 << i for i, row in enumerate(g.adjacency_masks)]
-            seed = min(gf2_rank(g.adjacency_masks), gf2_rank(plus))
             res = z.min_rank_gf2_exhaustive(g)
             got = (res.min_rank, res.witness_diagonal, res.nodes_examined)
-            assert got == bb_min_rank_gf2(g, _search_floor(g), seed + 1), g.edges
+            assert got == bb_min_rank_gf2(g, _search_floor(g), *_incumbent(g)), g.edges
 
     def test_seed_keeps_answers(self, corpus, families):
-        # the search seeded at A and A + I answers as one started above
-        # every rank, and examines no more prefixes
+        # the search from the incumbent answers as one started above every
+        # rank, and examines no more prefixes
         for g in corpus + list(families.values()):
             res = z.min_rank_gf2_exhaustive(g)
-            best, diag, nodes = certify._gf2_min_rank(
-                g.adjacency_masks, _search_floor(g), g.n + 1
+            best, _, nodes = certify._gf2_min_rank(
+                g.adjacency_masks, _search_floor(g), g.n + 1, 0
             )
             assert res.min_rank == best
-            assert res.witness_diagonal == tuple((diag >> i) & 1 for i in range(g.n))
+            assert _replayed_rank(g, res.witness_diagonal) == best
             assert res.nodes_examined <= nodes
+
+    def test_no_more_nodes_than_the_search_above_the_incumbent(self, corpus, families):
+        # the search that sought ranks up to the incumbent's, seeded one
+        # above it, examines at least as many prefixes
+        for g in corpus + list(families.values()):
+            res = z.min_rank_gf2_exhaustive(g)
+            rank, _ = _incumbent(g)
+            best, _, nodes = bb_min_rank_gf2(g, _search_floor(g), rank + 1)
+            assert res.min_rank == best
+            assert res.nodes_examined <= nodes, g.edges
+
+    @pytest.mark.parametrize("g", [
+        z.cartesian_product(z.cycle_graph(8), z.path_graph(2)),
+        z.generalized_petersen(12, 5),
+        z.aztec_diamond(3),
+    ], ids=["C8xP2", "P(12,5)", "aztec:3"])
+    def test_incumbent_at_the_floor_ends_at_once(self, g):
+        # D = 0 or D = I already meets the floor n - |greedy set|
+        res = z.min_rank_gf2_exhaustive(g)
+        assert res.min_rank == _search_floor(g) == _incumbent(g)[0]
+        assert res.nodes_examined == 0
+        assert res.witness_diagonal in ((0,) * g.n, (1,) * g.n)
 
     def test_bound_prunes_petersen_8_3(self):
         # 9,694 prefixes when only the fixed rows' rank pruned, with no seed

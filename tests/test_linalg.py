@@ -234,6 +234,19 @@ class TestNullspace:
                 assert last == non_pivot_columns(m)
                 assert len(set(last)) == len(last)
 
+    def test_first_vector_is_the_basis_head(self, corpus):
+        # one vector back-substituted alone: the basis's first, and its count
+        rng = random.Random(33)
+        cases = [(cleared(kernel_matrix(rng)), None) for _ in range(100)]
+        cases += [([[0] * 3] * 2, None), ([[1, 0], [0, 1]], None), ([], 2)]
+        for p in (None, 2, 7):
+            cases += [(z.adjacency_matrix(g).data, p) for g in corpus[:30]]
+        for data, p in cases:
+            m = z.ExactMatrix(data, p)
+            basis = m.nullspace_basis()
+            head = basis[0] if basis else None
+            assert m.nullity_and_first_vector() == (len(basis), head), (data, p)
+
     def test_rational_basis_against_fraction_reference(self, corpus):
         # each Q vector is the primitive integer multiple of the reduced-echelon
         # Fraction vector: its lcm scaling, positive at the free column
@@ -361,6 +374,32 @@ class TestSpectrum:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             z.spectrum([[0, 1], [2, 0]])
+        # every entry off Q, so no row mixes a QuadRational with a number
+        q = z.QuadRational(1, 1, "i")
+        with pytest.raises(ValueError, match="not Hermitian"):
+            z.spectrum([[q, q], [q, q]])
+
+    @pytest.mark.parametrize("rows", [[1, 2], [[1, 2]]])
+    def test_rejects_non_square(self, rows):
+        with pytest.raises(ValueError, match="need a square matrix"):
+            z.spectrum(rows)
+
+    def test_plain_rows_go_to_numpy_whole(self, monkeypatch):
+        # complex() runs per entry only on rows holding a QuadRational
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return complex(x)
+
+        monkeypatch.setattr(linalg, "complex", counting, raising=False)
+        rows = z.adjacency_matrix(z.circulant(30, {1, 7})).data
+        assert z.spectrum(rows) == z.spectrum(np.array(rows, dtype=float))
+        assert calls == []
+        b1 = [[0, 1, z.QuadRational(-1, -1, "i")], [1, -1, 1],
+              [z.QuadRational(-1, 1, "i"), 1, 0]]
+        assert multisets_close(z.spectrum(b1), [1.561552, 0.0, -2.561552], 1e-6)
+        assert len(calls) == 9
 
     def test_deterministic_across_runs(self):
         m = z.adjacency_matrix(z.circulant(12, {1, 3})).data

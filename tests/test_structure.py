@@ -1,14 +1,15 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import zflab as z
+import zflab.cli as cli
 from oracles import (
     brute_kappa,
     brute_menger_cut,
     disconnects,
-    induced_subgraph,
     matmul,
     naive_rational_rank,
     reached_from,
@@ -48,6 +49,10 @@ class TestVertexConnectivity:
         g = z.Graph(4, [(0, 1), (2, 3)])
         kw = z.vertex_connectivity(g)
         assert kw.kappa == 0 and kw.separator == ()
+        # the least-degree vertex, where the search starts, lies in the
+        # smaller component, or alone
+        for g in (z.Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)]), z.Graph(3, [(0, 1)])):
+            assert z.vertex_connectivity(g) == (0, ())
 
     def test_separator_disconnects(self, corpus):
         for g in corpus[:50]:
@@ -55,8 +60,7 @@ class TestVertexConnectivity:
             if kw.kappa == 0 or g.is_complete():
                 continue
             assert len(kw.separator) == kw.kappa
-            h = induced_subgraph(g, set(range(g.n)) - set(kw.separator))
-            assert not h.is_connected()
+            assert disconnects(g, set(kw.separator)), g.edges
 
     def test_star_cut(self):
         g = z.complete_bipartite_graph(1, 4)
@@ -71,7 +75,7 @@ class TestVertexConnectivity:
         for g in graphs:
             kw = z.vertex_connectivity(g)
             assert kw.kappa == brute_kappa(g), g.edges
-            if g.is_connected() and not g.is_complete():
+            if not disconnects(g, set()) and not g.is_complete():
                 assert len(kw.separator) == kw.kappa
                 assert disconnects(g, set(kw.separator)), g.edges
                 below_delta += kw.kappa < z.min_degree(g)
@@ -108,6 +112,35 @@ class TestVertexConnectivity:
             assert kw.kappa < z.min_degree(g)
             assert kw.separator == separator, i
 
+    def test_interleaved_calls_match_fresh_flow_states(
+        self, corpus, families, monkeypatch
+    ):
+        # repeated and interleaved calls give what a run with a fresh flow
+        # state for every flow gives
+        graphs = [g for g in corpus if not disconnects(g, set())]
+        graphs += families.values()
+        runs = [z.vertex_connectivity(g) for g in graphs]
+        runs += [z.vertex_connectivity(g) for g in reversed(graphs)][::-1]
+        flow = structure._path_flow
+
+        def fresh_flow(state, *args):
+            fresh = structure._FlowState(z.Graph(len(state.ins), []))
+            fresh.ins = state.ins
+            return flow(fresh, *args)
+
+        monkeypatch.setattr(structure, "_path_flow", fresh_flow)
+        fresh = [z.vertex_connectivity(g) for g in graphs]
+        assert runs == fresh + fresh
+
+    @pytest.mark.parametrize("spec, kappa, separator", [
+        ("aztec:30", 2, (1, 3)),
+        ("cart:cycle:60+path:40", 3, (1, 40, 2360)),
+        ("circulant:1536:1,7", 4, (1, 7, 1529, 1535)),
+    ])
+    def test_large_separators(self, spec, kappa, separator):
+        kw = z.vertex_connectivity(cli.parse_graph_spec(spec))
+        assert kw == (kappa, separator)
+
     def test_kappa_at_most_z(self, corpus):
         for g in corpus[:60]:
             assert (
@@ -140,7 +173,7 @@ class TestPathFlow:
                 sink[2 * in_sinks[0]] = 1
                 oracle = brute_menger_cut(g, s, in_sinks=in_sinks)
             limit = rng.randint(1, n)
-            flow, cut = structure._path_flow(_in_nodes(g), s, sink, limit)
+            flow, cut = structure._path_flow(structure._FlowState(g), s, sink, limit)
             key = (g.edges, s, outs, in_sinks, limit)
             assert flow == (limit if oracle is None else min(limit, len(oracle))), key
             if flow == limit:
@@ -160,13 +193,28 @@ class TestPathFlow:
                          (2, 6), (3, 9), (4, 8), (6, 11), (7, 9), (8, 10), (10, 11)])
         sink = bytearray(2 * g.n)
         sink[2 * 3] = 1
-        assert structure._path_flow(_in_nodes(g), 10, sink, 3) == (2, [0, 1])
+        assert structure._path_flow(structure._FlowState(g), 10, sink, 3) == (2, [0, 1])
         assert brute_menger_cut(g, 10, in_sinks=(3,)) == {0, 1}
 
-
-def _in_nodes(g):
-    """The in-node 2w of each neighbor w of v, in ascending order, per v."""
-    return [[2 * w for w in sorted(g.neighbors(v))] for v in range(g.n)]
+    def test_reused_state_matches_fresh_state(self):
+        # one state through many flows, each with other sources, sinks and
+        # limits, answers as a fresh state per flow and leaves no flow set
+        rng = random.Random(33)
+        for _ in range(150):
+            n = rng.randint(2, 10)
+            g = z.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < 0.5])
+            state = structure._FlowState(g)
+            for _ in range(8):
+                s = rng.randrange(n)
+                sink = bytearray(2 * n)
+                others = [v for v in range(n) if v != s]
+                for w in rng.sample(others, rng.randint(0, n - 1)):
+                    sink[2 * w + rng.randint(0, 1)] = 1
+                limit = rng.randint(1, n)
+                fresh = structure._path_flow(structure._FlowState(g), s, sink, limit)
+                assert structure._path_flow(state, s, sink, limit) == fresh, g.edges
+                assert state.pred == [-1] * n
 
 
 class TestMinDegree:
@@ -311,16 +359,32 @@ class TestSap:
         # S = e_0 lies outside the S-system's kernel: X = U S U^T has the
         # squares of U's first column on its diagonal, and the replay says so
         g = z.aztec_diamond(2)
-        nullspace_basis = linalg.ExactMatrix.nullspace_basis
 
         def s_system_off_kernel(m):
-            if m.cols == g.n:  # the nullspace of A itself
-                return nullspace_basis(m)
-            return [[1] + [0] * (m.cols - 1)]
+            return 1, [1] + [0] * (m.cols - 1)
 
-        monkeypatch.setattr(linalg.ExactMatrix, "nullspace_basis", s_system_off_kernel)
+        monkeypatch.setattr(
+            linalg.ExactMatrix, "nullity_and_first_vector", s_system_off_kernel
+        )
         with pytest.raises(ArithmeticError, match="diagonal"):
             z.has_sap(g.adjacency_rows(), g)
+
+    def test_star_back_substitutes_one_vector(self, monkeypatch):
+        # K(1,120): nullity 119, so 7,140 unknowns in 120 nonzero equations
+        # and violation dimension 7,020; only the sample's kernel vector is
+        # back-substituted, not all 7,020
+        solves = []
+        back_solve = linalg._back_solve
+        monkeypatch.setattr(
+            linalg, "_back_solve", lambda *args: solves.append(1) or back_solve(*args)
+        )
+        g = z.complete_bipartite_graph(1, 120)
+        start = time.perf_counter()
+        rep = z.has_sap(g.adjacency_rows(), g)
+        assert time.perf_counter() - start < 10
+        assert not rep.has_sap and rep.violation_dim == 7020
+        assert any(e for row in rep.sample_violation for e in row)
+        assert len(solves) < 1000
 
     def test_nonsingular_needs_no_system(self):
         g = z.cartesian_product(z.cycle_graph(7), z.cycle_graph(7))
