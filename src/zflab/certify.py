@@ -22,8 +22,9 @@ pattern is exact: off-diagonal entries are forced (the only nonzero element
 is 1), so the search space is the 2^n free diagonals. The incumbent is
 the better of D = 0 and D = I, at rank min(rank A, rank (A + I)); when
 that meets the floor n - |greedy zero forcing set| <= n - Z <= mr it is
-the answer and nothing is searched. Else a branch and bound walks the
-diagonals for strictly lower ranks and stops at the floor. A prefix with
+the answer at any order and nothing is searched. Else a branch and bound
+walks the diagonals for strictly lower ranks and stops at the floor; only
+this search is capped, at GF2_ORDER_CAP vertices. A prefix with
 rows F fixed at rank r is pruned once 2r - rank M[F,F] reaches the
 incumbent: by the partitioned-rank inequality (Marsaglia and Styan, 1974)
 and symmetry, no completion ranks lower. The witness is a minimizing
@@ -38,12 +39,12 @@ from typing import NamedTuple
 
 from . import forcing
 from .forcing import ZfResult, zero_forcing_number
-from .linalg import adjacency_matrix, gf2_rank, nullities
+from .linalg import _gf2_reduce, adjacency_matrix, gf2_rank, nullities
 from .structure import has_sap, min_degree, vertex_connectivity
 
 PRIMES = (2, 3, 5)  # the prime fields certify and the harness check
 REPORT_SHIFTS = (-2, -1, 0, 1, 2)  # the shifts lambda parameter_report tries
-GF2_ORDER_CAP = 24  # largest order the GF(2) minimum rank search accepts
+GF2_ORDER_CAP = 24  # largest order the GF(2) minimum rank search runs at
 
 
 class CertifyVerdict(NamedTuple):
@@ -128,9 +129,8 @@ def _gf2_min_rank(base, floor, best, best_diag):
     incumbent already at the proven floor examines no prefix.
 
     The echelon basis of the fixed rows is kept by lead, the highest set
-    bit of each vector, and the mask `leads` of those bits; a row is
-    reduced by the leads it hits, highest first, each XOR clearing its lead
-    and touching only lower bits, so a node reduces one row and one unit
+    bit of each vector, with the mask `leads` of those bits, and a row is
+    reduced by `linalg._gf2_reduce`, so a node reduces one row and one unit
     vector, not n rows; by linearity the d = 1 row reduces to the sum of
     the two. With rows F = i..n-1 fixed at rank r, the leads at bits >= i
     count rank M[F,F] (the other vectors vanish on columns F; these keep
@@ -145,18 +145,13 @@ def _gf2_min_rank(base, floor, best, best_diag):
     nodes = 0
     pivots = [0] * len(base)  # pivots[b]: the basis vector with lead bit b
 
-    def reduce(row, leads):
-        while hit := row & leads:
-            row ^= pivots[hit.bit_length() - 1]
-        return row
-
     def visit(i, rank, leads, diag):
         nonlocal best, best_diag, nodes
         if i < 0:
             best, best_diag = rank, diag
             return rank <= floor
-        row = reduce(base[i], leads)
-        unit = reduce(1 << i, leads)
+        row = _gf2_reduce(base[i], leads, pivots)
+        unit = _gf2_reduce(1 << i, leads, pivots)
         nodes += 2
         for bit, reduced in ((0, row), (1, row ^ unit)):
             top = reduced.bit_length()
@@ -182,7 +177,8 @@ def min_rank_gf2_exhaustive(g):
     is the better of D = 0 and D = I (D = 0 on a tie); when its rank meets
     the floor it is the answer and no prefix is examined, else the search
     seeks only strictly lower ranks, and the partitioned-rank bound never
-    prunes a prefix of one (see `_gf2_min_rank`). Some diagonal attains
+    prunes a prefix of one (see `_gf2_min_rank`). A search past
+    GF2_ORDER_CAP vertices is refused with ValueError. Some diagonal attains
     rank t exactly when min <= t <= n. One flipped diagonal bit moves the
     rank by at most 1 and single flips connect all diagonals, so the
     attained ranks form an interval; it ends at n because det(A + D) is
@@ -191,19 +187,16 @@ def min_rank_gf2_exhaustive(g):
     nonzero multilinear polynomial over GF(2) is nonzero at some point of
     {0,1}^n. The witness is replayed: A + D must have the minimum rank
     over GF(2), else ArithmeticError."""
-    n = g.n
-    if n > GF2_ORDER_CAP:
-        raise ValueError(
-            f"graph order {n} exceeds the GF(2) search cap {GF2_ORDER_CAP}"
-        )
+    n, masks = g.n, g.adjacency_masks
     floor = n - forcing._greedy_upper_bound(g).bit_count()
-    # adjacency_masks is cached on the graph: read, never written
-    masks = g.adjacency_masks
-    rank_a = gf2_rank(masks)
-    rank_i = gf2_rank([row | 1 << i for i, row in enumerate(masks)])
-    incumbent = (rank_a, 0) if rank_a <= rank_i else (rank_i, (1 << n) - 1)
-    best, best_diag, nodes = _gf2_min_rank(masks, floor, *incumbent)
-    if gf2_rank([row | (best_diag & 1 << i) for i, row in enumerate(masks)]) != best:
+    rank, diag = min((gf2_rank(masks, d), d) for d in (0, (1 << n) - 1))
+    if rank > floor and n > GF2_ORDER_CAP:
+        raise ValueError(
+            f"graph order {n} exceeds the GF(2) search cap {GF2_ORDER_CAP}, and a "
+            f"search is needed: D = 0 and D = I give rank {rank}, above the floor {floor}"
+        )
+    best, best_diag, nodes = _gf2_min_rank(masks, floor, rank, diag)
+    if gf2_rank(masks, best_diag) != best:
         raise ArithmeticError(f"the witness diagonal does not attain rank {best}")
     return Gf2MinRank(best, tuple((best_diag >> i) & 1 for i in range(n)), nodes)
 

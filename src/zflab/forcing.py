@@ -22,10 +22,10 @@ graph's off-diagonal pattern has nullity at most M(F,G) <= Z(G) (AIM
 Minimum Rank Work Group, LAA 428, 2008). Over GF(2), A - lambda*I is A for
 even lambda and A + I for odd lambda, both with the graph's pattern, and
 reducing mod 2 never raises a rank; so the larger GF(2) nullity of A and
-A + I, two bitmask eliminations, bounds Z at least as well as the rational
-nullity at every integer shift. The wavefront swaps its incumbent only for
-a strictly smaller set, so a floor at or below Z changes neither the
-witness nor its forces, only the states expanded.
+A + I, one `linalg.gf2_rank` per diagonal, bounds Z at least as well as
+the rational nullity at every integer shift. The wavefront swaps its
+incumbent only for a strictly smaller set, so a floor at or below Z
+changes neither the witness nor its forces, only the states expanded.
 """
 
 from __future__ import annotations
@@ -205,11 +205,11 @@ def zero_forcing_number(g):
 
 
 def _gf2_floor(g):
-    """n - min(rank A, rank (A + I)) over GF(2): the larger GF(2) nullity of
-    A - lambda*I over the integers lambda, a lower bound for Z(G)."""
-    masks = g.adjacency_masks  # cached on the graph: read, never written
-    plus = [row | 1 << i for i, row in enumerate(masks)]
-    return g.n - min(gf2_rank(masks), gf2_rank(plus))
+    """n - min over D in {0, I} of rank (A + D) over GF(2), from one
+    `gf2_rank` per diagonal: the larger GF(2) nullity of A - lambda*I over
+    the integers lambda, a lower bound for Z(G)."""
+    full = (1 << g.n) - 1
+    return g.n - min(gf2_rank(g.adjacency_masks, d) for d in (0, full))
 
 
 def _greedy_upper_bound(g):

@@ -15,7 +15,7 @@ import json
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "_masks")
+    __slots__ = ("n", "edges", "_adj", "adjacency_masks")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -35,11 +35,15 @@ class Graph:
         self.n = n
         self.edges = tuple(sorted(norm))
         adj = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self._adj = tuple(frozenset(s) for s in adj)
-        self._masks = None
+        # per-vertex neighbor bitmasks (bit v set iff v is a neighbor)
+        self.adjacency_masks = tuple(masks)
 
     def neighbors(self, v):
         return self._adj[v]
@@ -53,17 +57,6 @@ class Graph:
     @property
     def num_edges(self):
         return len(self.edges)
-
-    @property
-    def adjacency_masks(self):
-        """Per-vertex neighbor bitmasks (bit v set iff v is a neighbor)."""
-        if self._masks is None:
-            masks = [0] * self.n
-            for u, v in self.edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            self._masks = masks
-        return self._masks
 
     def adjacency_rows(self):
         """Dense 0/1 integer rows of the adjacency matrix."""

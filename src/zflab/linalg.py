@@ -17,8 +17,11 @@ pivot count; the nullspace basis is back-substituted with no reduction
 pass: each pivot scales the vector by the least factor that makes its
 entry integral over Q (by 1 over GF(p)), so over Q it stays primitive and
 never meets a Fraction.
-Rows of 0/1 entries packed into bitmasks have their own GF(2) rank,
-`gf2_rank`, one XOR per reduction step.
+Rows of 0/1 entries packed into bitmasks have their own GF(2) kernel:
+`_gf2_reduce` reduces a row by an echelon basis keyed by lead bit, and
+`gf2_rank` ranks A + D with it for a diagonal D given as a bitmask. The
+reduction runs once per row, or per node of the GF(2) minimum rank search,
+so it stays private: bench/tracer.py puts a span on every public function.
 Floating-point spectra of real symmetric / complex Hermitian matrices come
 from numpy's eigvalsh, as descending tuples of floats; callers compare them
 with their own tolerance. numpy loads at the first spectrum.
@@ -233,20 +236,29 @@ def nullities(matrix, primes):
     return nulls
 
 
-def gf2_rank(rows):
-    """Rank over GF(2) of rows given as bitmasks (bit j is column j). Each
-    pivot is kept under its lowest set bit; XORing it out of a row clears
-    that bit and touches only higher ones, so a row is reduced in one pass
-    up its set bits, and one that is not zero by then becomes a pivot."""
-    pivots = {}
-    for row in rows:
-        while row:
-            low = row & -row
-            pivot = pivots.get(low)
-            if pivot is None:
-                pivots[low] = row
-                break
-            row ^= pivot
+def _gf2_reduce(row, leads, pivots):
+    """`row` reduced over GF(2) by an echelon basis kept by lead, the
+    highest set bit of each vector: `pivots[b]` is the vector with lead b
+    and `leads` the mask of those bits. Each lead the row hits, highest
+    first, is XORed out; that clears it and touches only lower bits, so
+    the result hits no lead."""
+    while hit := row & leads:
+        row ^= pivots[hit.bit_length() - 1]
+    return row
+
+
+def gf2_rank(rows, diagonal=0):
+    """Rank over GF(2) of A + D, A given as bitmask rows (bit j is column
+    j) and D as the bitmask of its diagonal ones (bit i on row i). Each
+    row is reduced by the rows before it and, if nonzero, kept under its
+    lead."""
+    leads, pivots = 0, {}
+    for i, row in enumerate(rows):
+        row = _gf2_reduce(row ^ (diagonal >> i & 1) << i, leads, pivots)
+        if row:
+            lead = row.bit_length() - 1
+            pivots[lead] = row
+            leads |= 1 << lead
     return len(pivots)
 
 

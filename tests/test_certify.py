@@ -201,8 +201,30 @@ class TestGf2MinRank:
             assert res.min_rank >= g.n - zres.zf_number
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            z.min_rank_gf2_exhaustive(z.circulant(30, {1}))
+        # P(13,5): D = 0 and D = I rank 25, above the floor 17, so only a
+        # search could answer, and the order 26 is past the cap
+        with pytest.raises(ValueError, match="search is needed.*rank 25, above the floor 17"):
+            z.min_rank_gf2_exhaustive(z.generalized_petersen(13, 5))
+
+    @pytest.mark.parametrize("spec, min_rank", [
+        ("cart:cycle:9+cycle:9", 64),
+        ("aztec:6", 72),
+        ("cart:cycle:8+cycle:8", 48),
+        ("cycle:30", 28),
+        ("petersen:15,4", 21),
+        ("aztec:20", 800),
+        ("circulant:768:1,7", 754),
+    ])
+    def test_past_the_cap_an_incumbent_at_the_floor_answers(self, spec, min_rank):
+        # D = 0 or D = I meets the floor n - |greedy set|: no search, so
+        # no cap (the minima of C9xC9, aztec:6, C8xC8 and P(15,4) are
+        # n - M(GF(2)) of ROADMAP item 4's table)
+        g = cli.parse_graph_spec(spec)
+        res = z.min_rank_gf2_exhaustive(g)
+        assert g.n > certify.GF2_ORDER_CAP
+        assert res.min_rank == min_rank == _search_floor(g) == _incumbent(g)[0]
+        assert res.nodes_examined == 0
+        assert _replayed_rank(g, res.witness_diagonal) == min_rank
 
     def test_wrong_witness_is_refused(self, monkeypatch):
         # P2 has GF(2) minimum rank 1, at D = I; the zero diagonal leaves

@@ -405,11 +405,18 @@ class TestGf2Floor:
                 assert g.n - naive_rational_rank(rows) <= floor, (g.edges, lam)
 
     def test_floor_leaves_the_adjacency_masks(self, corpus, families):
+        # the masks are a tuple built with the graph: no caller can write
+        # them, and the floor and a search leave them as they were
         for g in list(corpus) + list(families.values()):
-            before = list(g.adjacency_masks)
+            masks = g.adjacency_masks
+            assert type(masks) is tuple
+            with pytest.raises(TypeError):
+                masks[0] = 0
+            before = list(masks)
             forcing._gf2_floor(g)
             z.zero_forcing_number(g)
-            assert g.adjacency_masks == before
+            assert g.adjacency_masks is masks
+            assert list(masks) == before
 
     def test_floor_changes_no_witness(self, corpus, families, monkeypatch):
         # the wavefront swaps its incumbent only for a strictly smaller set,

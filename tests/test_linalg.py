@@ -8,6 +8,7 @@ import pytest
 
 import zflab as z
 from zflab import linalg
+from zflab.cli import parse_graph_spec
 from oracles import (
     format_matrix,
     fraction_determinant,
@@ -20,6 +21,7 @@ from oracles import (
     naive_mod_p_rank,
     naive_rational_rank,
 )
+from test_forcing import ZF_SPECS
 
 
 class TestDomains:
@@ -194,18 +196,27 @@ class TestGf2Rank:
         assert linalg.gf2_rank([0b1, 0b10, 0b100]) == 3
 
     def test_matches_oracle_on_a_and_a_plus_i(self, corpus, families):
-        for g in list(corpus) + list(families.values()):
+        # A + D for D = 0, D = I and seeded random diagonals; on aztec:12
+        # and Circ[384,{1,7}], rows taken in vertex order mostly bring a
+        # new lead and reduce with no XOR
+        rng = random.Random(34)
+        graphs = list(corpus) + list(families.values())
+        specs = ZF_SPECS + ("aztec:12", "circulant:384:1,7")
+        graphs += [parse_graph_spec(spec) for spec in specs]
+        for g in graphs:
             masks = g.adjacency_masks
-            plus = [row | 1 << i for i, row in enumerate(masks)]
-            assert linalg.gf2_rank(masks) == gf2_rank(masks), g.edges
-            assert linalg.gf2_rank(plus) == gf2_rank(plus), g.edges
+            for diag in (0, (1 << g.n) - 1, rng.getrandbits(g.n), rng.getrandbits(g.n)):
+                rows = [row | (diag & 1 << i) for i, row in enumerate(masks)]
+                assert linalg.gf2_rank(masks, diag) == gf2_rank(rows), (g.edges, diag)
 
     def test_matches_oracle_on_random_rows(self):
         rng = random.Random(26)
         for _ in range(300):
             width = rng.randint(1, 40)
             rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 12))]
-            assert linalg.gf2_rank(rows) == gf2_rank(rows), rows
+            diag = rng.getrandbits(len(rows))
+            plus = [row ^ (diag >> i & 1) << i for i, row in enumerate(rows)]
+            assert linalg.gf2_rank(rows, diag) == gf2_rank(plus), (rows, diag)
 
 
 class TestNullspace:
